@@ -12,7 +12,7 @@ from crossscene.engine import Tensor
 from crossscene.model import CenterAttentionBlock, CenterAttentionConfig
 
 rng = np.random.default_rng(0)
-x = Tensor(rng.normal(size=(1, 8, 5, 5)).astype(np.float32))
+x = Tensor(rng.normal(size=(1, 5, 5, 8)).astype(np.float32))
 
 # The four design variants differ only in where the activation sits.
 for variant in "abcd":
@@ -31,12 +31,12 @@ for layer in (block.key, block.value, block.query):
 print("\nzero-weight identity holds:", np.array_equal(block(x).data, x.data))
 
 # The gate responds to how similar each position is to the center pixel.
-flat = np.zeros((1, 2, 5, 5), dtype=np.float32)
-flat[0, :, 2, 2] = 1.0            # distinctive center
-flat[0, :, 0, 0] = 1.0            # one corner matches the center exactly
+flat = np.zeros((1, 5, 5, 2), dtype=np.float32)  # (n, h, w, c)
+flat[0, 2, 2, :] = 1.0            # distinctive center
+flat[0, 0, 0, :] = 1.0            # one corner matches the center exactly
 block2 = CenterAttentionBlock(2, CenterAttentionConfig(), np.random.default_rng(2),
                               np.float32, "blk2")
 out = block2(Tensor(flat))
-gate = np.abs(out.data - flat)[0].sum(axis=0)
+gate = np.abs(out.data - flat)[0].sum(axis=-1)
 print("\n|output - input| per position (center-similar corner reacts):")
 print(np.array2string(gate, precision=3))

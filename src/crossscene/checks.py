@@ -29,8 +29,8 @@ def attention_block_case(variant, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence((seed, ord(variant))))
     block = CenterAttentionBlock(8, CenterAttentionConfig(variant=variant), rng,
                                  np.float64, f"attn_{variant}")
-    x = Parameter(rng.standard_normal((2, 8, 5, 5)), name="x", dtype=np.float64)
-    r = Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=np.float64)
+    x = Parameter(rng.standard_normal((2, 5, 5, 8)), name="x", dtype=np.float64)
+    r = Tensor(rng.standard_normal((2, 5, 5, 8)), dtype=np.float64)
     params = {p.name: p for p in block.parameters()}
     params["x"] = x
 

@@ -187,6 +187,8 @@ def load_scene(bundle_dir):
 
 # -- normalization -----------------------------------------------------------
 
+NORMALIZATIONS = ("none", "minmax", "zscore")
+
 
 def normalize_scene(scene, mode="minmax"):
     """Per-band scaling over the whole scene; constant bands map to 0."""

@@ -6,6 +6,11 @@ general autodiff system.  Every op records a vector-Jacobian product closure;
 ``Tensor.backward`` walks the tape in reverse topological order and
 accumulates gradients on the leaves.
 
+Spatial maps are channels-last, (n, h, w, c), end to end: the layout patches
+are cut in, so no op or caller transposes activations.  Convolution kernels
+keep their (c_out, c_in, 3, 3) and (c, 3, 3) parameter layouts, which is also
+their on-disk checkpoint layout.
+
 Training runs in float32; gradient verification rebuilds graphs in float64
 (see :mod:`crossscene.engine.gradcheck`).
 """
@@ -399,16 +404,16 @@ def gather_rows(x, idx):
 
 
 def center_pixel(x):
-    """Center spectrum of an NCHW map: (n, c, h, w) -> (n, c). h, w odd."""
-    n, c, h, w = x.data.shape
+    """Center spectrum of an NHWC map: (n, h, w, c) -> (n, c). h, w odd."""
+    n, h, w, c = x.data.shape
     if h % 2 == 0 or w % 2 == 0:
         raise ValueError("center_pixel needs odd spatial dimensions")
     ci, cj = h // 2, w // 2
-    data = x.data[:, :, ci, cj].copy()
+    data = x.data[:, ci, cj].copy()
 
     def vjp(g):
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        gx[:, :, ci, cj] = g
+        gx = np.zeros((n, h, w, c), dtype=g.dtype)
+        gx[:, ci, cj] = g
         return (gx,)
 
     return _make(data, (x,), vjp)
@@ -485,53 +490,70 @@ def log_softmax(x, axis=-1):
     return _make(data, (x,), vjp)
 
 
-# -- spatial ops (NCHW, 3x3, stride 1, zero pad 1) --------------------------
-
-
-def _im2col3(x):
-    """(n, c, h, w) -> cols (n*h*w, c*9) for a 3x3, stride-1, pad-1 window."""
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * 9)
-
-
-def _conv3(cols, wmat, n, h, w):
-    """cols (n*h*w, c*9) x wmat (c_out, c*9) -> (n, c_out, h, w)."""
-    out = (cols @ wmat.T).reshape(n, h, w, wmat.shape[0]).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out)
+# -- spatial ops (NHWC, 3x3, stride 1, zero pad 1) --------------------------
+#
+# Every spatial map is (n, h, w, c): channels last, the layout patches are cut
+# in.  Kernels keep their (c_out, c_in, 3, 3) and (c, 3, 3) parameter layouts.
 
 
 def conv2d(x, w, b=None):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
-    x: (n, c_in, h, w), w: (c_out, c_in, 3, 3), b: (c_out,) or None.
-    The input gradient is the transposed convolution, which for this
-    geometry is again a 3x3/s1/p1 conv with flipped kernels and swapped
-    channel axes, so both directions ride the same GEMM path.
+    x: (n, h, w, c_in), w: (c_out, c_in, 3, 3), b: (c_out,) or None.
+    Output pixel (i, j) sits at row i*(w+2) + j of the flattened zero-padded
+    map, and tap (ki, kj) reads the row ki*(w+2) + kj further on, so the conv
+    is nine GEMMs over shifted row ranges of that map with no im2col copy.
+    Rows that wrap across the padded border land outside the (h, w) crop.
+    The weight gradient is nine GEMMs against the same shifted inputs; the
+    input gradient is nine more, scattered back along the shifts, and is
+    skipped when the input needs no gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
-        raise ValueError("conv2d expects NCHW input and a (c_out, c_in, 3, 3) kernel")
-    if x.data.shape[1] != w.data.shape[1]:
+        raise ValueError("conv2d expects NHWC input and a (c_out, c_in, 3, 3) kernel")
+    if x.data.shape[3] != w.data.shape[1]:
         raise ValueError(
-            f"conv2d channel mismatch: input has {x.data.shape[1]}, kernel expects {w.data.shape[1]}"
+            f"conv2d channel mismatch: input has {x.data.shape[3]}, kernel expects {w.data.shape[1]}"
         )
-    n, c, h, wd_ = x.data.shape
+    n, h, wd_, c = x.data.shape
     c_out = w.data.shape[0]
-    cols = _im2col3(x.data)
-    wmat = w.data.reshape(c_out, c * 9)
-    out = _conv3(cols, wmat, n, h, wd_)
+    xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=x.data.dtype)
+    xp[:, 1:-1, 1:-1] = x.data
+    xrows = xp.reshape(-1, c)
+    offs = [ki * (wd_ + 2) + kj for ki in range(3) for kj in range(3)]
+    length = xrows.shape[0] - offs[-1]
+    taps = w.data.transpose(2, 3, 1, 0).reshape(9, c, c_out)  # taps[k]: (c_in, c_out)
+
+    yrows = np.zeros((xrows.shape[0], c_out), dtype=x.data.dtype)
+    np.matmul(xrows[:length], taps[0], out=yrows[:length])
+    part = np.empty((length, c_out), dtype=x.data.dtype)
+    for k in range(1, 9):
+        np.matmul(xrows[offs[k] : offs[k] + length], taps[k], out=part)
+        yrows[:length] += part
+    out = yrows.reshape(n, h + 2, wd_ + 2, c_out)[:, :h, :wd_].copy()
     if b is not None:
-        out += b.data[None, :, None, None]
+        out += b.data
 
     def vjp(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(n * h * wd_, c_out)
-        gw = (g2.T @ cols).reshape(c_out, c, 3, 3)
-        wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, c_out * 9)
-        gx = _conv3(_im2col3(np.ascontiguousarray(g)), wflip, n, h, wd_)
+        grows = np.zeros((xrows.shape[0], c_out), dtype=g.dtype)
+        grows.reshape(n, h + 2, wd_ + 2, c_out)[:, :h, :wd_] = g
+        grows = grows[:length]
+        # these long-K products run fastest with the wider channel axis as rows
+        if c >= c_out:
+            gtaps = np.stack([xrows[o : o + length].T @ grows for o in offs])
+        else:
+            gtaps = np.stack([grows.T @ xrows[o : o + length] for o in offs]).transpose(0, 2, 1)
+        gw = gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
+        gx = None
+        if x.requires_grad:
+            gxrows = np.zeros_like(xrows, dtype=g.dtype)
+            gpart = np.empty((length, c), dtype=g.dtype)
+            for k, o in enumerate(offs):
+                np.matmul(grows, taps[k].T, out=gpart)
+                gxrows[o : o + length] += gpart
+            gx = gxrows.reshape(n, h + 2, wd_ + 2, c)[:, 1:-1, 1:-1].copy()
         if b is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, g.sum(axis=(0, 1, 2))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, vjp)
@@ -540,35 +562,35 @@ def conv2d(x, w, b=None):
 def depthwise_conv2d(x, w):
     """Per-channel 3x3 convolution, stride 1, zero pad 1, no bias.
 
-    x: (n, c, h, w), w: (c, 3, 3) — one kernel per channel, no cross-channel mixing.
+    x: (n, h, w, c), w: (c, 3, 3) — one kernel per channel, no cross-channel mixing.
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or w.data.shape[1:] != (3, 3):
-        raise ValueError("depthwise_conv2d expects NCHW input and a (c, 3, 3) kernel")
-    if x.data.shape[1] != w.data.shape[0]:
+        raise ValueError("depthwise_conv2d expects NHWC input and a (c, 3, 3) kernel")
+    if x.data.shape[3] != w.data.shape[0]:
         raise ValueError("depthwise_conv2d channel mismatch")
-    n, c, h, wd_ = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.zeros((n, c, h, wd_), dtype=x.data.dtype)
+    n, h, wd_, c = x.data.shape
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    out = np.zeros((n, h, wd_, c), dtype=x.data.dtype)
     for ki in range(3):
         for kj in range(3):
-            out += w.data[None, :, ki, kj, None, None] * xp[:, :, ki : ki + h, kj : kj + wd_]
+            out += w.data[:, ki, kj] * xp[:, ki : ki + h, kj : kj + wd_]
 
     def vjp(g):
         gw = np.empty((c, 3, 3), dtype=g.dtype)
         gxp = np.zeros_like(xp, dtype=g.dtype)
         for ki in range(3):
             for kj in range(3):
-                patch = xp[:, :, ki : ki + h, kj : kj + wd_]
-                gw[:, ki, kj] = (g * patch).sum(axis=(0, 2, 3))
-                gxp[:, :, ki : ki + h, kj : kj + wd_] += w.data[None, :, ki, kj, None, None] * g
-        return gxp[:, :, 1:-1, 1:-1], gw
+                patch = xp[:, ki : ki + h, kj : kj + wd_]
+                gw[:, ki, kj] = (g * patch).sum(axis=(0, 1, 2))
+                gxp[:, ki : ki + h, kj : kj + wd_] += w.data[:, ki, kj] * g
+        return gxp[:, 1:-1, 1:-1], gw
 
     return _make(out, (x, w), vjp)
 
 
 def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
                  momentum=0.1, eps=1e-5, update_running=True):
-    """Per-channel batch normalization on NCHW maps.
+    """Per-channel batch normalization on NHWC maps.
 
     Training mode normalizes with batch statistics (biased variance) and, when
     ``update_running`` is set, folds an unbiased variance estimate into the
@@ -576,12 +598,13 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
     """
     xd = x.data
     if xd.ndim != 4:
-        raise ValueError("batch_norm2d expects an NCHW input")
-    n, c, h, w = xd.shape
+        raise ValueError("batch_norm2d expects an NHWC input")
+    n, h, w, c = xd.shape
     cnt = n * h * w
+    axes = (0, 1, 2)
     if training:
-        mu = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+        mu = xd.mean(axis=axes)
+        var = xd.var(axis=axes)
         if update_running:
             unbiased = var * (cnt / (cnt - 1)) if cnt > 1 else var
             running_mean *= 1.0 - momentum
@@ -592,31 +615,31 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
         mu = running_mean.astype(xd.dtype)
         var = running_var.astype(xd.dtype)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = (xd - mu) * inv
+    out = gamma.data * xhat + beta.data
 
     def vjp(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        gxhat = g * gamma.data[None, :, None, None]
+        ggamma = (g * xhat).sum(axis=axes)
+        gbeta = g.sum(axis=axes)
+        gxhat = g * gamma.data
         if training:
-            s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-            s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            gx = (inv[None, :, None, None] / cnt) * (cnt * gxhat - s1 - xhat * s2)
+            s1 = gxhat.sum(axis=axes)
+            s2 = (gxhat * xhat).sum(axis=axes)
+            gx = (inv / cnt) * (cnt * gxhat - s1 - xhat * s2)
         else:
-            gx = gxhat * inv[None, :, None, None]
+            gx = gxhat * inv
         return gx, ggamma, gbeta
 
     return _make(out, (x, gamma, beta), vjp)
 
 
 def avg_pool2d(x):
-    """Global average over the spatial dims: (n, c, h, w) -> (n, c)."""
-    n, c, h, w = x.data.shape
-    data = x.data.mean(axis=(2, 3))
+    """Global average over the spatial dims: (n, h, w, c) -> (n, c)."""
+    n, h, w, c = x.data.shape
+    data = x.data.mean(axis=(1, 2))
 
     def vjp(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).astype(g.dtype, copy=True),)
+        return (np.broadcast_to(g[:, None, None, :] / (h * w), (n, h, w, c)).astype(g.dtype, copy=True),)
 
     return _make(data, (x,), vjp)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
+from .data import BundleError
 from .engine import Parameter
 
 BLOCK_VARIANTS = ("a", "b", "c", "d")
@@ -147,7 +148,7 @@ class CenterAttentionBlock:
                                    name=f"{prefix}.dw_kernel")
 
     def __call__(self, x):
-        n, c, h, w = x.shape
+        n, h, w, c = x.shape
         if c != self.channels:
             raise ValueError(f"block built for {self.channels} channels, got {c}")
         if h != w or h % 2 == 0:
@@ -155,7 +156,7 @@ class CenterAttentionBlock:
         variant = self.config.variant
         p = h * w
 
-        flat = E.reshape(E.transpose(x, (0, 2, 3, 1)), (n * p, c))
+        flat = E.reshape(x, (n * p, c))
         k = self.key(flat)
         if variant in ("b", "d"):
             k = E.gelu(k)
@@ -168,7 +169,7 @@ class CenterAttentionBlock:
         divisor = math.sqrt(h) if self.config.scale_divisor == "sqrt_patch" else math.sqrt(c)
         gate = E.mul(E.reshape(v, (n, p, c)),
                      E.reshape(E.scale(scores, 1.0 / divisor), (n, p, 1)))
-        gate_map = E.transpose(E.reshape(gate, (n, h, w, c)), (0, 3, 1, 2))
+        gate_map = E.reshape(gate, (n, h, w, c))
 
         conv_stream = E.depthwise_conv2d(x, self.dw_kernel)
         if variant == "c":
@@ -204,15 +205,15 @@ class FeatureExtractor:
             raise ValueError(
                 f"extractor built for {self.config.input_bands} bands, got {patches.shape[3]}")
         slope = self.config.leaky_slope
-        h = E.transpose(patches, (0, 3, 1, 2))
-        h = E.leaky_relu(self.bn1(self.conv1(h), training), slope)
+        h = E.leaky_relu(self.bn1(self.conv1(patches), training), slope)
         if self.block is not None:
             h = self.block(h)
         h = E.leaky_relu(self.bn2(self.conv2(h), training), slope)
         h = E.leaky_relu(self.bn3(self.conv3(h), training), slope)
         if self.config.feature_mode == "flatten":
+            # (c, h, w) feature order, the order flatten-mode head weights expect
             n = h.shape[0]
-            return E.reshape(h, (n, -1))
+            return E.reshape(E.transpose(h, (0, 3, 1, 2)), (n, -1))
         return E.avg_pool2d(h)
 
     def parameters(self):
@@ -304,24 +305,40 @@ def save_checkpoint(model, bin_path, index_path=None):
 
 
 def load_checkpoint(model, bin_path, index_path=None):
-    """Restore named tensors in place; shapes and names must match exactly."""
+    """Restore named tensors in place; shapes and names must match exactly.
+
+    Every fault in the checkpoint (unparseable index, a missing or extra
+    name, a shape mismatch, an unknown dtype tag, a byte range past the end
+    of the binary) raises ``BundleError`` before any tensor is touched.
+    """
     bin_path = Path(bin_path)
     index_path = Path(index_path) if index_path else bin_path.with_name("index.json")
-    index = json.loads(index_path.read_text())
+    try:
+        index = json.loads(index_path.read_text())
+    except json.JSONDecodeError as e:
+        raise BundleError(f"unparseable checkpoint index {index_path}: {e}") from e
     raw = bin_path.read_bytes()
     state = model.named_state()
     if set(index) != set(state):
         missing = set(state) - set(index)
         extra = set(index) - set(state)
-        raise ValueError(f"checkpoint/model mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        raise BundleError(f"checkpoint/model mismatch in {index_path}: "
+                          f"missing={sorted(missing)} extra={sorted(extra)}")
+    loaded = {}
     for name, entry in index.items():
         arr = state[name]
+        if entry.get("dtype") not in _TAG_DTYPES:
+            raise BundleError(f"unknown dtype tag {entry.get('dtype')!r} for {name} in {index_path}")
         dtype = np.dtype(_TAG_DTYPES[entry["dtype"]])
         shape = tuple(entry["shape"])
         if shape != arr.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}: {shape} vs {arr.shape}")
+            raise BundleError(f"checkpoint shape mismatch for {name}: {shape} vs {arr.shape}")
         n = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         start = entry["offset"]
-        loaded = np.frombuffer(raw[start : start + n], dtype=dtype).reshape(shape)
-        arr[...] = loaded.astype(arr.dtype)
+        if start < 0 or start + n > len(raw):
+            raise BundleError(f"checkpoint {bin_path} is truncated: {name} needs bytes "
+                              f"{start}..{start + n}, file has {len(raw)}")
+        loaded[name] = np.frombuffer(raw[start : start + n], dtype=dtype).reshape(shape)
+    for name, values in loaded.items():
+        state[name][...] = values.astype(state[name].dtype)
     return model

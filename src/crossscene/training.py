@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from .data import (PatchSource, batch_stream, cycled_batches, labeled_refs,
+from .data import (NORMALIZATIONS, PatchSource, batch_stream, cycled_batches, labeled_refs,
                    normalize_scene, subsample_refs)
 from .discrepancy import KernelSpec, lmmd, one_hot
 from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_grads
@@ -78,6 +78,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch >= 1")
         if self.lr0 <= 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("bad optimizer settings")
+        if self.normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {self.normalization!r}; "
+                             f"choose from {list(NORMALIZATIONS)}")
+        # the extractor's geometry checks do not depend on the band count
+        extractor_config(self, input_bands=1).validate()
         self.loss_weights.validate()
         self.attention.validate()
         self.kernel.validate()
@@ -218,15 +223,19 @@ class FitResult:
     checkpoint: Path | None = None
 
 
-def build_model(config, num_classes, input_bands):
-    extractor = ExtractorConfig(
+def extractor_config(config, input_bands):
+    return ExtractorConfig(
         input_bands=input_bands,
         patch_size=config.patch_size,
         unit_channels=tuple(config.unit_channels),
         use_attention=config.ablation.use_attention,
         feature_mode=config.feature_mode,
     )
-    return DualHeadClassifier(extractor, config.attention, num_classes, seed=config.seed)
+
+
+def build_model(config, num_classes, input_bands):
+    return DualHeadClassifier(extractor_config(config, input_bands), config.attention,
+                              num_classes, seed=config.seed)
 
 
 def fit(config, source, target, out_dir=None, deterministic=False):

@@ -89,7 +89,7 @@ def test_criterion_3_structural_invariants():
     checks = {}
 
     # attention block zero-weight identity, all four variants
-    x = Tensor(rng.normal(size=(2, 8, 5, 5)).astype(np.float32))
+    x = Tensor(rng.normal(size=(2, 5, 5, 8)).astype(np.float32))
     ident = True
     for variant in "abcd":
         blk = CenterAttentionBlock(8, CenterAttentionConfig(variant=variant),

@@ -173,3 +173,59 @@ def test_exit_code_numeric_failure(synth_dir, tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 4
     assert "numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["train.patch_size=4", "train.normalization=bogus",
+                                      "train.unit_channels=[16,16,16]"])
+def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
+    cfg = _cfg_file(synth_dir)
+    rc = main(["train", "--config", str(cfg), "--set", override, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error") and "\n" not in err
+
+
+@pytest.fixture(scope="module")
+def ckpt_dir(synth_dir):
+    out = synth_dir / "ckpt_run"
+    assert main(["train", "--config", str(_cfg_file(synth_dir, epochs=1)), "--out", str(out),
+                 "--deterministic"]) == 0
+    return out / "seed_0"
+
+
+def _truncate(d):
+    raw = (d / "checkpoint.bin").read_bytes()
+    (d / "checkpoint.bin").write_bytes(raw[: len(raw) // 2])
+
+
+def _edit_index(edit):
+    def apply(d):
+        index = json.loads((d / "index.json").read_text())
+        edit(index)
+        (d / "index.json").write_text(json.dumps(index))
+    return apply
+
+
+def _rename_first(index):
+    name = next(iter(index))
+    index[name + "_renamed"] = index.pop(name)
+
+
+@pytest.mark.parametrize("fault,extra,message", [
+    (_truncate, [], "truncated"),
+    (None, ["--set", "train.unit_channels=[8,16,8]"], "shape mismatch"),
+    (_edit_index(lambda ix: ix["extractor.conv1.weight"].update(dtype="f16")), [], "dtype tag"),
+    (_edit_index(_rename_first), [], "missing="),
+], ids=["truncated", "other-width", "dtype-tag", "name-mismatch"])
+def test_exit_code_bad_checkpoint(synth_dir, ckpt_dir, tmp_path, capsys, fault, extra, message):
+    d = tmp_path / "ckpt"
+    d.mkdir()
+    for name in ("checkpoint.bin", "index.json"):
+        (d / name).write_bytes((ckpt_dir / name).read_bytes())
+    if fault is not None:
+        fault(d)
+    rc = main(["eval", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+               str(d / "checkpoint.bin"), "--bundle", str(synth_dir / "data" / "target")] + extra)
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error") and message in err and "\n" not in err

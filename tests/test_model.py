@@ -50,7 +50,7 @@ def test_block_zero_weight_identity(variant, rng):
     for layer in (block.key, block.value, block.query):
         layer.weight.data[...] = 0.0
         layer.bias.data[...] = 0.0
-    x = Tensor(rng.normal(size=(3, 8, 5, 5)).astype(np.float32))
+    x = Tensor(rng.normal(size=(3, 5, 5, 8)).astype(np.float32))
     out = block(x)
     assert np.array_equal(out.data, x.data)
 
@@ -59,8 +59,8 @@ def test_block_zero_weight_identity(variant, rng):
 def test_block_preserves_shape(ps, w, rng):
     block = CenterAttentionBlock(w, CenterAttentionConfig(),
                                  np.random.default_rng(1), np.float32, "blk")
-    x = Tensor(rng.normal(size=(2, w, ps, ps)).astype(np.float32))
-    assert block(x).shape == (2, w, ps, ps)
+    x = Tensor(rng.normal(size=(2, ps, ps, w)).astype(np.float32))
+    assert block(x).shape == (2, ps, ps, w)
 
 
 def test_block_hand_computed_single_channel():
@@ -73,7 +73,7 @@ def test_block_hand_computed_single_channel():
         layer.bias.data[...] = 0.0
     block.dw_kernel.data[...] = 0.0
     block.dw_kernel.data[:, 1, 1] = 1.0
-    x = Tensor(np.ones((1, 1, 3, 3)), dtype=np.float64)
+    x = Tensor(np.ones((1, 3, 3, 1)), dtype=np.float64)
     expected = GELU_1 * GELU_1 / np.sqrt(3.0) + 1.0
     assert np.allclose(block(x).data, expected, atol=1e-12)
     assert abs(expected - 1.4086837283547711) < 1e-12
@@ -82,7 +82,7 @@ def test_block_hand_computed_single_channel():
 def test_block_divisor_alternative(rng):
     cfg = CenterAttentionConfig(scale_divisor="sqrt_channels")
     block = CenterAttentionBlock(4, cfg, np.random.default_rng(2), np.float64, "blk")
-    x = Tensor(rng.normal(size=(1, 4, 3, 3)), dtype=np.float64)
+    x = Tensor(rng.normal(size=(1, 3, 3, 4)), dtype=np.float64)
     a = block(x).data
     block.config = CenterAttentionConfig(scale_divisor="sqrt_patch")
     b = block(x).data

@@ -35,22 +35,22 @@ def test_softmax_rows_normalized(rng):
 
 
 def test_batchnorm_training_statistics(rng):
-    x = Tensor(rng.normal(loc=3.0, scale=2.5, size=(8, 5, 6, 6)).astype(np.float32))
+    x = Tensor(rng.normal(loc=3.0, scale=2.5, size=(8, 6, 6, 5)).astype(np.float32))
     gamma = Parameter(np.ones(5, dtype=np.float32))
     beta = Parameter(np.zeros(5, dtype=np.float32))
     out = E.batch_norm2d(x, gamma, beta, np.zeros(5), np.ones(5), training=True).data
-    mean = out.mean(axis=(0, 2, 3))
-    var = out.var(axis=(0, 2, 3))
+    mean = out.mean(axis=(0, 1, 2))
+    var = out.var(axis=(0, 1, 2))
     assert np.abs(mean).max() < 1e-5
     assert np.abs(var - 1.0).max() < 1e-4
 
 
 def test_batchnorm_running_stats_update(rng):
-    x = Tensor(rng.normal(loc=1.0, size=(4, 3, 5, 5)).astype(np.float32))
+    x = Tensor(rng.normal(loc=1.0, size=(4, 5, 5, 3)).astype(np.float32))
     gamma, beta = Parameter(np.ones(3)), Parameter(np.zeros(3))
     rm, rv = np.zeros(3), np.ones(3)
     E.batch_norm2d(x, gamma, beta, rm, rv, training=True, momentum=0.1)
-    mu = x.data.mean(axis=(0, 2, 3))
+    mu = x.data.mean(axis=(0, 1, 2))
     assert np.allclose(rm, 0.1 * mu, atol=1e-6)
     # eval mode must not touch the buffers
     before = rm.copy()
@@ -59,9 +59,9 @@ def test_batchnorm_running_stats_update(rng):
 
 
 def test_conv2d_matches_direct_convolution(rng):
-    x = rng.normal(size=(2, 3, 6, 5))
+    x = rng.normal(size=(2, 3, 6, 5))  # reference computed in (n, c, h, w)
     w = rng.normal(size=(4, 3, 3, 3))
-    out = E.conv2d(Tensor(x), Tensor(w)).data
+    out = E.conv2d(Tensor(x.transpose(0, 2, 3, 1)), Tensor(w)).data.transpose(0, 3, 1, 2)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     ref = np.zeros((2, 4, 6, 5))
     for n in range(2):
@@ -72,17 +72,36 @@ def test_conv2d_matches_direct_convolution(rng):
     assert np.allclose(out, ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("c_in,c_out", [(3, 6), (6, 3)])
+def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out):
+    """A non-grad input gets no gradient; gw and gb are still exact."""
+    x = rng.normal(size=(2, 4, 5, c_in))
+    w = Parameter(rng.normal(size=(c_out, c_in, 3, 3)))
+    b = Parameter(rng.normal(size=c_out))
+    out = E.conv2d(Tensor(x), w, b)
+    g = rng.normal(size=out.shape)
+    gx, gw, gb = out._vjp(g)
+    assert gx is None
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    ref = np.zeros((c_out, c_in, 3, 3))
+    for ki in range(3):
+        for kj in range(3):
+            ref[:, :, ki, kj] = np.einsum("nhwo,nhwi->oi", g, xp[:, ki : ki + 4, kj : kj + 5])
+    assert np.allclose(gw, ref, atol=1e-10)
+    assert np.allclose(gb, g.sum(axis=(0, 1, 2)), atol=1e-12)
+
+
 def test_depthwise_conv_no_channel_mixing(rng):
-    x = rng.normal(size=(1, 3, 5, 5))
+    x = rng.normal(size=(1, 5, 5, 3))
     w = np.zeros((3, 3, 3))
     w[1] = rng.normal(size=(3, 3))  # only channel 1 has a nonzero kernel
     out = E.depthwise_conv2d(Tensor(x), Tensor(w)).data
-    assert np.allclose(out[:, 0], 0) and np.allclose(out[:, 2], 0)
-    assert np.abs(out[:, 1]).max() > 0
+    assert np.allclose(out[..., 0], 0) and np.allclose(out[..., 2], 0)
+    assert np.abs(out[..., 1]).max() > 0
 
 
 def test_depthwise_centered_delta_is_identity(rng):
-    x = rng.normal(size=(2, 4, 5, 5))
+    x = rng.normal(size=(2, 5, 5, 4))
     w = np.zeros((4, 3, 3))
     w[:, 1, 1] = 1.0
     out = E.depthwise_conv2d(Tensor(x), Tensor(w)).data
@@ -90,13 +109,13 @@ def test_depthwise_centered_delta_is_identity(rng):
 
 
 def test_avg_pool(rng):
-    x = rng.normal(size=(3, 2, 4, 4))
-    assert np.allclose(E.avg_pool2d(Tensor(x)).data, x.mean(axis=(2, 3)))
+    x = rng.normal(size=(3, 4, 4, 2))
+    assert np.allclose(E.avg_pool2d(Tensor(x)).data, x.mean(axis=(1, 2)))
 
 
 def test_center_pixel(rng):
-    x = rng.normal(size=(2, 3, 5, 5))
-    assert np.array_equal(E.center_pixel(Tensor(x)).data, x[:, :, 2, 2])
+    x = rng.normal(size=(2, 5, 5, 3))
+    assert np.array_equal(E.center_pixel(Tensor(x)).data, x[:, 2, 2, :])
     with pytest.raises(ValueError):
         E.center_pixel(Tensor(rng.normal(size=(1, 1, 4, 4))))
 
@@ -127,12 +146,12 @@ def test_shape_mismatch_raises(rng):
     with pytest.raises(ValueError):
         E.matmul(Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3))))
     with pytest.raises(ValueError):
-        E.conv2d(Tensor(rng.normal(size=(1, 3, 5, 5))), Tensor(rng.normal(size=(4, 2, 3, 3))))
+        E.conv2d(Tensor(rng.normal(size=(1, 5, 5, 3))), Tensor(rng.normal(size=(4, 2, 3, 3))))
 
 
 def test_forward_determinism(rng):
     """Same graph, same inputs: bitwise identical outputs."""
-    x = rng.normal(size=(4, 3, 7, 7)).astype(np.float32)
+    x = rng.normal(size=(4, 7, 7, 3)).astype(np.float32)
     w = rng.normal(size=(8, 3, 3, 3)).astype(np.float32)
 
     def run():
