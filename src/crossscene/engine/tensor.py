@@ -4,7 +4,7 @@ This is the compute substrate for the whole classifier: a small tape of
 primitives (convolution, batch norm, activations, reductions) rather than a
 general autodiff system.  Every op records a vector-Jacobian product closure;
 ``Tensor.backward`` walks the tape in reverse topological order and
-accumulates gradients on the leaves.
+accumulates gradients on the leaves.  Inside ``no_grad`` nothing is recorded.
 
 Spatial maps are channels-last, (n, h, w, c), end to end: the layout patches
 are cut in, so no op or caller transposes activations.  Convolution kernels
@@ -17,6 +17,7 @@ Training runs in float32; gradient verification rebuilds graphs in float64
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -239,11 +240,30 @@ def _lift(x, dtype):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+# False inside ``no_grad``: ops then leave no tape edge behind.
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the tape: no output requires grad.
+
+    Inference runs under it, so no VJP closure keeps an op's inputs alive
+    and each intermediate is freed as soon as the next op has read it.
+    """
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
+
+
 def _make(data, parents, vjp):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._vjp = vjp

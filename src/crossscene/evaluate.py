@@ -75,11 +75,13 @@ def metrics(cm):
     )
 
 
-def predict_scene(model, scene, label_map, config, map_all=False, batch=500):
+def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     """Predict labeled pixels (or all pixels) -> (predictions raster, refs).
 
     Deterministic raster ordering; eval-mode batch norm throughout; the
-    trailing partial batch is kept.
+    trailing partial batch is kept.  Batches of 100 (the default training
+    batch) keep every intermediate small enough for the allocator to reuse
+    from one batch to the next instead of mapping fresh pages for each.
     """
     scene = normalize_scene(scene, config.normalization)
     src = PatchSource(scene, config.patch_size)

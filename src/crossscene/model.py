@@ -259,8 +259,9 @@ class DualHeadClassifier:
 
     def predict(self, patches):
         """Hard labels (1..C) via extractor + main head, eval-mode statistics."""
-        z = self.features(patches, training=False)
-        logits = self.head_logits(z, "cls")
+        with E.no_grad():
+            z = self.features(patches, training=False)
+            logits = self.head_logits(z, "cls")
         return np.argmax(logits.data, axis=1) + 1
 
     # -- parameter plumbing ----------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from crossscene.evaluate import (MetricsReport, aggregate_runs, confusion,
                                  default_palette, evaluate_scene, format_mean_std,
-                                 format_report, metrics, render_map, write_map)
+                                 format_report, metrics, predict_scene, render_map,
+                                 write_map)
 from crossscene.training import build_model
 
 
@@ -160,6 +161,16 @@ def test_evaluate_scene_map_all(tiny_pair, tiny_config):
     model = build_model(tiny_config, src_labels.num_classes, src_scene.bands)
     _, raster = evaluate_scene(model, src_scene, src_labels, tiny_config, map_all=True)
     assert (raster > 0).all()
+
+
+def test_predict_scene_independent_of_batch(tiny_pair, tiny_config):
+    (src_scene, src_labels), _ = tiny_pair
+    model = build_model(tiny_config, src_labels.num_classes, src_scene.bands)
+    full, _ = predict_scene(model, src_scene, src_labels, tiny_config, map_all=True, batch=500)
+    for batch in (1, 7, 100):
+        raster, _ = predict_scene(model, src_scene, src_labels, tiny_config, map_all=True,
+                                  batch=batch)
+        assert np.array_equal(raster, full)
 
 
 @pytest.mark.slow

@@ -170,6 +170,24 @@ def test_detach_blocks_gradient():
     assert np.allclose(x.grad, 3.0)  # only the non-detached factor contributes
 
 
+def test_no_grad_records_no_tape(rng):
+    x = Tensor(rng.normal(size=(2, 5, 5, 3)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+    taped = E.gelu(E.conv2d(x, w))
+    with E.no_grad():
+        y = E.gelu(E.conv2d(x, w))
+    assert not y.requires_grad and y._vjp is None and y._parents == ()
+    assert np.array_equal(y.data, taped.data)
+    assert E.conv2d(x, w).requires_grad  # recording resumes on exit
+
+
+def test_no_grad_restores_recording_after_error():
+    with pytest.raises(RuntimeError):
+        with E.no_grad():
+            raise RuntimeError("boom")
+    assert E.mul(Parameter(np.ones(2)), Parameter(np.ones(2))).requires_grad
+
+
 def test_non_finite_guard():
     with pytest.raises(FloatingPointError):
         E.check_finite(Tensor(np.array([1.0, np.inf])), "loss")
