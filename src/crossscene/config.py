@@ -8,11 +8,8 @@ from pathlib import Path
 
 from .discrepancy import KernelSpec
 from .model import CenterAttentionConfig
-from .training import Ablation, LossWeights, TrainConfig
-
-
-class ConfigError(ValueError):
-    """An experiment configuration is malformed."""
+# ConfigError lives beside TrainConfig so that fit can raise it; callers import it from here
+from .training import Ablation, ConfigError, LossWeights, TrainConfig
 
 
 @dataclass

@@ -166,7 +166,10 @@ def load_scene(bundle_dir):
     class_names, counts = [], None
     classes_path = bundle / "classes.json"
     if classes_path.is_file():
-        payload = json.loads(classes_path.read_text())
+        try:
+            payload = json.loads(classes_path.read_text())
+        except json.JSONDecodeError as e:
+            raise BundleError(f"unparseable {classes_path}: {e}") from e
         class_names = list(payload.get("names", []))
         counts = payload.get("counts")
         if class_names and labels.max() > len(class_names):

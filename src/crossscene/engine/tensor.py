@@ -462,11 +462,19 @@ def log(x):
 
 
 def leaky_relu(x, negative_slope=0.01):
+    """max(x, s*x) for a slope s in [0, 1], where it equals x if x > 0 else s*x.
+
+    Both passes are branch-free: a select on the sign of each element runs
+    several times slower on the random sign pattern of an activation map.
+    Outside [0, 1] the max form is wrong, so such slopes are refused.
+    """
+    if not 0.0 <= negative_slope <= 1.0:
+        raise ValueError(f"leaky_relu needs a slope in [0, 1], got {negative_slope}")
     xd = x.data
-    data = np.where(xd > 0, xd, negative_slope * xd)
+    data = np.maximum(xd, negative_slope * xd)
 
     def vjp(g):
-        return (np.where(xd > 0, g, np.asarray(negative_slope, dtype=g.dtype) * g),)
+        return (g * np.take(np.array([negative_slope, 1.0], dtype=g.dtype), xd > 0),)
 
     return _make(data, (x,), vjp)
 
@@ -516,6 +524,17 @@ def log_softmax(x, axis=-1):
 # in.  Kernels keep their (c_out, c_in, 3, 3) and (c, 3, 3) parameter layouts.
 
 
+def _padded_rows(xd, extra=0):
+    """(rows, offs): the map zero-padded by one pixel and flattened to
+    (n*(h+2)*(w+2) + extra, c) rows, the last ``extra`` rows zero, and the
+    row offset of each 3x3 tap (ki, kj) in raster order."""
+    n, h, w, c = xd.shape
+    count = n * (h + 2) * (w + 2)
+    rows = np.zeros((count + extra, c), dtype=xd.dtype)
+    rows[:count].reshape(n, h + 2, w + 2, c)[:, 1:-1, 1:-1] = xd
+    return rows, [ki * (w + 2) + kj for ki in range(3) for kj in range(3)]
+
+
 def conv2d(x, w, b=None):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
@@ -536,10 +555,7 @@ def conv2d(x, w, b=None):
         )
     n, h, wd_, c = x.data.shape
     c_out = w.data.shape[0]
-    xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=x.data.dtype)
-    xp[:, 1:-1, 1:-1] = x.data
-    xrows = xp.reshape(-1, c)
-    offs = [ki * (wd_ + 2) + kj for ki in range(3) for kj in range(3)]
+    xrows, offs = _padded_rows(x.data)
     length = xrows.shape[0] - offs[-1]
     taps = w.data.transpose(2, 3, 1, 0).reshape(9, c, c_out)  # taps[k]: (c_in, c_out)
 
@@ -583,27 +599,50 @@ def depthwise_conv2d(x, w):
     """Per-channel 3x3 convolution, stride 1, zero pad 1, no bias.
 
     x: (n, h, w, c), w: (c, 3, 3) — one kernel per channel, no cross-channel mixing.
+    Uses conv2d's flattened, zero-padded row layout, so each tap is one
+    elementwise product of a shifted row range, written into a reused buffer.
+    The ranges are taken (w+2) pixels to an array row, with each tap tiled to
+    match: a (c,)-wide broadcast would run numpy's inner loop c elements at a
+    time.  Two zero rows after the map let every range span whole image rows.
+    The kernel gradient is a per-channel dot product per tap; the input
+    gradient is nine shifted in-place adds.
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or w.data.shape[1:] != (3, 3):
         raise ValueError("depthwise_conv2d expects NHWC input and a (c, 3, 3) kernel")
     if x.data.shape[3] != w.data.shape[0]:
         raise ValueError("depthwise_conv2d channel mismatch")
     n, h, wd_, c = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    out = np.zeros((n, h, wd_, c), dtype=x.data.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            out += w.data[:, ki, kj] * xp[:, ki : ki + h, kj : kj + wd_]
+    wp = wd_ + 2
+    rows = n * (h + 2) * wp
+    xrows, offs = _padded_rows(x.data, extra=2)
+    length = rows - 2 * wp  # covers every output row; offs[-1] + length == rows + 2
+    taps = np.tile(w.data.transpose(1, 2, 0).reshape(9, c), wp)  # taps[k]: (wp*c,)
+
+    def shifted(a, o):
+        return a[o : o + length].reshape(-1, wp * c)
+
+    yrows = np.empty((rows, c), dtype=x.data.dtype)
+    y = shifted(yrows, 0)
+    np.multiply(shifted(xrows, 0), taps[0], out=y)
+    part = np.empty_like(y)
+    for k in range(1, 9):
+        np.multiply(shifted(xrows, offs[k]), taps[k], out=part)
+        y += part
+    out = yrows.reshape(n, h + 2, wp, c)[:, :h, :wd_].copy()
 
     def vjp(g):
-        gw = np.empty((c, 3, 3), dtype=g.dtype)
-        gxp = np.zeros_like(xp, dtype=g.dtype)
-        for ki in range(3):
-            for kj in range(3):
-                patch = xp[:, ki : ki + h, kj : kj + wd_]
-                gw[:, ki, kj] = (g * patch).sum(axis=(0, 1, 2))
-                gxp[:, ki : ki + h, kj : kj + wd_] += w.data[:, ki, kj] * g
-        return gxp[:, 1:-1, 1:-1], gw
+        grows = np.zeros((rows, c), dtype=g.dtype)
+        grows.reshape(n, h + 2, wp, c)[:, :h, :wd_] = g
+        grows = grows[:length]
+        gw = np.stack([np.einsum("ij,ij->j", grows, xrows[o : o + length]) for o in offs])
+        gw = gw.T.reshape(c, 3, 3).copy()
+        gxrows = np.zeros_like(xrows, dtype=g.dtype)
+        gy = grows.reshape(-1, wp * c)
+        gpart = np.empty_like(gy)
+        for k, o in enumerate(offs):
+            np.multiply(gy, taps[k], out=gpart)
+            shifted(gxrows, o)[...] += gpart
+        return gxrows[:rows].reshape(n, h + 2, wp, c)[:, 1:-1, 1:-1].copy(), gw
 
     return _make(out, (x, w), vjp)
 
@@ -615,16 +654,20 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
     Training mode normalizes with batch statistics (biased variance) and, when
     ``update_running`` is set, folds an unbiased variance estimate into the
     running buffers in place.  Eval mode normalizes with the running buffers.
+    Works on the (n*h*w, c) row view: one centred copy becomes ``xhat`` in
+    place, and the backward pass allocates only the input gradient.
     """
     xd = x.data
     if xd.ndim != 4:
         raise ValueError("batch_norm2d expects an NHWC input")
-    n, h, w, c = xd.shape
-    cnt = n * h * w
-    axes = (0, 1, 2)
+    shape = xd.shape
+    c = shape[3]
+    rows = xd.reshape(-1, c)
+    cnt = rows.shape[0]
     if training:
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        mu = rows.mean(axis=0)
+        xhat = rows - mu
+        var = np.einsum("ij,ij->j", xhat, xhat) / cnt
         if update_running:
             unbiased = var * (cnt / (cnt - 1)) if cnt > 1 else var
             running_mean *= 1.0 - momentum
@@ -632,25 +675,28 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
             running_var *= 1.0 - momentum
             running_var += momentum * unbiased
     else:
-        mu = running_mean.astype(xd.dtype)
+        xhat = rows - running_mean.astype(xd.dtype)
         var = running_var.astype(xd.dtype)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = gamma.data * xhat + beta.data
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def vjp(g):
-        ggamma = (g * xhat).sum(axis=axes)
-        gbeta = g.sum(axis=axes)
-        gxhat = g * gamma.data
+        g = g.reshape(-1, c)
+        gbeta = g.sum(axis=0)
+        ggamma = np.einsum("ij,ij->j", g, xhat)
         if training:
-            s1 = gxhat.sum(axis=axes)
-            s2 = (gxhat * xhat).sum(axis=axes)
-            gx = (inv / cnt) * (cnt * gxhat - s1 - xhat * s2)
+            # gamma*inv * (g - sum(g)/cnt - xhat * sum(g*xhat)/cnt)
+            gx = xhat * (-ggamma / cnt)
+            gx += g
+            gx -= gbeta / cnt
+            gx *= gamma.data * inv
         else:
-            gx = gxhat * inv
-        return gx, ggamma, gbeta
+            gx = g * (gamma.data * inv)
+        return gx.reshape(shape), ggamma, gbeta
 
-    return _make(out, (x, gamma, beta), vjp)
+    return _make(out.reshape(shape), (x, gamma, beta), vjp)
 
 
 def avg_pool2d(x):

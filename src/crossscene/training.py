@@ -30,6 +30,10 @@ from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_g
 from .model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, save_checkpoint
 
 
+class ConfigError(ValueError):
+    """An experiment configuration is malformed, or does not fit its data."""
+
+
 @dataclass
 class LossWeights:
     lambda_lmmd: float = 1.0
@@ -264,7 +268,7 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     tgt_refs = subsample_refs(tgt_refs, config.target_cap, config.seed)
     steps_per_epoch = len(src_refs) // config.batch
     if steps_per_epoch == 0 and config.epochs > 0:
-        raise ValueError(
+        raise ConfigError(
             f"batch size {config.batch} exceeds the {len(src_refs)} labeled source pixels")
 
     src_patches = PatchSource(src_scene, config.patch_size)

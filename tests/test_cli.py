@@ -1,10 +1,13 @@
 """End-to-end command-line interface: subcommands, artifacts, exit codes."""
 
+import ctypes
 import json
+import platform
+import shutil
 
 import pytest
 
-from crossscene.cli import main
+from crossscene.cli import main, set_allocator_policy
 from crossscene.data import load_scene
 
 
@@ -185,6 +188,15 @@ def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
     assert err.startswith("config error") and "\n" not in err
 
 
+def test_exit_code_batch_exceeds_labeled_pixels(synth_dir, tmp_path, capsys):
+    cfg = _cfg_file(synth_dir)
+    rc = main(["train", "--config", str(cfg), "--set", "train.batch=1000",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error") and "batch size 1000" in err and "\n" not in err
+
+
 @pytest.fixture(scope="module")
 def ckpt_dir(synth_dir):
     out = synth_dir / "ckpt_run"
@@ -229,3 +241,30 @@ def test_exit_code_bad_checkpoint(synth_dir, ckpt_dir, tmp_path, capsys, fault, 
     assert rc == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("data error") and message in err and "\n" not in err
+
+
+def test_exit_code_malformed_class_manifest(synth_dir, ckpt_dir, tmp_path, capsys):
+    bundle = tmp_path / "target"
+    shutil.copytree(synth_dir / "data" / "target", bundle)
+    raw = (bundle / "classes.json").read_text()
+    (bundle / "classes.json").write_text(raw[: len(raw) // 2])
+    rc = main(["eval", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+               str(ckpt_dir / "checkpoint.bin"), "--bundle", str(bundle)])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error") and "classes.json" in err and "\n" not in err
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_allocator_policy_applies_on_glibc():
+    assert set_allocator_policy() is True
+
+
+def _no_libc(_name):
+    raise OSError("no libc")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda _name: object()], ids=["no-libc", "no-mallopt"])
+def test_allocator_policy_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert set_allocator_policy() is False

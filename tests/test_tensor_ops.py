@@ -22,6 +22,50 @@ def test_leaky_relu_negative_branch():
     assert y[1] == pytest.approx(2.0)
 
 
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _leaky_pair(x, slope, g):
+    """(forward, VJP) of the engine op on x with upstream gradient g."""
+    t = Tensor(x, requires_grad=True)
+    y = E.leaky_relu(t, slope)
+    y.backward(g)
+    return y.data, t.grad
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0 * -inf
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.01])
+def test_leaky_relu_bitwise_matches_select(rng, dtype, slope):
+    """The branch-free max form equals the select form bit for bit."""
+    specials = [0.0, -0.0, np.nan] + ([np.inf, -np.inf] if slope else [-np.inf])
+    x = np.concatenate([rng.normal(size=200), specials]).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    y, gx = _leaky_pair(x, slope, g)
+    s = dtype(slope)
+    ref_y = np.where(x > 0, x, s * x)
+    ref_gx = np.where(x > 0, g, s * g)
+    assert y.dtype == gx.dtype == dtype
+    assert np.array_equal(_bits(y), _bits(ref_y))
+    assert np.array_equal(_bits(gx), _bits(ref_gx))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_leaky_relu_zero_slope_at_positive_infinity():
+    """At slope 0 the max form reads max(inf, 0*inf) = NaN where the select gave inf;
+    the gradient still passes through."""
+    y, gx = _leaky_pair(np.array([np.inf]), 0.0, np.array([2.0]))
+    assert np.isnan(y[0])
+    assert gx[0] == 2.0
+
+
+@pytest.mark.parametrize("slope", [-0.01, 1.5])
+def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match="slope"):
+        E.leaky_relu(Tensor(np.ones(3)), slope)
+
+
 def test_softmax_constant_rows():
     for c in (-3.0, 0.0, 11.5):
         p = E.softmax(Tensor(np.full((2, 4), c))).data
@@ -56,6 +100,46 @@ def test_batchnorm_running_stats_update(rng):
     before = rm.copy()
     E.batch_norm2d(x, gamma, beta, rm, rv, training=False)
     assert np.array_equal(rm, before)
+
+
+def _bn_reference(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5):
+    """The two-pass f64 batch norm: (out, gx, ggamma, gbeta, running mean, running var)."""
+    x, gamma, beta, g = (a.astype(np.float64) for a in (x, gamma, beta, g))
+    rm, rv = rm.astype(np.float64), rv.astype(np.float64)
+    axes = (0, 1, 2)
+    cnt = x.shape[0] * x.shape[1] * x.shape[2]
+    if training:
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        rm = (1 - momentum) * rm + momentum * mu
+        rv = (1 - momentum) * rv + momentum * var * cnt / (cnt - 1)
+    else:
+        mu, var = rm, rv
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gxhat = g * gamma
+    if training:
+        gx = (inv / cnt) * (cnt * gxhat - gxhat.sum(axis=axes) - xhat * (gxhat * xhat).sum(axis=axes))
+    else:
+        gx = gxhat * inv
+    return gamma * xhat + beta, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes), rm, rv
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_matches_two_pass_reference(rng, training):
+    f32 = np.float32
+    x = rng.normal(loc=2.0, scale=3.0, size=(6, 5, 5, 4)).astype(f32)
+    gamma = Parameter(rng.normal(size=4).astype(f32))
+    beta = Parameter(rng.normal(size=4).astype(f32))
+    rm, rv = rng.normal(size=4).astype(f32), rng.uniform(0.5, 2.0, size=4).astype(f32)
+    g = rng.normal(size=x.shape).astype(f32)
+    ref = _bn_reference(x, gamma.data, beta.data, rm, rv, training, g)
+    t = Tensor(x, requires_grad=True)
+    out = E.batch_norm2d(t, gamma, beta, rm, rv, training=training)
+    out.backward(g)
+    tol = dict(rtol=1e-5, atol=1e-5)
+    assert out.dtype == t.grad.dtype == f32
+    for got, want in zip((out.data, t.grad, gamma.grad, beta.grad, rm, rv), ref):
+        np.testing.assert_allclose(got, want, **tol)
 
 
 def test_conv2d_matches_direct_convolution(rng):
@@ -106,6 +190,31 @@ def test_depthwise_centered_delta_is_identity(rng):
     w[:, 1, 1] = 1.0
     out = E.depthwise_conv2d(Tensor(x), Tensor(w)).data
     assert np.allclose(out, x, atol=1e-12)
+
+
+def test_depthwise_matches_direct_reference(rng):
+    f32 = np.float32
+    x = rng.normal(size=(3, 5, 7, 4)).astype(f32)
+    w = rng.normal(size=(4, 3, 3)).astype(f32)
+    g = rng.normal(size=x.shape).astype(f32)
+    xp = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    ref = np.zeros(x.shape)
+    ref_gw = np.zeros(w.shape)
+    ref_gxp = np.zeros(xp.shape)
+    for ki in range(3):
+        for kj in range(3):
+            patch = xp[:, ki : ki + 5, kj : kj + 7]
+            ref += w[:, ki, kj] * patch
+            ref_gw[:, ki, kj] = (g * patch).sum(axis=(0, 1, 2))
+            ref_gxp[:, ki : ki + 5, kj : kj + 7] += w[:, ki, kj] * g
+    tx, tw = Tensor(x, requires_grad=True), Parameter(w)
+    out = E.depthwise_conv2d(tx, tw)
+    out.backward(g)
+    assert out.dtype == tx.grad.dtype == tw.grad.dtype == f32
+    tol = dict(rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(out.data, ref, **tol)
+    np.testing.assert_allclose(tw.grad, ref_gw, **tol)
+    np.testing.assert_allclose(tx.grad, ref_gxp[:, 1:-1, 1:-1], **tol)
 
 
 def test_avg_pool(rng):
