@@ -36,37 +36,42 @@ def set_allocator_policy():
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .checks import GRADCHECK_TOLERANCE, run_all_checks
 from .config import ConfigError, PRESETS, resolve_config, save_config
 from .data import BundleError, ShiftSpec, load_scene, save_bundle, synth_domain_pair
 from .engine import NumericError
-from .evaluate import (aggregate_runs, default_palette, evaluate_scene,
-                       format_mean_std, format_report, write_map)
+from .evaluate import default_palette, evaluate_scene, format_mean_std, format_report, write_map
 from .model import load_checkpoint
-from .training import build_model, fit
+from .training import build_model, run_grid
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
 # Ablation grids: named module combinations, the pseudo-head/alignment matrix,
-# and the four attention-block designs.  The table* names are accepted aliases.
+# and the four attention-block designs.  Each arm is (name, nested changes to
+# TrainConfig).  The table* names are accepted aliases.
 ABLATION_GRIDS = {
     "modules": [
-        ("baseline", {"use_attention": False, "use_lmmd": False, "use_self_training": False}),
-        ("attn", {"use_attention": True, "use_lmmd": False, "use_self_training": False}),
-        ("attn+lmmd", {"use_attention": True, "use_lmmd": True, "use_self_training": False}),
-        ("attn+st", {"use_attention": True, "use_lmmd": False, "use_self_training": True}),
-        ("full", {"use_attention": True, "use_lmmd": True, "use_self_training": True}),
+        (name, {"ablation": {"use_attention": attn, "use_lmmd": lmmd, "use_self_training": st}})
+        for name, attn, lmmd, st in [
+            ("baseline", False, False, False),
+            ("attn", True, False, False),
+            ("attn+lmmd", True, True, False),
+            ("attn+st", True, False, True),
+            ("full", True, True, True),
+        ]
     ],
     "heads": [
-        ("a:st,single-head", {"use_self_training": True, "use_pseudo_head": False, "use_lmmd": False}),
-        ("b:st,dual-head", {"use_self_training": True, "use_pseudo_head": True, "use_lmmd": False}),
-        ("c:st+lmmd,single-head", {"use_self_training": True, "use_pseudo_head": False, "use_lmmd": True}),
-        ("d:st+lmmd,dual-head", {"use_self_training": True, "use_pseudo_head": True, "use_lmmd": True}),
+        (name, {"ablation": {"use_self_training": True, "use_lmmd": lmmd, "use_pseudo_head": dual}})
+        for name, lmmd, dual in [
+            ("a:st,single-head", False, False),
+            ("b:st,dual-head", False, True),
+            ("c:st+lmmd,single-head", True, False),
+            ("d:st+lmmd,dual-head", True, True),
+        ]
     ],
-    "variants": [(f"variant_{v}", {"variant": v}) for v in "abcd"],
+    "variants": [(f"variant_{v}", {"attention": {"variant": v}}) for v in "abcd"],
 }
 GRID_ALIASES = {"table7": "modules", "table8": "heads", "table9": "variants"}
 
@@ -139,38 +144,29 @@ def build_parser():
     return parser
 
 
-def _load_pair(cfg):
+def _prepare_run(args):
+    """Resolve the config, load the bundle pair, and snapshot the config in --out."""
+    cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     if not cfg.source_bundle or not cfg.target_bundle:
         raise ConfigError("config must name source_bundle and target_bundle")
-    return load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
-
-
-def _print_report(report, class_names=None):
-    print(format_report(report, class_names))
-
-
-def cmd_train(args):
-    cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
-    source, target = _load_pair(cfg)
+    source, target = load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "resolved.cfg")
-    reports = []
-    for seed in cfg.seeds:
-        tc = replace(cfg.train, seed=int(seed))
-        res = fit(tc, source, target, out_dir=out / f"seed_{seed}",
-                  deterministic=args.deterministic)
-        report, _ = evaluate_scene(res.model, target[0], target[1], tc)
-        (out / f"seed_{seed}" / "report.txt").write_text(
-            format_report(report, target[1].class_names) + "\n")
-        print(f"[seed {seed}] target OA {report.oa * 100:.2f}  AA {report.aa * 100:.2f}  "
-              f"Kappa x 100 {report.kappa * 100:.2f}")
-        reports.append(report)
+    return cfg, source, target, out
+
+
+def _mean_std_line(agg):
+    return (f"OA {format_mean_std(*agg['oa'])}  AA {format_mean_std(*agg['aa'])}  "
+            f"Kappa x 100 {format_mean_std(*agg['kappa'])}")
+
+
+def cmd_train(args):
+    cfg, source, target, out = _prepare_run(args)
+    [(_, reports, agg)] = run_grid(cfg.train, cfg.seeds, [("", {})], source, target,
+                                   out_dir=out, deterministic=args.deterministic)
     if len(reports) > 1:
-        agg = aggregate_runs(reports)
-        print(f"mean over {len(reports)} seeds: "
-              f"OA {format_mean_std(*agg['oa'])}  AA {format_mean_std(*agg['aa'])}  "
-              f"Kappa x 100 {format_mean_std(*agg['kappa'])}")
+        print(f"mean over {len(reports)} seeds: {_mean_std_line(agg)}")
     return 0
 
 
@@ -188,7 +184,7 @@ def cmd_eval(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     model, scene, labels = _restore_model(args, cfg)
     report, _ = evaluate_scene(model, scene, labels, cfg.train)
-    _print_report(report, labels.class_names)
+    print(format_report(report, labels.class_names))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -196,14 +192,28 @@ def cmd_eval(args):
     return 0
 
 
+def _load_palette(path, num_classes):
+    """[r, g, b] rows from a JSON list: the background, then one per class."""
+    try:
+        palette = [tuple(int(v) for v in row) for row in json.loads(Path(path).read_text())]
+    except (ValueError, TypeError) as e:
+        raise BundleError(f"malformed palette {path}: {e}") from e
+    if any(len(rgb) != 3 or not all(0 <= v <= 255 for v in rgb) for rgb in palette):
+        raise BundleError(f"malformed palette {path}: each entry must be [r, g, b] in 0..255")
+    if len(palette) < num_classes + 1:
+        raise BundleError(f"palette {path} has {len(palette)} entries; {num_classes} classes "
+                          f"need {num_classes + 1} (index 0 is the background)")
+    return palette
+
+
 def cmd_map(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     model, scene, labels = _restore_model(args, cfg)
-    _, raster = evaluate_scene(model, scene, labels, cfg.train, map_all=args.all_pixels)
     if args.palette:
-        palette = [tuple(int(v) for v in row) for row in json.loads(Path(args.palette).read_text())]
+        palette = _load_palette(args.palette, labels.num_classes)
     else:
         palette = default_palette(labels.num_classes)
+    _, raster = evaluate_scene(model, scene, labels, cfg.train, map_all=args.all_pixels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_map(raster, palette, out / "map.ppm")
@@ -224,32 +234,14 @@ def cmd_gradcheck(args):
 
 def cmd_ablate(args):
     grid_name = GRID_ALIASES.get(args.grid, args.grid)
-    arms = ABLATION_GRIDS[grid_name]
-    cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
-    source, target = _load_pair(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "resolved.cfg")
-
+    cfg, source, target, out = _prepare_run(args)
     rows = []
-    for arm_name, mods in arms:
-        if grid_name == "variants":
-            attention = replace(cfg.train.attention, variant=mods["variant"])
-            base = replace(cfg.train, attention=attention)
-        else:
-            base = replace(cfg.train, ablation=replace(cfg.train.ablation, **mods))
-        reports = []
-        for seed in cfg.seeds:
-            tc = replace(base, seed=int(seed))
-            res = fit(tc, source, target, deterministic=args.deterministic)
-            report, _ = evaluate_scene(res.model, target[0], target[1], tc)
-            reports.append(report)
-        agg = aggregate_runs(reports)
+    for arm_name, _, agg in run_grid(cfg.train, cfg.seeds, ABLATION_GRIDS[grid_name],
+                                     source, target, deterministic=args.deterministic):
         rows.append({"arm": arm_name,
                      "oa": agg["oa"], "aa": agg["aa"], "kappa": agg["kappa"],
                      "seeds": list(cfg.seeds)})
-        print(f"{arm_name:24s} OA {format_mean_std(*agg['oa'])}  "
-              f"AA {format_mean_std(*agg['aa'])}  Kappa x 100 {format_mean_std(*agg['kappa'])}")
+        print(f"{arm_name:24s} {_mean_std_line(agg)}")
     (out / "ablation.json").write_text(json.dumps({"grid": grid_name, "rows": rows}, indent=1) + "\n")
     return 0
 

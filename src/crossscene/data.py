@@ -252,14 +252,10 @@ class PatchSource:
         cols = _reflect_indices(-half, scene.width + 2 * half, scene.width)
         self._padded = scene.cube[np.ix_(rows, cols)]
 
-    def patch(self, row, col):
-        ps = self.ps
-        return self._padded[row : row + ps, col : col + ps]
-
-    def batch(self, refs, with_labels=True, dtype=np.float32):
+    def batch(self, refs, with_labels=True):
         """Assemble a PatchBatch for a list of SampleRefs."""
         ps = self.ps
-        out = np.empty((len(refs), ps, ps, self.scene.bands), dtype=dtype)
+        out = np.empty((len(refs), ps, ps, self.scene.bands), dtype=np.float32)
         for i, r in enumerate(refs):
             out[i] = self._padded[r.row : r.row + ps, r.col : r.col + ps]
         labels = np.array([r.label for r in refs], dtype=np.int64) if with_labels else None
@@ -267,16 +263,6 @@ class PatchSource:
 
 
 # -- sample enumeration and batch streams ------------------------------------
-
-
-def enumerate_labeled(label_map):
-    """Labeled pixels grouped by class, raster order inside each class."""
-    rows, cols = np.nonzero(label_map.labels > 0)
-    labels = label_map.labels[rows, cols]
-    grouped = {}
-    for r, c, l in zip(rows.tolist(), cols.tolist(), labels.tolist()):
-        grouped.setdefault(int(l), []).append(SampleRef(r, c, int(l)))
-    return dict(sorted(grouped.items()))
 
 
 def labeled_refs(label_map, hide_labels=False):
@@ -288,21 +274,11 @@ def labeled_refs(label_map, hide_labels=False):
     return [SampleRef(int(r), int(c), int(l)) for r, c, l in zip(rows, cols, labels)]
 
 
-def subsample_refs(refs, cap, seed):
-    """Uniform seeded subsample without replacement (order preserved)."""
-    if cap is None or len(refs) <= cap:
-        return list(refs)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCA9)))
-    keep = np.sort(rng.choice(len(refs), size=cap, replace=False))
-    return [refs[i] for i in keep]
+def batch_stream(refs, batch_size, seed, epoch):
+    """Deterministic shuffled full batches for one epoch.
 
-
-def batch_stream(refs, batch_size, seed, epoch, drop_last=True):
-    """Deterministic shuffled batches for one epoch.
-
-    The permutation depends only on (seed, epoch).  With ``drop_last`` the
-    trailing partial batch is dropped (training); without it the tail is kept
-    (inference passes).
+    The permutation depends only on (seed, epoch); the trailing partial batch
+    is dropped.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -310,14 +286,9 @@ def batch_stream(refs, batch_size, seed, epoch, drop_last=True):
         raise ValueError("empty reference list")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(epoch))))
     order = rng.permutation(len(refs))
-    batches = []
-    stop = len(refs) - (len(refs) % batch_size) if drop_last else len(refs)
-    for start in range(0, stop, batch_size):
-        chunk = order[start : start + batch_size]
-        if drop_last and len(chunk) < batch_size:
-            break
-        batches.append([refs[i] for i in chunk])
-    return batches
+    stop = len(refs) - len(refs) % batch_size
+    return [[refs[i] for i in order[start : start + batch_size]]
+            for start in range(0, stop, batch_size)]
 
 
 def cycled_batches(refs, batch_size, seed):
@@ -325,7 +296,7 @@ def cycled_batches(refs, batch_size, seed):
     epoch = 0
     while True:
         got = False
-        for batch in batch_stream(refs, batch_size, seed, epoch, drop_last=True):
+        for batch in batch_stream(refs, batch_size, seed, epoch):
             got = True
             yield batch
         if not got:

@@ -160,9 +160,6 @@ def primitive_checks(seed=0):
     lsx = _p(rng, (4, 5), "x")
     case("log_softmax", {"x": lsx}, lambda x=lsx: _weighted(T.log_softmax(x), np.random.default_rng(113)))
 
-    lgx = Parameter(np.abs(rng.standard_normal((3, 4))) + 0.5, name="x", dtype=np.float64)
-    case("log", {"x": lgx}, lambda x=lgx: _weighted(T.log(x), np.random.default_rng(114)))
-
     ex = _p(rng, (3, 4), "x")
     case("exp", {"x": ex}, lambda x=ex: _weighted(T.exp(x), np.random.default_rng(115)))
 

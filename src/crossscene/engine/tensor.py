@@ -42,7 +42,6 @@ OPSET = (
     "gelu",
     "softmax",
     "log_softmax",
-    "log",
     "exp",
     "sum",
     "mean",
@@ -447,16 +446,6 @@ def exp(x):
 
     def vjp(g):
         return (g * data,)
-
-    return _make(data, (x,), vjp)
-
-
-def log(x):
-    data = np.log(x.data)
-    xd = x.data
-
-    def vjp(g):
-        return (g / xd,)
 
     return _make(data, (x,), vjp)
 

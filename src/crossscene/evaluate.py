@@ -35,16 +35,6 @@ class MetricsReport:
     n_eval: int
     empty_classes: list = field(default_factory=list)
 
-    def as_dict(self):
-        return {
-            "oa": self.oa,
-            "aa": self.aa,
-            "kappa": self.kappa,
-            "per_class": list(self.per_class),
-            "n_eval": self.n_eval,
-            "empty_classes": list(self.empty_classes),
-        }
-
 
 def metrics(cm):
     """OA, AA (mean recall over classes with support), and Cohen's kappa.
@@ -131,9 +121,9 @@ def aggregate_runs(reports):
     return out
 
 
-def format_mean_std(mean, std, scale=100.0):
+def format_mean_std(mean, std):
     """Render as the conventional percentage string, e.g. '80.23±1.92'."""
-    return f"{mean * scale:.2f}±{std * scale:.2f}"
+    return f"{mean * 100:.2f}±{std * 100:.2f}"
 
 
 def format_report(report, class_names=None):

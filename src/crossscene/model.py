@@ -116,10 +116,9 @@ class BatchNorm2d:
         self.momentum = momentum
         self.prefix = prefix
 
-    def __call__(self, x, training, update_running=True):
+    def __call__(self, x, training):
         return E.batch_norm2d(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                              training=training, momentum=self.momentum, eps=self.eps,
-                              update_running=update_running)
+                              training=training, momentum=self.momentum, eps=self.eps)
 
     def parameters(self):
         return [self.gamma, self.beta]

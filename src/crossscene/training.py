@@ -1,4 +1,4 @@
-"""Loss composition, pseudo-label routing, and the training loop.
+"""Loss composition, pseudo-label routing, the training loop, and the run grid.
 
 Per step, the labeled source batch and the unlabeled target batch are
 forwarded separately (each domain normalizes with its own batch statistics;
@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import engine as E
-from .data import (NORMALIZATIONS, PatchSource, batch_stream, cycled_batches, labeled_refs,
-                   normalize_scene, subsample_refs)
+from .data import (NORMALIZATIONS, BundleError, PatchSource, batch_stream, cycled_batches,
+                   labeled_refs, normalize_scene)
 from .discrepancy import KernelSpec, lmmd, one_hot
 from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_grads
+from .evaluate import aggregate_runs, evaluate_scene, format_report
 from .model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, save_checkpoint
 
 
@@ -69,8 +70,6 @@ class TrainConfig:
     unit_channels: tuple = (32, 64, 32)
     feature_mode: str = "pool"
     normalization: str = "minmax"
-    target_cap: int | None = None
-    soft_pseudo: bool = False
     st_warmup_epochs: int = 0
     ablation: Ablation = field(default_factory=Ablation)
     attention: CenterAttentionConfig = field(default_factory=CenterAttentionConfig)
@@ -95,21 +94,20 @@ class TrainConfig:
 # -- losses -------------------------------------------------------------------
 
 
-def cross_entropy(predictions, targets, num_classes=None, from_logits=True):
-    """Mean cross-entropy; stable log-sum-exp path when given logits.
+def cross_entropy(logits, targets, num_classes=None):
+    """Mean cross-entropy of logits, through the stable log-sum-exp path.
 
     ``targets`` may be integer labels (1..C) or one-hot / soft rows (n, C).
     """
     targets = np.asarray(targets)
     if targets.ndim == 1:
         if num_classes is None:
-            num_classes = predictions.shape[1]
+            num_classes = logits.shape[1]
         if targets.min() < 1 or targets.max() > num_classes:
             raise ValueError("label out of range")
         targets = one_hot(targets, num_classes)
-    y = Tensor(targets.astype(predictions.dtype))
-    logp = E.log_softmax(predictions) if from_logits else E.log(predictions)
-    per_sample = E.scale(E.tsum(E.mul(y, logp), axis=1), -1.0)
+    y = Tensor(targets.astype(logits.dtype))
+    per_sample = E.scale(E.tsum(E.mul(y, E.log_softmax(logits)), axis=1), -1.0)
     return E.tmean(per_sample)
 
 
@@ -131,7 +129,7 @@ def select_pseudo(p_t, tau):
     return mask, hard
 
 
-def self_training_loss(model, z_t, p_t, weights, use_pseudo_head=True, soft=False):
+def self_training_loss(model, z_t, p_t, weights, use_pseudo_head=True):
     """Confidence-filtered cross-entropy on the pseudo head (or the main head
     when the dual-head route is ablated).  Returns a constant zero when no
     sample clears the threshold."""
@@ -141,11 +139,7 @@ def self_training_loss(model, z_t, p_t, weights, use_pseudo_head=True, soft=Fals
     idx = np.nonzero(mask)[0]
     z_sel = E.gather_rows(z_t, idx)
     logits = model.head_logits(z_sel, "psd" if use_pseudo_head else "cls")
-    if soft:
-        targets = np.asarray(p_t.data if isinstance(p_t, Tensor) else p_t)[idx]
-    else:
-        targets = hard[idx]
-    return cross_entropy(logits, targets, num_classes=model.num_classes), int(mask.sum())
+    return cross_entropy(logits, hard[idx], num_classes=model.num_classes), int(mask.sum())
 
 
 def total_loss(l_cls, l_lmmd, l_st, weights, ablation):
@@ -198,8 +192,7 @@ def train_step(model, source_batch, target_batch, config, progress, st_active=Tr
             l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
         if abl.use_self_training and st_active:
             l_st, pseudo_count = self_training_loss(
-                model, z_t, p_t, weights,
-                use_pseudo_head=abl.use_pseudo_head, soft=config.soft_pseudo)
+                model, z_t, p_t, weights, use_pseudo_head=abl.use_pseudo_head)
 
     total = total_loss(l_cls, l_lmmd, l_st, weights, abl)
     if not np.isfinite(total.data):
@@ -255,8 +248,8 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     src_scene, src_labels = source
     tgt_scene, _tgt_labels = target
     if src_scene.bands != tgt_scene.bands:
-        raise ValueError(
-            f"band mismatch: source has {src_scene.bands}, target has {tgt_scene.bands}")
+        raise BundleError(
+            f"band mismatch: source has {src_scene.bands} bands, target has {tgt_scene.bands}")
 
     src_scene = normalize_scene(src_scene, config.normalization)
     tgt_scene = normalize_scene(tgt_scene, config.normalization)
@@ -265,7 +258,6 @@ def fit(config, source, target, out_dir=None, deterministic=False):
 
     src_refs = labeled_refs(src_labels)
     tgt_refs = labeled_refs(_tgt_labels, hide_labels=True)
-    tgt_refs = subsample_refs(tgt_refs, config.target_cap, config.seed)
     steps_per_epoch = len(src_refs) // config.batch
     if steps_per_epoch == 0 and config.epochs > 0:
         raise ConfigError(
@@ -325,23 +317,38 @@ def write_history(history, path):
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def fit_multi_seed(config, seeds, source, target, evaluate_fn, out_dir=None,
-                   deterministic=False):
-    """Independent runs over a seed list.
+def with_changes(obj, changes):
+    """``obj`` with ``changes`` applied, where a dict value edits a nested dataclass."""
+    return replace(obj, **{key: with_changes(getattr(obj, key), value)
+                           if isinstance(value, dict) else value
+                           for key, value in changes.items()})
 
-    ``evaluate_fn(model, config) -> MetricsReport`` scores each trained model
-    (typically on the held-back target labels).  Returns (per-seed FitResults,
-    per-seed reports, mean/sample-std summary per metric).
+
+def run_grid(train, seeds, arms, source, target, out_dir=None, deterministic=False):
+    """Fit and score one run per (arm, seed): arms outer, seeds inner.
+
+    An arm is ``(name, changes)``, with ``changes`` a nested dict applied to
+    ``train`` by ``with_changes`` (e.g. ``{"attention": {"variant": "c"}}``).
+    Each run is scored on the target labels, which ``fit`` itself never reads,
+    and prints one line.  With ``out_dir`` each run writes ``seed_<s>/`` there
+    (checkpoint, index, history and ``report.txt``), so give it one arm.
+    Returns ``(name, reports, aggregate_runs(reports))`` per arm.
     """
-    from dataclasses import replace
-
-    from .evaluate import aggregate_runs
-
-    results, reports = [], []
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        run_dir = Path(out_dir) / f"seed_{seed}" if out_dir is not None else None
-        res = fit(cfg, source, target, out_dir=run_dir, deterministic=deterministic)
-        results.append(res)
-        reports.append(evaluate_fn(res.model, cfg))
-    return results, reports, aggregate_runs(reports)
+    results = []
+    for name, changes in arms:
+        base = with_changes(train, changes)
+        reports = []
+        for seed in seeds:
+            cfg = replace(base, seed=int(seed))
+            run_dir = Path(out_dir) / f"seed_{seed}" if out_dir is not None else None
+            res = fit(cfg, source, target, out_dir=run_dir, deterministic=deterministic)
+            report, _ = evaluate_scene(res.model, target[0], target[1], cfg)
+            if run_dir is not None:
+                (run_dir / "report.txt").write_text(
+                    format_report(report, target[1].class_names) + "\n")
+            label = f"{name} seed {seed}" if name else f"seed {seed}"
+            print(f"[{label}] target OA {report.oa * 100:.2f}  AA {report.aa * 100:.2f}  "
+                  f"Kappa x 100 {report.kappa * 100:.2f}")
+            reports.append(report)
+        results.append((name, reports, aggregate_runs(reports)))
+    return results

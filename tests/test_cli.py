@@ -4,11 +4,15 @@ import ctypes
 import json
 import platform
 import shutil
+from dataclasses import replace
 
 import pytest
 
 from crossscene.cli import main, set_allocator_policy
+from crossscene.config import resolve_config
 from crossscene.data import load_scene
+from crossscene.evaluate import evaluate_scene
+from crossscene.training import fit
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +24,13 @@ def synth_dir(tmp_path_factory):
     return d
 
 
-def _cfg_file(d, **train_over):
+def _cfg_file(d, seeds=(0,), **train_over):
     train = {"patch_size": 5, "epochs": 2, "batch": 50, "normalization": "none",
              "unit_channels": [16, 32, 16]}
     train.update(train_over)
     cfg = {"source_bundle": str(d / "data" / "source"),
            "target_bundle": str(d / "data" / "target"),
-           "seeds": [0], "train": train}
+           "seeds": list(seeds), "train": train}
     p = d / "exp.json"
     p.write_text(json.dumps(cfg))
     return p
@@ -71,6 +75,24 @@ def test_resolved_config_reproduces_run(synth_dir):
     assert ha == hb
 
 
+def test_train_two_seeds_matches_direct_fits(synth_dir, tmp_path, capsys):
+    cfg_path = _cfg_file(synth_dir, seeds=(0, 1), epochs=1)
+    out = tmp_path / "two"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out), "--deterministic"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split("]")[0] for l in lines[:2]] == ["[seed 0", "[seed 1"]
+    assert lines[2].startswith("mean over 2 seeds: OA ") and len(lines) == 3
+    cfg = resolve_config(config_path=cfg_path)
+    source, target = load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
+    for seed in (0, 1):
+        fit(replace(cfg.train, seed=seed), source, target, out_dir=tmp_path / f"direct_{seed}",
+            deterministic=True)
+        for name in ("checkpoint.bin", "index.json", "history.log"):
+            assert (out / f"seed_{seed}" / name).read_bytes() == \
+                (tmp_path / f"direct_{seed}" / name).read_bytes(), (seed, name)
+        assert (out / f"seed_{seed}" / "report.txt").exists()
+
+
 def test_eval_prints_table_format(synth_dir, capsys):
     cfg = _cfg_file(synth_dir)
     ckpt = synth_dir / "run1" / "seed_0" / "checkpoint.bin"
@@ -108,13 +130,27 @@ def test_gradcheck_command(capsys):
 
 
 def test_ablate_variants_grid(synth_dir, capsys):
-    cfg = _cfg_file(synth_dir, epochs=1)
+    # two epochs at lr0 0.1 on min-max input are enough for the block variants to part
+    cfg_path = _cfg_file(synth_dir, lr0=0.1, normalization="minmax")
     out = synth_dir / "abl"
-    rc = main(["ablate", "--config", str(cfg), "--grid", "variants",
+    rc = main(["ablate", "--config", str(cfg_path), "--grid", "variants",
                "--out", str(out), "--deterministic"])
     assert rc == 0
     rows = json.loads((out / "ablation.json").read_text())["rows"]
     assert [r["arm"] for r in rows] == ["variant_a", "variant_b", "variant_c", "variant_d"]
+    assert sorted(out.iterdir()) == [out / "ablation.json", out / "resolved.cfg"]
+    # each arm's change reaches the config: its OA is that of a direct run of the variant
+    cfg = resolve_config(config_path=cfg_path)
+    source, target = load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
+    oas = []
+    for row, variant in zip(rows, "abcd"):
+        tc = replace(cfg.train, attention=replace(cfg.train.attention, variant=variant))
+        report, _ = evaluate_scene(fit(tc, source, target).model, target[0], target[1], tc)
+        assert row["oa"] == [report.oa, 0.0], variant
+        oas.append(report.oa)
+    assert len(set(oas)) > 1  # the variants train differently, so a lost change would show
+    printed = capsys.readouterr().out
+    assert "[variant_c seed 0] target OA" in printed
 
 
 def test_ablate_grid_aliases(synth_dir):
@@ -186,6 +222,36 @@ def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error") and "\n" not in err
+
+
+def test_exit_code_band_mismatch(synth_dir, tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "six"), "--classes", "3", "--bands", "6",
+                 "--grid", "3", "--blob", "5", "--seed", "7"]) == 0
+    cfg = json.loads(_cfg_file(synth_dir).read_text())
+    cfg["target_bundle"] = str(tmp_path / "six" / "target")
+    bad = tmp_path / "bands.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: band mismatch") and "\n" not in err
+
+
+@pytest.mark.parametrize("palette,message", [
+    ('[[0, 0, 0], [255, 0', "malformed palette"),
+    ("[[0, 0, 0], [255, 0, 0]]", "has 2 entries"),
+], ids=["malformed", "too-short"])
+def test_exit_code_bad_palette(synth_dir, ckpt_dir, tmp_path, capsys, palette, message):
+    pal = tmp_path / "palette.json"
+    pal.write_text(palette)
+    rc = main(["map", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+               str(ckpt_dir / "checkpoint.bin"), "--bundle", str(synth_dir / "data" / "target"),
+               "--palette", str(pal), "--out", str(tmp_path / "map")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error") and message in err and "\n" not in err
+    assert not (tmp_path / "map").exists()
 
 
 def test_exit_code_batch_exceeds_labeled_pixels(synth_dir, tmp_path, capsys):

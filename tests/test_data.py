@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from crossscene.data import (BundleError, LabelMap, PatchSource, Scene, ShiftSpec,
-                             batch_stream, cycled_batches, enumerate_labeled,
-                             extract_patch, labeled_refs, load_scene, normalize_scene,
-                             save_bundle, subsample_refs, synth_domain_pair)
+from crossscene.data import (BundleError, LabelMap, PatchSource, SampleRef, Scene, ShiftSpec,
+                             batch_stream, cycled_batches, extract_patch, labeled_refs,
+                             load_scene, normalize_scene, save_bundle, synth_domain_pair)
 
 
 def _toy_scene(rng, h=7, w=9, b=4):
@@ -128,20 +127,12 @@ def test_patch_errors(rng):
 
 def test_patch_source_matches_extract(rng):
     scene, _ = _toy_scene(rng)
+    refs = [SampleRef(row, col, 0) for row in range(scene.height)
+            for col in range(0, scene.width, 3)]
     for ps in (3, 5, 7, 9):  # pad larger than the scene exercises repeated reflection
-        src = PatchSource(scene, ps)
-        for row in range(scene.height):
-            for col in range(0, scene.width, 3):
-                assert np.array_equal(src.patch(row, col), extract_patch(scene, row, col, ps))
-
-
-def test_enumerate_labeled():
-    labels = np.array([[0, 2], [2, 1]])
-    grouped = enumerate_labeled(LabelMap(labels=labels))
-    assert sorted(grouped) == [1, 2]
-    assert [(r.row, r.col) for r in grouped[2]] == [(0, 1), (1, 0)]
-    assert len(grouped[1]) == 1
-    assert enumerate_labeled(LabelMap(labels=np.zeros((3, 3), dtype=int))) == {}
+        patches = PatchSource(scene, ps).batch(refs, with_labels=False).patches.data
+        for ref, patch in zip(refs, patches):
+            assert np.array_equal(patch, extract_patch(scene, ref.row, ref.col, ps))
 
 
 def test_labeled_refs_raster_order_and_hiding():
@@ -159,8 +150,6 @@ def test_batch_stream_counts_and_determinism():
     assert len(batches) == 2  # floor(250 / 100)
     again = batch_stream(refs, 100, seed=4, epoch=0)
     assert batches == again
-    keep_tail = batch_stream(refs, 100, seed=4, epoch=0, drop_last=False)
-    assert [len(b) for b in keep_tail] == [100, 100, 50]
 
 
 def test_batch_stream_epochs_permute():
@@ -197,14 +186,6 @@ def test_cycled_batches_fewer_refs_than_batch():
     assert len(batch) == 8
     assert set(batch) <= set(refs)  # sampled with wraparound
     assert next(it) != batch  # reseeded per pass
-
-
-def test_subsample_refs_seeded():
-    refs = labeled_refs(LabelMap(labels=np.ones((10, 10), dtype=int)))
-    a = subsample_refs(refs, 17, seed=5)
-    b = subsample_refs(refs, 17, seed=5)
-    assert a == b and len(a) == 17
-    assert subsample_refs(refs, None, seed=5) == refs
 
 
 def test_synth_identity_shift_means_match():

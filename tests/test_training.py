@@ -36,12 +36,6 @@ def test_cross_entropy_saturated_is_near_zero():
     assert loss.item() < 1e-3
 
 
-def test_cross_entropy_probability_path():
-    p = Tensor(np.array([[0.7, 0.3]], dtype=np.float64))
-    loss = cross_entropy(p, np.array([1]), from_logits=False)
-    assert loss.item() == pytest.approx(-math.log(0.7), rel=1e-10)
-
-
 def test_cross_entropy_soft_targets():
     logits = Tensor(np.zeros((2, 3)))
     soft = np.array([[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]])
@@ -317,20 +311,25 @@ def test_write_history_round_trip(tmp_path):
     assert json.loads(lines[0])["epoch"] == 0
 
 
-def test_fit_multi_seed_returns_mean_and_std(tiny_pair, tiny_config, tmp_path):
-    from crossscene.evaluate import evaluate_scene
-    from crossscene.training import fit_multi_seed
+def test_run_grid_returns_mean_and_std(tiny_pair, tiny_config, tmp_path):
+    from crossscene.training import run_grid
 
-    def score(model, cfg):
-        report, _ = evaluate_scene(model, tiny_pair[1][0], tiny_pair[1][1], cfg)
-        return report
-
-    results, reports, summary = fit_multi_seed(
-        tiny_config, [0, 1], tiny_pair[0], tiny_pair[1], score, out_dir=tmp_path)
-    assert len(results) == len(reports) == 2
+    [(name, reports, summary)] = run_grid(
+        tiny_config, [0, 1], [("", {})], tiny_pair[0], tiny_pair[1], out_dir=tmp_path)
+    assert name == "" and len(reports) == 2
     mean, std = summary["oa"]
     assert 0.0 <= mean <= 1.0 and std >= 0.0
     expected = abs(reports[0].oa - reports[1].oa) / np.sqrt(2)
     assert std == pytest.approx(expected, abs=1e-12)  # two-point sample std
     assert (tmp_path / "seed_0" / "checkpoint.bin").exists()
     assert (tmp_path / "seed_1" / "checkpoint.bin").exists()
+
+
+def test_with_changes_edits_nested_fields(tiny_config):
+    from crossscene.training import with_changes
+
+    cfg = with_changes(tiny_config, {"epochs": 3, "ablation": {"use_lmmd": False},
+                                     "attention": {"variant": "b"}})
+    assert (cfg.epochs, cfg.ablation.use_lmmd, cfg.attention.variant) == (3, False, "b")
+    assert cfg.ablation.use_attention and cfg.batch == tiny_config.batch
+    assert tiny_config.ablation.use_lmmd and tiny_config.attention.variant == "d"
