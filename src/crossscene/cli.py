@@ -145,15 +145,19 @@ def build_parser():
 
 
 def _prepare_run(args):
-    """Resolve the config, load the bundle pair, and snapshot the config in --out."""
+    """Resolve the config and load the bundle pair."""
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     if not cfg.source_bundle or not cfg.target_bundle:
         raise ConfigError("config must name source_bundle and target_bundle")
-    source, target = load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
+    return cfg, load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
+
+
+def _finish_run(args, cfg):
+    """Create --out and snapshot the config there, once every run has succeeded."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "resolved.cfg")
-    return cfg, source, target, out
+    return out
 
 
 def _mean_std_line(agg):
@@ -162,9 +166,10 @@ def _mean_std_line(agg):
 
 
 def cmd_train(args):
-    cfg, source, target, out = _prepare_run(args)
+    cfg, source, target = _prepare_run(args)
     [(_, reports, agg)] = run_grid(cfg.train, cfg.seeds, [("", {})], source, target,
-                                   out_dir=out, deterministic=args.deterministic)
+                                   out_dir=args.out, deterministic=args.deterministic)
+    _finish_run(args, cfg)
     if len(reports) > 1:
         print(f"mean over {len(reports)} seeds: {_mean_std_line(agg)}")
     return 0
@@ -234,7 +239,7 @@ def cmd_gradcheck(args):
 
 def cmd_ablate(args):
     grid_name = GRID_ALIASES.get(args.grid, args.grid)
-    cfg, source, target, out = _prepare_run(args)
+    cfg, source, target = _prepare_run(args)
     rows = []
     for arm_name, _, agg in run_grid(cfg.train, cfg.seeds, ABLATION_GRIDS[grid_name],
                                      source, target, deterministic=args.deterministic):
@@ -242,6 +247,7 @@ def cmd_ablate(args):
                      "oa": agg["oa"], "aa": agg["aa"], "kappa": agg["kappa"],
                      "seeds": list(cfg.seeds)})
         print(f"{arm_name:24s} {_mean_std_line(agg)}")
+    out = _finish_run(args, cfg)
     (out / "ablation.json").write_text(json.dumps({"grid": grid_name, "rows": rows}, indent=1) + "\n")
     return 0
 

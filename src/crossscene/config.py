@@ -3,85 +3,92 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .discrepancy import KernelSpec
-from .model import CenterAttentionConfig
 # ConfigError lives beside TrainConfig so that fit can raise it; callers import it from here
-from .training import Ablation, ConfigError, LossWeights, TrainConfig
+from .training import ConfigError, TrainConfig
 
 
 @dataclass
 class ExperimentConfig:
     source_bundle: str | None = None
     target_bundle: str | None = None
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self):
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        try:
-            self.train.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+    def __post_init__(self):
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must list at least one seed, each >= 0, got {self.seeds}")
 
 
-_NESTED = {
-    TrainConfig: {
-        "ablation": Ablation,
-        "attention": CenterAttentionConfig,
-        "kernel": KernelSpec,
-        "loss_weights": LossWeights,
-    },
-    ExperimentConfig: {"train": TrainConfig},
-}
+_MISMATCH = object()
+
+
+def _coerce(tp, value):
+    """``value`` as an instance of the annotation ``tp``, or ``_MISMATCH``.
+
+    An int is accepted for a float and a list for a tuple; only true and
+    false match a bool, and a bool matches nothing else.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        for arg in args:
+            out = _coerce(arg, value)
+            if out is not _MISMATCH:
+                return out
+        return _MISMATCH
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            return _MISMATCH
+        item_types = args * len(value) if origin is list else args
+        if len(item_types) != len(value):
+            return _MISMATCH
+        items = [_coerce(t, v) for t, v in zip(item_types, value)]
+        return _MISMATCH if any(v is _MISMATCH for v in items) else origin(items)
+    if tp is float and type(value) is int:
+        return float(value)
+    return value if type(value) is tp else _MISMATCH
 
 
 def _build(cls, data, path=""):
+    """Construct ``cls`` from JSON data, checking every value against its field.
+
+    Nested dataclass fields recurse; a wrong type, and any ``ValueError`` the
+    dataclass raises on construction, becomes a ``ConfigError`` naming the
+    dotted key.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown config keys at {path or 'top level'}: {', '.join(unknown)}")
-    nested = _NESTED.get(cls, {})
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key in nested:
-            kwargs[key] = _build(nested[key], value, f"{path}{key}.")
-        else:
-            kwargs[key] = value
+        tp = hints[key]
+        if is_dataclass(tp):
+            kwargs[key] = _build(tp, value, f"{path}{key}.")
+            continue
+        kwargs[key] = _coerce(tp, value)
+        if kwargs[key] is _MISMATCH:
+            name = tp.__name__ if isinstance(tp, type) else str(tp)
+            raise ConfigError(f"{path}{key} must be {name}, got {json.dumps(value, default=repr)}")
     try:
-        obj = cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"bad config value near {path or 'top level'}: {e}") from e
-    if isinstance(obj, TrainConfig):
-        obj.unit_channels = tuple(obj.unit_channels)
-        obj.seed = int(obj.seed)
-    return obj
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}{e}") from e
 
 
 def config_from_dict(data):
-    cfg = _build(ExperimentConfig, data)
-    cfg.seeds = [int(s) for s in cfg.seeds]
-    return cfg
+    return _build(ExperimentConfig, data)
 
 
 def config_to_dict(cfg):
-    d = asdict(cfg)
-
-    def listify(obj):
-        if isinstance(obj, dict):
-            return {k: listify(v) for k, v in obj.items()}
-        if isinstance(obj, tuple):
-            return [listify(v) for v in obj]
-        if isinstance(obj, list):
-            return [listify(v) for v in obj]
-        return obj
-
-    return listify(d)
+    """Nested plain data; tuples stay tuples (JSON writes them as lists)."""
+    return asdict(cfg)
 
 
 def load_config(path):
@@ -186,7 +193,5 @@ def resolve_config(preset=None, config_path=None, overrides=None, seed=None):
         data = deep_merge(data, load_config(config_path))
     data = apply_overrides(data, overrides)
     if seed is not None:
-        data["seeds"] = [int(seed)]
-    cfg = config_from_dict(data)
-    cfg.validate()
-    return cfg
+        data["seeds"] = [seed]
+    return config_from_dict(data)

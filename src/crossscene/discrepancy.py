@@ -38,16 +38,14 @@ class KernelSpec:
     mul_factor: float = 2.0
     base_bandwidth: float | str = "median"
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_kernels < 1:
-            raise ValueError("need at least one kernel")
+            raise ValueError(f"num_kernels must be >= 1, got {self.num_kernels}")
         if self.mul_factor <= 0:
-            raise ValueError("mul_factor must be positive")
-        if isinstance(self.base_bandwidth, str):
-            if self.base_bandwidth != "median":
-                raise ValueError(f"unknown bandwidth mode {self.base_bandwidth!r}")
-        elif self.base_bandwidth <= 0:
-            raise ValueError("fixed bandwidth must be positive")
+            raise ValueError(f"mul_factor must be > 0, got {self.mul_factor}")
+        if (self.base_bandwidth != "median" if isinstance(self.base_bandwidth, str)
+                else self.base_bandwidth <= 0):
+            raise ValueError(f"base_bandwidth must be 'median' or > 0, got {self.base_bandwidth!r}")
 
     def bandwidths(self, base):
         half = self.num_kernels // 2
@@ -92,7 +90,6 @@ def median_bandwidth(zs, zt):
 
 
 def _resolve_base(spec, zs, zt):
-    spec.validate()
     if spec.base_bandwidth == "median":
         return median_bandwidth(zs, zt)
     return float(spec.base_bandwidth)
@@ -206,7 +203,6 @@ def lmmd_oracle(zs, ys_onehot, zt, pt_probs, spec=None):
     averaged over valid classes.  The trusted reference for ``lmmd``.
     """
     spec = spec or KernelSpec()
-    spec.validate()
     zs = np.asarray(zs.data if isinstance(zs, Tensor) else zs, dtype=np.float64)
     zt = np.asarray(zt.data if isinstance(zt, Tensor) else zt, dtype=np.float64)
     ys = np.asarray(ys_onehot, dtype=np.float64)

@@ -109,9 +109,6 @@ def primitive_checks(seed=0):
     a, b = _p(rng, (3, 4), "a"), _p(rng, (1, 4), "b")
     case("add", {"a": a, "b": b}, lambda a=a, b=b: _weighted(T.add(a, b), np.random.default_rng(100)))
 
-    a2, b2 = _p(rng, (3, 4), "a"), _p(rng, (3, 1), "b")
-    case("sub", {"a": a2, "b": b2}, lambda a=a2, b=b2: _weighted(T.sub(a, b), np.random.default_rng(101)))
-
     a3, b3 = _p(rng, (2, 5), "a"), _p(rng, (5,), "b")
     case("mul", {"a": a3, "b": b3}, lambda a=a3, b=b3: _weighted(T.mul(a, b), np.random.default_rng(102)))
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter
-
 
 class NumericError(RuntimeError):
     """A non-finite value stopped the computation."""
@@ -29,12 +27,11 @@ def zero_grads(params):
 def sgd_momentum_step(params, lr, momentum=0.9, weight_decay=0.0):
     """One classic SGD step: g' = g + wd*v; buf = mu*buf + g'; v -= lr*buf.
 
-    Weight decay enters the raw gradient before the momentum update.  A
-    parameter with an unset gradient is treated as zero-gradient.
+    ``params`` are ``Parameter``s.  Weight decay enters the raw gradient
+    before the momentum update.  A parameter with an unset gradient is
+    treated as zero-gradient.
     """
     for p in params:
-        if not isinstance(p, Parameter) or not p.requires_update:
-            continue
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter {p.name!r}")

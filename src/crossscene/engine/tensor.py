@@ -27,10 +27,10 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Canonical primitive set; every name here has a registered gradient and a
-# finite-difference check case in engine.gradcheck.
+# finite-difference check case in engine.gradcheck.  "sum" and "mean" name the
+# functions tsum and tmean; every other name is the function's own.
 OPSET = (
     "add",
-    "sub",
     "mul",
     "scale",
     "matmul",
@@ -93,9 +93,6 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
@@ -146,67 +143,15 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, s):
-        if isinstance(s, Tensor):
-            raise TypeError("tensor/tensor division is not a registered primitive")
-        return scale(self, 1.0 / float(s))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
-
-    @property
-    def T(self):
-        return transpose(self, None)
-
 
 class Parameter(Tensor):
     """A leaf tensor the optimizer updates, with its momentum state."""
 
-    __slots__ = ("momentum", "requires_update", "name")
+    __slots__ = ("momentum", "name")
 
-    def __init__(self, data, name="", dtype=None, requires_update=True):
+    def __init__(self, data, name="", dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.momentum = np.zeros_like(self.data)
-        self.requires_update = requires_update
         self.name = name
 
     def __repr__(self):
@@ -295,17 +240,6 @@ def add(a, b):
 
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make(data, (a, b), vjp)
-
-
-def sub(a, b):
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _lift(b, a.dtype)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return _make(data, (a, b), vjp)
 
@@ -697,10 +631,3 @@ def avg_pool2d(x):
         return (np.broadcast_to(g[:, None, None, :] / (h * w), (n, h, w, c)).astype(g.dtype, copy=True),)
 
     return _make(data, (x,), vjp)
-
-
-def check_finite(t, what="tensor"):
-    """Raise if ``t`` contains NaN or Inf values."""
-    if not np.isfinite(t.data if isinstance(t, Tensor) else t).all():
-        raise FloatingPointError(f"non-finite values in {what}")
-    return t

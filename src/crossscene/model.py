@@ -24,6 +24,7 @@ from .data import BundleError
 from .engine import Parameter
 
 BLOCK_VARIANTS = ("a", "b", "c", "d")
+LEAKY_SLOPE = 0.01
 
 
 @dataclass
@@ -37,32 +38,31 @@ class CenterAttentionConfig:
     variant: str = "d"
     scale_divisor: str = "sqrt_patch"  # or "sqrt_channels"
 
-    def validate(self):
+    def __post_init__(self):
         if self.variant not in BLOCK_VARIANTS:
-            raise ValueError(f"unknown block variant {self.variant!r}")
+            raise ValueError(f"variant must be one of {list(BLOCK_VARIANTS)}, got {self.variant!r}")
         if self.scale_divisor not in ("sqrt_patch", "sqrt_channels"):
-            raise ValueError(f"unknown scale divisor {self.scale_divisor!r}")
+            raise ValueError("scale_divisor must be 'sqrt_patch' or 'sqrt_channels', "
+                             f"got {self.scale_divisor!r}")
 
 
 @dataclass
 class ExtractorConfig:
     input_bands: int
     patch_size: int
-    unit_channels: tuple = (32, 64, 32)
+    unit_channels: tuple[int, int, int] = (32, 64, 32)
     use_attention: bool = True
-    leaky_slope: float = 0.01
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     feature_mode: str = "pool"  # or "flatten"
 
-    def validate(self):
+    def __post_init__(self):
         w1, w2, w3 = self.unit_channels
-        if not (w2 == 2 * w1 and w1 == w3):
-            raise ValueError(f"unit channels must satisfy w2 = 2*w1 = 2*w3, got {self.unit_channels}")
-        if self.patch_size % 2 == 0:
-            raise ValueError("patch size must be odd")
+        if not (w1 > 0 and w2 == 2 * w1 and w1 == w3):
+            raise ValueError("unit_channels must be positive with w2 = 2*w1 = 2*w3, "
+                             f"got {list(self.unit_channels)}")
+        if self.patch_size < 1 or self.patch_size % 2 == 0:
+            raise ValueError(f"patch_size must be odd and >= 1, got {self.patch_size}")
         if self.feature_mode not in ("pool", "flatten"):
-            raise ValueError(f"unknown feature mode {self.feature_mode!r}")
+            raise ValueError(f"feature_mode must be 'pool' or 'flatten', got {self.feature_mode!r}")
 
     @property
     def feature_dim(self):
@@ -71,16 +71,16 @@ class ExtractorConfig:
         return self.unit_channels[2]
 
 
-def kaiming_normal(rng, shape, fan_in, slope=0.01, dtype=np.float32):
+def kaiming_normal(rng, shape, fan_in, dtype=np.float32):
     """Fan-in Kaiming-normal draw with the leaky-rectifier gain."""
-    gain = math.sqrt(2.0 / (1.0 + slope * slope))
+    gain = math.sqrt(2.0 / (1.0 + LEAKY_SLOPE * LEAKY_SLOPE))
     std = gain / math.sqrt(fan_in)
     return (std * rng.standard_normal(shape)).astype(dtype)
 
 
 class Linear:
-    def __init__(self, d_in, d_out, rng, dtype, prefix, slope=0.01):
-        self.weight = Parameter(kaiming_normal(rng, (d_in, d_out), d_in, slope, dtype),
+    def __init__(self, d_in, d_out, rng, dtype, prefix):
+        self.weight = Parameter(kaiming_normal(rng, (d_in, d_out), d_in, dtype),
                                 name=f"{prefix}.weight")
         self.bias = Parameter(np.zeros(d_out, dtype=dtype), name=f"{prefix}.bias")
 
@@ -92,8 +92,8 @@ class Linear:
 
 
 class Conv2d:
-    def __init__(self, c_in, c_out, rng, dtype, prefix, slope=0.01):
-        self.weight = Parameter(kaiming_normal(rng, (c_out, c_in, 3, 3), c_in * 9, slope, dtype),
+    def __init__(self, c_in, c_out, rng, dtype, prefix):
+        self.weight = Parameter(kaiming_normal(rng, (c_out, c_in, 3, 3), c_in * 9, dtype),
                                 name=f"{prefix}.weight")
         self.bias = Parameter(np.zeros(c_out, dtype=dtype), name=f"{prefix}.bias")
 
@@ -105,20 +105,21 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel batch norm; scale starts at 1, shift at 0."""
+    """Per-channel batch norm; scale starts at 1, shift at 0.
 
-    def __init__(self, channels, dtype, prefix, eps=1e-5, momentum=0.1):
+    Uses ``batch_norm2d``'s defaults: eps 1e-5, running-buffer momentum 0.1.
+    """
+
+    def __init__(self, channels, dtype, prefix):
         self.gamma = Parameter(np.ones(channels, dtype=dtype), name=f"{prefix}.scale")
         self.beta = Parameter(np.zeros(channels, dtype=dtype), name=f"{prefix}.shift")
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.eps = eps
-        self.momentum = momentum
         self.prefix = prefix
 
     def __call__(self, x, training):
         return E.batch_norm2d(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                              training=training, momentum=self.momentum, eps=self.eps)
+                              training=training)
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -137,7 +138,6 @@ class CenterAttentionBlock:
     """
 
     def __init__(self, channels, config, rng, dtype, prefix):
-        config.validate()
         self.config = config
         self.channels = channels
         self.key = Linear(channels, channels, rng, dtype, f"{prefix}.key")
@@ -184,31 +184,28 @@ class FeatureExtractor:
     """Three conv+BN+LeakyReLU units; the attention block precedes unit 2."""
 
     def __init__(self, config, attention, rng, dtype):
-        config.validate()
         self.config = config
         w1, w2, w3 = config.unit_channels
-        kw = dict(eps=config.bn_eps, momentum=config.bn_momentum)
-        self.conv1 = Conv2d(config.input_bands, w1, rng, dtype, "extractor.conv1", config.leaky_slope)
-        self.bn1 = BatchNorm2d(w1, dtype, "extractor.bn1", **kw)
+        self.conv1 = Conv2d(config.input_bands, w1, rng, dtype, "extractor.conv1")
+        self.bn1 = BatchNorm2d(w1, dtype, "extractor.bn1")
         self.block = None
         if config.use_attention:
             self.block = CenterAttentionBlock(w1, attention, rng, dtype, "extractor.attn")
-        self.conv2 = Conv2d(w1, w2, rng, dtype, "extractor.conv2", config.leaky_slope)
-        self.bn2 = BatchNorm2d(w2, dtype, "extractor.bn2", **kw)
-        self.conv3 = Conv2d(w2, w3, rng, dtype, "extractor.conv3", config.leaky_slope)
-        self.bn3 = BatchNorm2d(w3, dtype, "extractor.bn3", **kw)
+        self.conv2 = Conv2d(w1, w2, rng, dtype, "extractor.conv2")
+        self.bn2 = BatchNorm2d(w2, dtype, "extractor.bn2")
+        self.conv3 = Conv2d(w2, w3, rng, dtype, "extractor.conv3")
+        self.bn3 = BatchNorm2d(w3, dtype, "extractor.bn3")
 
     def __call__(self, patches, training):
         """patches: Tensor (n, ps, ps, bands) -> features (n, feature_dim)."""
         if patches.shape[3] != self.config.input_bands:
             raise ValueError(
                 f"extractor built for {self.config.input_bands} bands, got {patches.shape[3]}")
-        slope = self.config.leaky_slope
-        h = E.leaky_relu(self.bn1(self.conv1(patches), training), slope)
+        h = E.leaky_relu(self.bn1(self.conv1(patches), training), LEAKY_SLOPE)
         if self.block is not None:
             h = self.block(h)
-        h = E.leaky_relu(self.bn2(self.conv2(h), training), slope)
-        h = E.leaky_relu(self.bn3(self.conv3(h), training), slope)
+        h = E.leaky_relu(self.bn2(self.conv2(h), training), LEAKY_SLOPE)
+        h = E.leaky_relu(self.bn3(self.conv3(h), training), LEAKY_SLOPE)
         if self.config.feature_mode == "flatten":
             # (c, h, w) feature order, the order flatten-mode head weights expect
             n = h.shape[0]

@@ -41,11 +41,12 @@ class LossWeights:
     lambda_st: float = 1.0
     tau: float = 0.95
 
-    def validate(self):
-        if self.lambda_lmmd < 0 or self.lambda_st < 0:
-            raise ValueError("loss weights must be non-negative")
+    def __post_init__(self):
+        for name in ("lambda_lmmd", "lambda_st"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
+            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
 
 
 @dataclass
@@ -67,7 +68,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     patch_size: int = 9
     seed: int = 0
-    unit_channels: tuple = (32, 64, 32)
+    unit_channels: tuple[int, int, int] = (32, 64, 32)
     feature_mode: str = "pool"
     normalization: str = "minmax"
     st_warmup_epochs: int = 0
@@ -76,19 +77,20 @@ class TrainConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec)
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
-    def validate(self):
-        if self.epochs < 0 or self.batch < 1:
-            raise ValueError("epochs must be >= 0 and batch >= 1")
-        if self.lr0 <= 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("bad optimizer settings")
+    def __post_init__(self):
+        for name in ("epochs", "alpha", "beta", "momentum", "weight_decay", "seed",
+                     "st_warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.lr0 <= 0:
+            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
         if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}; "
-                             f"choose from {list(NORMALIZATIONS)}")
-        # the extractor's geometry checks do not depend on the band count
-        extractor_config(self, input_bands=1).validate()
-        self.loss_weights.validate()
-        self.attention.validate()
-        self.kernel.validate()
+            raise ValueError(f"normalization must be one of {list(NORMALIZATIONS)}, "
+                             f"got {self.normalization!r}")
+        # ExtractorConfig checks the geometry; it does not depend on the band count
+        extractor_config(self, input_bands=1)
 
 
 # -- losses -------------------------------------------------------------------
@@ -224,7 +226,7 @@ def extractor_config(config, input_bands):
     return ExtractorConfig(
         input_bands=input_bands,
         patch_size=config.patch_size,
-        unit_channels=tuple(config.unit_channels),
+        unit_channels=config.unit_channels,
         use_attention=config.ablation.use_attention,
         feature_mode=config.feature_mode,
     )
@@ -244,7 +246,6 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     deterministic mode the wall-time field is recorded as 0 so reruns
     produce byte-identical artifacts.
     """
-    config.validate()
     src_scene, src_labels = source
     tgt_scene, _tgt_labels = target
     if src_scene.bands != tgt_scene.bands:

@@ -224,6 +224,22 @@ def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
     assert err.startswith("config error") and "\n" not in err
 
 
+@pytest.mark.parametrize("override", [
+    "train.alpha=-1", "train.beta=-1", "train.epochs=abc", "train.epochs=1.5",
+    "train.unit_channels=5", "train.seed=x", 'seeds="x"', "seeds=5", "train.lr0=abc",
+    "train.momentum=abc", "train.loss_weights.tau=abc", "train.patch_size=-3",
+    "train.kernel.base_bandwidth=true", "train.st_warmup_epochs=-5",
+])
+def test_exit_code_bad_config_value(synth_dir, tmp_path, capsys, override):
+    cfg = _cfg_file(synth_dir)
+    rc = main(["train", "--config", str(cfg), "--set", override, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "\n" not in err
+    assert override.split("=")[0] in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_exit_code_band_mismatch(synth_dir, tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "six"), "--classes", "3", "--bands", "6",
                  "--grid", "3", "--blob", "5", "--seed", "7"]) == 0
@@ -236,6 +252,7 @@ def test_exit_code_band_mismatch(synth_dir, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("data error: band mismatch") and "\n" not in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("palette,message", [
@@ -261,6 +278,7 @@ def test_exit_code_batch_exceeds_labeled_pixels(synth_dir, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error") and "batch size 1000" in err and "\n" not in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.fixture(scope="module")

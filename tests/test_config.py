@@ -73,6 +73,18 @@ def test_validation_catches_bad_values():
         resolve_config(overrides=["train.attention.variant=z"])
 
 
+def test_values_take_their_field_types():
+    cfg = resolve_config(overrides=["train.lr0=1", "train.unit_channels=[16,32,16]",
+                                    "train.kernel.base_bandwidth=2"])
+    assert type(cfg.train.lr0) is float and cfg.train.unit_channels == (16, 32, 16)
+    assert cfg.train.kernel.base_bandwidth == 2.0
+    for bad, key in [({"train": {"seed": "5"}}, "train.seed"), ({"train": {"seed": 5.0}}, "train.seed"),
+                     ({"train": {"ablation": {"use_lmmd": 1}}}, "train.ablation.use_lmmd"),
+                     ({"seeds": [True]}, "seeds")]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(bad)
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         resolve_config(config_path="/nonexistent/path.json")

@@ -223,8 +223,8 @@ def test_lmmd_gradient_finite_differences(rng):
 
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
-        KernelSpec(num_kernels=0).validate()
+        KernelSpec(num_kernels=0)
     with pytest.raises(ValueError):
-        KernelSpec(base_bandwidth=-1.0).validate()
+        KernelSpec(base_bandwidth=-1.0)
     with pytest.raises(ValueError):
-        KernelSpec(base_bandwidth="mean").validate()
+        KernelSpec(base_bandwidth="mean")

@@ -5,6 +5,7 @@ import pytest
 
 from crossscene import engine as E
 from crossscene.engine import Parameter, Tensor, grad_check
+from crossscene.engine import tensor
 from crossscene.engine.gradcheck import primitive_checks
 from crossscene.engine.tensor import _make
 
@@ -14,6 +15,16 @@ def test_every_primitive_matches_finite_differences(seed):
     for name, params, build in primitive_checks(seed):
         rep = grad_check(build, params, name=name)
         assert rep.passed(1e-4), f"{name} @ seed {seed}: {rep.max_rel_err:.3e}"
+
+
+def test_opset_names_engine_functions_with_check_cases():
+    """Each OPSET name is an engine function ("sum" and "mean" spell tsum and
+    tmean) and has a finite-difference case: the benchmark tracer wraps ops
+    by these names."""
+    cases = {name for name, _, _ in primitive_checks(0)}
+    for op in tensor.OPSET:
+        assert callable(getattr(tensor, {"sum": "tsum", "mean": "tmean"}.get(op, op), None)), op
+        assert op in cases, op
 
 
 def test_affine_layer_near_exact(rng):

@@ -91,9 +91,9 @@ def test_block_divisor_alternative(rng):
 
 def test_block_validates_config():
     with pytest.raises(ValueError):
-        CenterAttentionConfig(variant="e").validate()
+        CenterAttentionConfig(variant="e")
     with pytest.raises(ValueError):
-        CenterAttentionConfig(scale_divisor="none").validate()
+        CenterAttentionConfig(scale_divisor="none")
 
 
 @pytest.mark.parametrize("ps", [3, 5, 9])
@@ -159,9 +159,9 @@ def test_pseudo_head_never_touches_inference(tiny_pair, rng):
 
 def test_extractor_config_validation():
     with pytest.raises(ValueError, match="w2"):
-        ExtractorConfig(input_bands=4, patch_size=5, unit_channels=(32, 48, 32)).validate()
+        ExtractorConfig(input_bands=4, patch_size=5, unit_channels=(32, 48, 32))
     with pytest.raises(ValueError, match="odd"):
-        ExtractorConfig(input_bands=4, patch_size=6).validate()
+        ExtractorConfig(input_bands=4, patch_size=6)
 
 
 def test_flatten_feature_mode(rng):

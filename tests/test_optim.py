@@ -73,9 +73,3 @@ def test_sgd_non_finite_gradient_names_parameter():
     with pytest.raises(NumericError, match="conv1.weight"):
         sgd_momentum_step([p], lr=0.1)
 
-
-def test_sgd_skips_frozen_parameters():
-    p = Parameter(np.array([1.0]), requires_update=False)
-    p.grad = np.array([1.0])
-    sgd_momentum_step([p], lr=0.1)
-    assert p.data[0] == 1.0

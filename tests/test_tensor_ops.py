@@ -295,8 +295,3 @@ def test_no_grad_restores_recording_after_error():
         with E.no_grad():
             raise RuntimeError("boom")
     assert E.mul(Parameter(np.ones(2)), Parameter(np.ones(2))).requires_grad
-
-
-def test_non_finite_guard():
-    with pytest.raises(FloatingPointError):
-        E.check_finite(Tensor(np.array([1.0, np.inf])), "loss")
