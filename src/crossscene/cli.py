@@ -253,12 +253,17 @@ def cmd_ablate(args):
 
 
 def cmd_synth(args):
-    shift = ShiftSpec(gain=args.gain, offset=args.offset)
-    (src, src_labels), (tgt, tgt_labels) = synth_domain_pair(
-        num_classes=args.classes, bands=args.bands, blob_grid=args.grid,
-        blob_size=args.blob, shift=shift, noise_sigma=args.noise,
-        seed=args.seed, class_sigma=args.class_sigma,
-        proto_range=(args.proto_low, args.proto_high))
+    try:
+        shift = ShiftSpec(gain=args.gain, offset=args.offset)
+        (src, src_labels), (tgt, tgt_labels) = synth_domain_pair(
+            num_classes=args.classes, bands=args.bands, blob_grid=args.grid,
+            blob_size=args.blob, shift=shift, noise_sigma=args.noise,
+            seed=args.seed, class_sigma=args.class_sigma,
+            proto_range=(args.proto_low, args.proto_high))
+    except BundleError:
+        raise
+    except ValueError as e:  # the arguments, checked before anything is generated
+        raise ConfigError(str(e)) from e
     out = Path(args.out)
     save_bundle(src, src_labels, out / "source")
     save_bundle(tgt, tgt_labels, out / "target")

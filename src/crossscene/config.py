@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -31,7 +32,8 @@ def _coerce(tp, value):
     """``value`` as an instance of the annotation ``tp``, or ``_MISMATCH``.
 
     An int is accepted for a float and a list for a tuple; only true and
-    false match a bool, and a bool matches nothing else.
+    false match a bool, and a bool matches nothing else.  A float must be
+    finite: JSON parsers accept NaN and Infinity, which no setting means.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
@@ -48,8 +50,9 @@ def _coerce(tp, value):
             return _MISMATCH
         items = [_coerce(t, v) for t, v in zip(item_types, value)]
         return _MISMATCH if any(v is _MISMATCH for v in items) else origin(items)
-    if tp is float and type(value) is int:
-        return float(value)
+    if tp is float:
+        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        return float(value) if finite else _MISMATCH
     return value if type(value) is tp else _MISMATCH
 
 
@@ -74,7 +77,7 @@ def _build(cls, data, path=""):
             continue
         kwargs[key] = _coerce(tp, value)
         if kwargs[key] is _MISMATCH:
-            name = tp.__name__ if isinstance(tp, type) else str(tp)
+            name = (tp.__name__ if isinstance(tp, type) else str(tp)).replace("float", "finite float")
             raise ConfigError(f"{path}{key} must be {name}, got {json.dumps(value, default=repr)}")
     try:
         return cls(**kwargs)

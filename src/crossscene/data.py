@@ -312,17 +312,21 @@ def cycled_batches(refs, batch_size, seed):
 
 @dataclass
 class ShiftSpec:
-    """Per-band affine shift applied to the target domain: t = gain*s + offset."""
+    """Per-band affine shift applied to the target domain: t = gain*s + offset.
+
+    Each is a scalar or one value per band; every gain is nonzero and finite,
+    every offset finite.
+    """
 
     gain: float | np.ndarray = 1.0
     offset: float | np.ndarray = 0.0
 
-    def validate(self, bands):
-        gain = np.broadcast_to(np.asarray(self.gain, dtype=np.float64), (bands,))
-        offset = np.broadcast_to(np.asarray(self.offset, dtype=np.float64), (bands,))
-        if np.any(gain == 0):
-            raise ValueError("degenerate shift: zero gain")
-        return gain, offset
+    def __post_init__(self):
+        gain = np.asarray(self.gain, dtype=np.float64)
+        if not (np.isfinite(gain).all() and (gain != 0).all()):
+            raise ValueError(f"shift gain must be nonzero and finite, got {self.gain}")
+        if not np.isfinite(np.asarray(self.offset, dtype=np.float64)).all():
+            raise ValueError(f"shift offset must be finite, got {self.offset}")
 
 
 def synth_domain_pair(num_classes=5, bands=16, blob_grid=5, blob_size=9,
@@ -339,11 +343,17 @@ def synth_domain_pair(num_classes=5, bands=16, blob_grid=5, blob_size=9,
     Returns ((source Scene, LabelMap), (target Scene, LabelMap)).
     """
     if num_classes < 2:
-        raise ValueError("need at least 2 classes")
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
     if bands < 2:
-        raise ValueError("need at least 2 bands")
+        raise ValueError(f"need at least 2 bands, got {bands}")
+    if blob_grid < 1 or blob_size < 1:
+        raise ValueError(f"blob grid and blob size must be >= 1, got {blob_grid} and {blob_size}")
+    if not (0 <= noise_sigma < np.inf and 0 <= class_sigma < np.inf):
+        raise ValueError(f"noise and class sigma must be finite and >= 0, "
+                         f"got {noise_sigma} and {class_sigma}")
+    if not -np.inf < proto_range[0] < proto_range[1] < np.inf:
+        raise ValueError(f"prototype range must be finite with low < high, got {tuple(proto_range)}")
     shift = shift or ShiftSpec()
-    gain, offset = shift.validate(bands)
 
     side = blob_grid * blob_size
     labels = np.zeros((side, side), dtype=np.int32)
@@ -358,7 +368,7 @@ def synth_domain_pair(num_classes=5, bands=16, blob_grid=5, blob_size=9,
 
     idx = labels - 1
     src = protos[idx] + class_sigma * rng.standard_normal((side, side, bands))
-    tgt = (protos * gain + offset)[idx] \
+    tgt = (protos * shift.gain + shift.offset)[idx] \
         + class_sigma * rng.standard_normal((side, side, bands)) \
         + noise_sigma * rng.standard_normal((side, side, bands))
 

@@ -182,6 +182,9 @@ def primitive_checks(seed=0):
     cpx = _p(rng, (2, 5, 5, 3), "x")
     case("center_pixel", {"x": cpx}, lambda x=cpx: _weighted(T.center_pixel(x), np.random.default_rng(122)))
 
+    ca, cb = _p(rng, (3, 4), "a"), _p(rng, (2, 4), "b")
+    case("concat_rows", {"a": ca, "b": cb}, lambda a=ca, b=cb: _weighted(T.concat_rows(a, b), np.random.default_rng(123)))
+
     return cases
 
 

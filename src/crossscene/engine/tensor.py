@@ -50,6 +50,7 @@ OPSET = (
     "transpose",
     "gather_rows",
     "center_pixel",
+    "concat_rows",
 )
 
 
@@ -354,6 +355,19 @@ def gather_rows(x, idx):
         return (gx,)
 
     return _make(data, (x,), vjp)
+
+
+def concat_rows(a, b):
+    """Stack b's rows under a's: (n, ...) and (m, ...) -> (n + m, ...)."""
+    if a.data.shape[1:] != b.data.shape[1:]:
+        raise ValueError(f"concat_rows trailing shapes differ: {a.data.shape} vs {b.data.shape}")
+    n = a.data.shape[0]
+    data = np.concatenate([a.data, b.data])
+
+    def vjp(g):
+        return g[:n], g[n:]
+
+    return _make(data, (a, b), vjp)
 
 
 def center_pixel(x):

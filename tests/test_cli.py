@@ -2,12 +2,17 @@
 
 import ctypes
 import json
+import os
 import platform
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import crossscene
 from crossscene.cli import main, set_allocator_policy
 from crossscene.config import resolve_config
 from crossscene.data import load_scene
@@ -229,6 +234,9 @@ def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
     "train.unit_channels=5", "train.seed=x", 'seeds="x"', "seeds=5", "train.lr0=abc",
     "train.momentum=abc", "train.loss_weights.tau=abc", "train.patch_size=-3",
     "train.kernel.base_bandwidth=true", "train.st_warmup_epochs=-5",
+    "train.lr0=NaN", "train.momentum=NaN", "train.alpha=NaN", "train.kernel.base_bandwidth=NaN",
+    "train.loss_weights.lambda_lmmd=Infinity", "train.kernel.mul_factor=1e308",
+    "train.kernel.num_kernels=3000", "train.kernel.base_bandwidth=5e-324",
 ])
 def test_exit_code_bad_config_value(synth_dir, tmp_path, capsys, override):
     cfg = _cfg_file(synth_dir)
@@ -238,6 +246,29 @@ def test_exit_code_bad_config_value(synth_dir, tmp_path, capsys, override):
     assert err.startswith("config error:") and "\n" not in err
     assert override.split("=")[0] in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    "--classes 1", "--bands 1", "--gain 0", "--grid 0", "--blob 0",
+    "--proto-low 0.9 --proto-high 0.1", "--gain nan", "--offset inf", "--noise -1",
+    "--class-sigma -1",
+])
+def test_exit_code_bad_synth_argument(tmp_path, capsys, bad):
+    rc = main(["synth", "--out", str(tmp_path / "x"), "--grid", "3", "--blob", "5"] + bad.split())
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "\n" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_module_entry_point_runs_synth(tmp_path):
+    # the package as imported here, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(crossscene.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "crossscene", "synth", "--out", str(tmp_path / "d"),
+                           "--classes", "2", "--bands", "4", "--grid", "2", "--blob", "3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "d" / "target" / "cube.bin").is_file()
 
 
 def test_exit_code_band_mismatch(synth_dir, tmp_path, capsys):

@@ -9,30 +9,34 @@ from crossscene.discrepancy import (KernelSpec, class_weights, gaussian_kernel, 
                                     lmmd_oracle, median_bandwidth, mmd_biased, one_hot,
                                     pairwise_sq_dists)
 from crossscene.engine import Parameter, Tensor, grad_check
+from crossscene.engine.tensor import _topo_order
 
 
 def test_pairwise_basics():
-    assert pairwise_sq_dists(np.zeros((1, 2)), np.zeros((1, 2))).data[0, 0] == 0.0
-    d = pairwise_sq_dists(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])).data
-    assert d[0, 0] == pytest.approx(25.0)
+    assert pairwise_sq_dists(np.zeros((1, 2))).data[0, 0] == 0.0
+    d = pairwise_sq_dists(np.array([[0.0, 0.0], [3.0, 4.0]])).data
+    assert d[0, 1] == pytest.approx(25.0)
 
 
 def test_pairwise_self_diagonal_near_zero(rng):
     x = rng.normal(size=(5, 3))
-    d = pairwise_sq_dists(x, x).data
+    d = pairwise_sq_dists(x).data
     assert np.abs(np.diag(d)).max() < 1e-10
     assert (d >= 0).all()  # clamped against rounding
     assert np.allclose(d, d.T, atol=1e-10)
 
 
-def test_pairwise_dim_mismatch():
-    with pytest.raises(ValueError):
-        pairwise_sq_dists(np.zeros((2, 3)), np.zeros((2, 4)))
+def test_pooled_dim_mismatch():
+    # source and target rows are pooled by concat_rows, which rejects the mismatch
+    with pytest.raises(ValueError, match="trailing shapes"):
+        mmd_biased(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="trailing shapes"):
+        lmmd(np.zeros((2, 3)), np.ones((2, 1)), np.zeros((2, 4)), np.ones((2, 1)))
 
 
 def test_kernel_identical_vectors_give_one(rng):
     x = rng.normal(size=(4, 3))
-    k = gaussian_kernel(x, x, KernelSpec(base_bandwidth=1.7)).data
+    k = gaussian_kernel(x, KernelSpec(base_bandwidth=1.7)).data
     assert np.allclose(np.diag(k), 1.0, atol=1e-12)
     assert ((k > 0) & (k <= 1 + 1e-12)).all()
 
@@ -40,7 +44,7 @@ def test_kernel_identical_vectors_give_one(rng):
 def test_kernel_single_bandwidth_hand_values():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     spec = KernelSpec(num_kernels=1, base_bandwidth=1.0)
-    k = gaussian_kernel(x, x, spec).data
+    k = gaussian_kernel(x, spec).data
     for i in range(3):
         for j in range(3):
             d = np.sum((x[i] - x[j]) ** 2)
@@ -55,21 +59,21 @@ def test_kernel_family_bandwidths():
 def test_kernel_psd_on_small_sets(rng):
     for _ in range(10):
         x = rng.normal(size=(rng.integers(2, 11), 4))
-        k = gaussian_kernel(x, x, KernelSpec(base_bandwidth=2.0)).data
+        k = gaussian_kernel(x, KernelSpec(base_bandwidth=2.0)).data
         eig = np.linalg.eigvalsh((k + k.T) / 2)
         assert eig.min() > -1e-8
 
 
 def test_median_bandwidth_order_invariant(rng):
     zs, zt = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
-    base = median_bandwidth(zs, zt)
+    base = median_bandwidth(np.concatenate([zs, zt]))
     perm_s, perm_t = rng.permutation(6), rng.permutation(5)
-    assert median_bandwidth(zs[perm_s], zt[perm_t]) == base
+    assert median_bandwidth(np.concatenate([zs[perm_s], zt[perm_t]])) == base
 
 
 def test_median_bandwidth_degenerate_fallback():
     z = np.ones((4, 2))
-    assert median_bandwidth(z, z) == 1.0
+    assert median_bandwidth(np.concatenate([z, z])) == 1.0
 
 
 def test_mmd_identical_sets_zero(rng):
@@ -209,6 +213,16 @@ def test_lmmd_zero_features(rng):
     ys = one_hot(rng.integers(1, 3, size=4), 2)
     pt = rng.dirichlet(np.ones(2), size=5)
     assert abs(lmmd(Tensor(zs), ys, Tensor(zt), pt, KernelSpec(base_bandwidth=1.0)).item()) < 1e-12
+
+
+def test_lmmd_tape_size_independent_of_class_count(rng):
+    zs, zt = Tensor(rng.normal(size=(30, 4)), requires_grad=True), Tensor(rng.normal(size=(30, 4)))
+    sizes = []
+    for c in (2, 12):
+        ys = one_hot(np.arange(30) % c + 1, c)
+        pt = rng.dirichlet(np.ones(c), size=30)
+        sizes.append(len(_topo_order(lmmd(zs, ys, zt, pt, KernelSpec()))))
+    assert sizes[0] == sizes[1]
 
 
 def test_lmmd_gradient_finite_differences(rng):

@@ -229,6 +229,17 @@ def test_center_pixel(rng):
         E.center_pixel(Tensor(rng.normal(size=(1, 1, 4, 4))))
 
 
+def test_concat_rows(rng):
+    a, b = Parameter(rng.normal(size=(2, 3))), Parameter(rng.normal(size=(4, 3)))
+    out = E.concat_rows(a, b)
+    assert np.array_equal(out.data, np.concatenate([a.data, b.data]))
+    g = rng.normal(size=(6, 3))
+    out.backward(g)
+    assert np.array_equal(a.grad, g[:2]) and np.array_equal(b.grad, g[2:])
+    with pytest.raises(ValueError, match="trailing shapes"):
+        E.concat_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+
 def test_broadcast_gradient_reduction():
     a = Parameter(np.ones((3, 4)))
     b = Parameter(np.ones((1, 4)))
