@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .checks import GRADCHECK_TOLERANCE, run_all_checks
 from .config import ConfigError, PRESETS, resolve_config, save_config
-from .data import BundleError, ShiftSpec, load_scene, save_bundle, synth_domain_pair
+from .data import BundleError, ShiftSpec, load_scene, save_bundle, synth_domain_pair, write_atomic
 from .engine import NumericError
 from .evaluate import default_palette, evaluate_scene, format_mean_std, format_report, write_map
 from .model import load_checkpoint
@@ -193,7 +193,7 @@ def cmd_eval(args):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(format_report(report, labels.class_names) + "\n")
+        write_atomic(out / "report.txt", format_report(report, labels.class_names) + "\n")
     return 0
 
 
@@ -248,7 +248,7 @@ def cmd_ablate(args):
                      "seeds": list(cfg.seeds)})
         print(f"{arm_name:24s} {_mean_std_line(agg)}")
     out = _finish_run(args, cfg)
-    (out / "ablation.json").write_text(json.dumps({"grid": grid_name, "rows": rows}, indent=1) + "\n")
+    write_atomic(out / "ablation.json", json.dumps({"grid": grid_name, "rows": rows}, indent=1) + "\n")
     return 0
 
 

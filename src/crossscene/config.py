@@ -9,6 +9,8 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from .data import write_atomic
+
 # ConfigError lives beside TrainConfig so that fit can raise it; callers import it from here
 from .training import ConfigError, TrainConfig
 
@@ -106,7 +108,7 @@ def load_config(path):
 
 
 def save_config(cfg, path):
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n")
 
 
 def deep_merge(base, extra):

@@ -10,6 +10,7 @@ whole pipeline can be exercised without any real imagery.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -100,12 +101,36 @@ class PatchBatch:
 # -- bundle I/O --------------------------------------------------------------
 
 
+def write_atomic(path, data):
+    """Write ``data`` (bytes, or str as UTF-8) to ``path``, whole or not at all.
+
+    The bytes go to a temp file in the same directory, are flushed to disk,
+    and replace ``path`` in one ``os.replace``: a reader sees the old file or
+    the new one, and a failed write leaves the old file and no temp file.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode()
+    # named by process, not by tempfile.mkstemp, so the file gets the usual
+    # umask permissions instead of 0600
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_bundle(scene, label_map, bundle_dir):
     """Write a scene + labels as a bundle directory (cube is stored BSQ)."""
     out = Path(bundle_dir)
     out.mkdir(parents=True, exist_ok=True)
     cube = np.ascontiguousarray(scene.cube.astype("<f4"))
-    (out / "cube.bin").write_bytes(cube.transpose(2, 0, 1).tobytes())
+    write_atomic(out / "cube.bin", cube.transpose(2, 0, 1).tobytes())
     meta = {
         "height": scene.height,
         "width": scene.width,
@@ -113,14 +138,14 @@ def save_bundle(scene, label_map, bundle_dir):
         "dtype": "f32",
         "layout": "bsq",
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=1) + "\n")
+    write_atomic(out / "meta.json", json.dumps(meta, indent=1) + "\n")
     gt = label_map.labels.astype("<u2")
-    (out / "gt.bin").write_bytes(gt.tobytes())
+    write_atomic(out / "gt.bin", gt.tobytes())
     if label_map.class_names:
         payload = {"names": list(label_map.class_names)}
         if label_map.expected_counts is not None:
             payload["counts"] = [int(c) for c in label_map.expected_counts]
-        (out / "classes.json").write_text(json.dumps(payload, indent=1) + "\n")
+        write_atomic(out / "classes.json", json.dumps(payload, indent=1) + "\n")
     return out
 
 
@@ -354,6 +379,14 @@ def synth_domain_pair(num_classes=5, bands=16, blob_grid=5, blob_size=9,
     if not -np.inf < proto_range[0] < proto_range[1] < np.inf:
         raise ValueError(f"prototype range must be finite with low < high, got {tuple(proto_range)}")
     shift = shift or ShiftSpec()
+    # the largest |value| either cube can hold, short of a noise draw past 8 sigma
+    ends = np.asarray(proto_range, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        shifted = np.asarray(shift.gain)[..., None] * ends + np.asarray(shift.offset)[..., None]
+        reach = max(np.abs(ends).max(), np.abs(shifted).max()) + 8 * (class_sigma + noise_sigma)
+    if not reach <= np.finfo(np.float32).max:
+        raise ValueError(f"the cubes would reach {reach:.3g}, past the float32 range (prototype "
+                         f"range {tuple(proto_range)}, gain {shift.gain}, offset {shift.offset})")
 
     side = blob_grid * blob_size
     labels = np.zeros((side, side), dtype=np.int32)

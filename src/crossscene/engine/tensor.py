@@ -21,6 +21,7 @@ import contextlib
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf as _erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -476,13 +477,17 @@ def conv2d(x, w, b=None):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
     x: (n, h, w, c_in), w: (c_out, c_in, 3, 3), b: (c_out,) or None.
-    Output pixel (i, j) sits at row i*(w+2) + j of the flattened zero-padded
-    map, and tap (ki, kj) reads the row ki*(w+2) + kj further on, so the conv
-    is nine GEMMs over shifted row ranges of that map with no im2col copy.
-    Rows that wrap across the padded border land outside the (h, w) crop.
-    The weight gradient is nine GEMMs against the same shifted inputs; the
-    input gradient is nine more, scattered back along the shifts, and is
-    skipped when the input needs no gradient.
+    Two paths compute it, chosen from h, w and the channel counts alone, never
+    from the batch size or a timing, so the path a pixel takes does not depend
+    on its batch or on machine load:
+
+    - small maps, ``h*w <= 81`` with ``c_in`` and ``c_out`` both <= 64: one
+      unrolled GEMM (im2col, Chellapilla, Puri & Simard 2006).  See
+      ``_conv2d_im2col``.
+    - otherwise: nine GEMMs over shifted row ranges of the zero-padded map,
+      with no column copy.  See ``_conv2d_shifted``.
+
+    The input gradient is skipped when the input needs no gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
         raise ValueError("conv2d expects NHWC input and a (c_out, c_in, 3, 3) kernel")
@@ -490,23 +495,98 @@ def conv2d(x, w, b=None):
         raise ValueError(
             f"conv2d channel mismatch: input has {x.data.shape[3]}, kernel expects {w.data.shape[1]}"
         )
-    n, h, wd_, c = x.data.shape
+    _, h, wd_, c = x.data.shape
     c_out = w.data.shape[0]
-    xrows, offs = _padded_rows(x.data)
-    length = xrows.shape[0] - offs[-1]
-    taps = w.data.transpose(2, 3, 1, 0).reshape(9, c, c_out)  # taps[k]: (c_in, c_out)
-
-    yrows = np.zeros((xrows.shape[0], c_out), dtype=x.data.dtype)
-    np.matmul(xrows[:length], taps[0], out=yrows[:length])
-    part = np.empty((length, c_out), dtype=x.data.dtype)
-    for k in range(1, 9):
-        np.matmul(xrows[offs[k] : offs[k] + length], taps[k], out=part)
-        yrows[:length] += part
-    out = yrows.reshape(n, h + 2, wd_ + 2, c_out)[:, :h, :wd_].copy()
+    path = _conv2d_im2col if h * wd_ <= 81 and c <= 64 and c_out <= 64 else _conv2d_shifted
+    out, grads = path(x.data, w.data, x.requires_grad)
     if b is not None:
         out += b.data
 
     def vjp(g):
+        gx, gw = grads(g)
+        if b is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 1, 2))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(out, parents, vjp)
+
+
+def _im2col(xd):
+    """(n*h*w, 9*c) columns: row p holds the zero-padded 3x3 neighbourhood of
+    output pixel p, taps in raster order, channels innermost."""
+    n, h, w, c = xd.shape
+    padded = _padded_rows(xd)[0].reshape(n, h + 2, w + 2, c)
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (n, h, w, c, 3, 3)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 9 * c)  # the one copy
+
+
+# OpenBLAS 0.3.31 rounds a K = 576 product with M*N*K <= 1e6 differently from
+# the same rows inside a larger product (its small-matrix kernel does not split
+# K), so one 7x7 image would get other bits alone than in a batch.  At
+# K <= 288 the two agree, so the column product takes K in slices of 288.
+_K_SLICE = 288
+
+
+def _im2col_matmul(xd, kernel):
+    """``_im2col(xd) @ kernel`` as (n*h*w, kernel columns)."""
+    cols = _im2col(xd)
+    out = cols[:, :_K_SLICE] @ kernel[:_K_SLICE]
+    for k in range(_K_SLICE, cols.shape[1], _K_SLICE):
+        out += cols[:, k : k + _K_SLICE] @ kernel[k : k + _K_SLICE]
+    return out
+
+
+def _conv2d_im2col(xd, wd, need_gx):
+    """Forward and a ``g -> (gx, gw)`` closure for the one-GEMM path.
+
+    The forward is ``cols @ kernel`` with K = 9*c_in.  ``gw = cols.T @ g``
+    rebuilds the columns rather than keeping them on the tape; ``gx`` is the
+    same product on ``g`` against the flipped, channel-transposed kernel
+    (K = 9*c_out), so no col2im scatter is needed.
+    """
+    n, h, w, c = xd.shape
+    c_out = wd.shape[0]
+    kernel = wd.transpose(2, 3, 1, 0).reshape(9 * c, c_out)  # rows (ki, kj, c_in)
+    out = _im2col_matmul(xd, kernel).reshape(n, h, w, c_out)
+
+    def grads(g):
+        gw = _im2col(xd).T @ g.reshape(n * h * w, c_out)
+        gw = gw.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
+        gx = None
+        if need_gx:
+            flipped = wd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * c_out, c)
+            gx = _im2col_matmul(g, flipped).reshape(n, h, w, c)
+        return gx, gw
+
+    return out, grads
+
+
+def _conv2d_shifted(xd, wd, need_gx):
+    """Forward and a ``g -> (gx, gw)`` closure for the nine-GEMM path.
+
+    Output pixel (i, j) sits at row i*(w+2) + j of the flattened zero-padded
+    map, and tap (ki, kj) reads the row ki*(w+2) + kj further on, so the conv
+    is nine GEMMs over shifted row ranges of that map with no im2col copy.
+    Rows that wrap across the padded border land outside the (h, w) crop.
+    The weight gradient is nine GEMMs against the same shifted inputs; the
+    input gradient is nine more, scattered back along the shifts.
+    """
+    n, h, wd_, c = xd.shape
+    c_out = wd.shape[0]
+    xrows, offs = _padded_rows(xd)
+    length = xrows.shape[0] - offs[-1]
+    taps = wd.transpose(2, 3, 1, 0).reshape(9, c, c_out)  # taps[k]: (c_in, c_out)
+
+    yrows = np.zeros((xrows.shape[0], c_out), dtype=xd.dtype)
+    np.matmul(xrows[:length], taps[0], out=yrows[:length])
+    part = np.empty((length, c_out), dtype=xd.dtype)
+    for k in range(1, 9):
+        np.matmul(xrows[offs[k] : offs[k] + length], taps[k], out=part)
+        yrows[:length] += part
+    out = yrows.reshape(n, h + 2, wd_ + 2, c_out)[:, :h, :wd_].copy()
+
+    def grads(g):
         grows = np.zeros((xrows.shape[0], c_out), dtype=g.dtype)
         grows.reshape(n, h + 2, wd_ + 2, c_out)[:, :h, :wd_] = g
         grows = grows[:length]
@@ -517,19 +597,16 @@ def conv2d(x, w, b=None):
             gtaps = np.stack([grows.T @ xrows[o : o + length] for o in offs]).transpose(0, 2, 1)
         gw = gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
         gx = None
-        if x.requires_grad:
+        if need_gx:
             gxrows = np.zeros_like(xrows, dtype=g.dtype)
             gpart = np.empty((length, c), dtype=g.dtype)
             for k, o in enumerate(offs):
                 np.matmul(grows, taps[k].T, out=gpart)
                 gxrows[o : o + length] += gpart
             gx = gxrows.reshape(n, h + 2, wd_ + 2, c)[:, 1:-1, 1:-1].copy()
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 1, 2))
+        return gx, gw
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, vjp)
+    return out, grads
 
 
 def depthwise_conv2d(x, w):

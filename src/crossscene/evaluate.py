@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PatchSource, labeled_refs, normalize_scene
+from .data import PatchSource, labeled_refs, normalize_scene, write_atomic
 
 
 def confusion(preds, truths, num_classes):
@@ -170,7 +170,6 @@ def render_map(raster, palette):
 
 def write_map(raster, palette, path):
     data = render_map(raster, palette)
-    Path(path).write_bytes(data)
-    pal_path = Path(path).with_suffix(".palette.json")
-    pal_path.write_text(json.dumps([list(p) for p in palette]) + "\n")
+    write_atomic(path, data)
+    write_atomic(Path(path).with_suffix(".palette.json"), json.dumps([list(p) for p in palette]) + "\n")
     return path

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from .data import BundleError
+from .data import BundleError, write_atomic
 from .engine import Parameter
 
 BLOCK_VARIANTS = ("a", "b", "c", "d")
@@ -296,8 +296,8 @@ def save_checkpoint(model, bin_path, index_path=None):
                        "dtype": _DTYPE_TAGS[arr.dtype.name]}
         blobs.append(raw)
         offset += len(raw)
-    bin_path.write_bytes(b"".join(blobs))
-    index_path.write_text(json.dumps(index, indent=1) + "\n")
+    write_atomic(bin_path, b"".join(blobs))
+    write_atomic(index_path, json.dumps(index, indent=1) + "\n")
     return bin_path, index_path
 
 

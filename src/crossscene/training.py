@@ -24,7 +24,7 @@ import numpy as np
 
 from . import engine as E
 from .data import (NORMALIZATIONS, BundleError, PatchSource, batch_stream, cycled_batches,
-                   labeled_refs, normalize_scene)
+                   labeled_refs, normalize_scene, write_atomic)
 from .discrepancy import KernelSpec, lmmd, one_hot
 from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_grads
 from .evaluate import aggregate_runs, evaluate_scene, format_report
@@ -315,7 +315,7 @@ def fit(config, source, target, out_dir=None, deterministic=False):
 def write_history(history, path):
     """One JSON record per line, keys in a fixed order."""
     lines = [json.dumps(rec, sort_keys=True) for rec in history]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def with_changes(obj, changes):
@@ -345,8 +345,8 @@ def run_grid(train, seeds, arms, source, target, out_dir=None, deterministic=Fal
             res = fit(cfg, source, target, out_dir=run_dir, deterministic=deterministic)
             report, _ = evaluate_scene(res.model, target[0], target[1], cfg)
             if run_dir is not None:
-                (run_dir / "report.txt").write_text(
-                    format_report(report, target[1].class_names) + "\n")
+                write_atomic(run_dir / "report.txt",
+                             format_report(report, target[1].class_names) + "\n")
             label = f"{name} seed {seed}" if name else f"seed {seed}"
             print(f"[{label}] target OA {report.oa * 100:.2f}  AA {report.aa * 100:.2f}  "
                   f"Kappa x 100 {report.kappa * 100:.2f}")

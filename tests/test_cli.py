@@ -7,6 +7,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -252,9 +253,13 @@ def test_exit_code_bad_config_value(synth_dir, tmp_path, capsys, override):
     "--classes 1", "--bands 1", "--gain 0", "--grid 0", "--blob 0",
     "--proto-low 0.9 --proto-high 0.1", "--gain nan", "--offset inf", "--noise -1",
     "--class-sigma -1",
+    # cubes past the float32 range
+    "--gain 1e39", "--offset 1e39", "--proto-high 1e39", "--noise 1e39",
 ])
 def test_exit_code_bad_synth_argument(tmp_path, capsys, bad):
-    rc = main(["synth", "--out", str(tmp_path / "x"), "--grid", "3", "--blob", "5"] + bad.split())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would be a second line
+        rc = main(["synth", "--out", str(tmp_path / "x"), "--grid", "3", "--blob", "5"] + bad.split())
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and "\n" not in err

@@ -1,13 +1,20 @@
-"""Bundle I/O, normalization, patch extraction, streams, synthetic scenes."""
+"""Bundle I/O, artifact writes, normalization, patch extraction, streams, synthetic scenes."""
 
+import errno
+import io
 import json
 
 import numpy as np
 import pytest
 
+from crossscene.config import resolve_config, save_config
 from crossscene.data import (BundleError, LabelMap, PatchSource, SampleRef, Scene, ShiftSpec,
                              batch_stream, cycled_batches, extract_patch, labeled_refs,
-                             load_scene, normalize_scene, save_bundle, synth_domain_pair)
+                             load_scene, normalize_scene, save_bundle, synth_domain_pair,
+                             write_atomic)
+from crossscene.evaluate import default_palette, write_map
+from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, save_checkpoint
+from crossscene.training import write_history
 
 
 def _toy_scene(rng, h=7, w=9, b=4):
@@ -24,6 +31,44 @@ def test_bundle_round_trip_bitwise(tmp_path, rng):
     assert np.array_equal(scene.cube.view(np.uint32), scene2.cube.view(np.uint32))
     assert np.array_equal(labels.labels, labels2.labels)
     assert labels2.class_names == ["a", "b"]
+
+
+# artifact writers whose bytes depend on v
+ARTIFACT_WRITERS = {
+    "checkpoint": lambda d, v: save_checkpoint(
+        DualHeadClassifier(ExtractorConfig(input_bands=4, patch_size=3), CenterAttentionConfig(), 2,
+                           seed=v), d / "checkpoint.bin"),
+    "history": lambda d, v: write_history([{"epoch": v}], d / "history.log"),
+    "map": lambda d, v: write_map(np.full((2, 3), v), default_palette(2), d / "map.ppm"),
+    "config": lambda d, v: save_config(resolve_config("synth", seed=v), d / "resolved.cfg"),
+}
+
+
+class _DiskFull(io.FileIO):
+    """A file that takes half of the first write, then fails as a full disk would."""
+
+    def write(self, data):
+        super().write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("artifact", sorted(ARTIFACT_WRITERS))
+def test_failed_write_leaves_earlier_artifact(tmp_path, monkeypatch, artifact):
+    write = ARTIFACT_WRITERS[artifact]
+    write(tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr("crossscene.data.open", lambda file, mode: _DiskFull(file, "wb"), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(tmp_path, 2)
+    # the earlier files byte for byte, and no temp file beside them
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_write_atomic_keeps_default_permissions(tmp_path):
+    write_atomic(tmp_path / "atomic", b"x")
+    (tmp_path / "plain").write_bytes(b"x")
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
 
 
 def test_missing_file_error(tmp_path):

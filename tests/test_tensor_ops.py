@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crossscene import engine as E
-from crossscene.engine import Parameter, Tensor
+from crossscene.engine import Parameter, Tensor, tensor
 
 
 def test_gelu_fixed_points():
@@ -142,24 +142,30 @@ def test_batchnorm_matches_two_pass_reference(rng, training):
         np.testing.assert_allclose(got, want, **tol)
 
 
-def test_conv2d_matches_direct_convolution(rng):
-    x = rng.normal(size=(2, 3, 6, 5))  # reference computed in (n, c, h, w)
+# conv2d takes the im2col GEMM for h*w <= 81 with both channel counts <= 64,
+# and the nine shifted GEMMs otherwise; the shapes below cover both paths
+@pytest.mark.parametrize("hw", [(6, 5), (10, 9)], ids=["im2col", "nine_gemm"])
+def test_conv2d_matches_direct_convolution(rng, hw):
+    h, w_ = hw
+    x = rng.normal(size=(2, 3, h, w_))  # reference computed in (n, c, h, w)
     w = rng.normal(size=(4, 3, 3, 3))
     out = E.conv2d(Tensor(x.transpose(0, 2, 3, 1)), Tensor(w)).data.transpose(0, 3, 1, 2)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    ref = np.zeros((2, 4, 6, 5))
+    ref = np.zeros((2, 4, h, w_))
     for n in range(2):
         for o in range(4):
-            for i in range(6):
-                for j in range(5):
+            for i in range(h):
+                for j in range(w_):
                     ref[n, o, i, j] = (xp[n, :, i : i + 3, j : j + 3] * w[o]).sum()
     assert np.allclose(out, ref, atol=1e-10)
 
 
-@pytest.mark.parametrize("c_in,c_out", [(3, 6), (6, 3)])
-def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out):
+@pytest.mark.parametrize("c_in,c_out,hw", [(3, 6, (4, 5)), (6, 3, (4, 5)), (3, 6, (9, 10)), (6, 3, (9, 10))],
+                         ids=["3-6", "6-3", "3-6-nine_gemm", "6-3-nine_gemm"])
+def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out, hw):
     """A non-grad input gets no gradient; gw and gb are still exact."""
-    x = rng.normal(size=(2, 4, 5, c_in))
+    h, w_ = hw
+    x = rng.normal(size=(2, h, w_, c_in))
     w = Parameter(rng.normal(size=(c_out, c_in, 3, 3)))
     b = Parameter(rng.normal(size=c_out))
     out = E.conv2d(Tensor(x), w, b)
@@ -170,9 +176,50 @@ def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out):
     ref = np.zeros((c_out, c_in, 3, 3))
     for ki in range(3):
         for kj in range(3):
-            ref[:, :, ki, kj] = np.einsum("nhwo,nhwi->oi", g, xp[:, ki : ki + 4, kj : kj + 5])
+            ref[:, :, ki, kj] = np.einsum("nhwo,nhwi->oi", g, xp[:, ki : ki + h, kj : kj + w_])
     assert np.allclose(gw, ref, atol=1e-10)
     assert np.allclose(gb, g.sum(axis=(0, 1, 2)), atol=1e-12)
+
+
+@pytest.mark.parametrize("hw,c_in,c_out,im2col", [
+    ((9, 9), 64, 32, True), ((11, 11), 64, 32, False),
+    ((9, 9), 65, 32, False), ((9, 9), 32, 64, True), ((9, 9), 32, 65, False),
+])
+def test_conv2d_paths_agree_at_the_rule(rng, hw, c_in, c_out, im2col):
+    """Both paths give forward, gw and gx within float32 rounding of each other
+    just inside and just outside the rule, and conv2d takes the one it names."""
+    f32 = np.float32
+    x = rng.normal(size=(3, *hw, c_in)).astype(f32)
+    w = rng.normal(size=(c_out, c_in, 3, 3)).astype(f32)
+    g = rng.normal(size=(3, *hw, c_out)).astype(f32)
+    results = []
+    for path in (tensor._conv2d_im2col, tensor._conv2d_shifted):
+        out, grads = path(x, w, True)
+        gx, gw = grads(g)
+        results.append((out, gw, gx))
+    for a, b in zip(*results):
+        assert a.dtype == f32
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
+    chosen = results[0 if im2col else 1]
+    tx, tw = Tensor(x, requires_grad=True), Parameter(w)
+    out = E.conv2d(tx, tw)
+    out.backward(g)
+    assert np.array_equal(out.data, chosen[0])
+    assert np.array_equal(tw.grad, chosen[1]) and np.array_equal(tx.grad, chosen[2])
+
+
+@pytest.mark.parametrize("hw,c_in,c_out", [
+    ((5, 5), 16, 32), ((7, 7), 64, 32), ((7, 7), 32, 64),  # im2col
+    ((7, 7), 176, 32), ((15, 15), 48, 32),  # nine GEMMs
+])
+def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
+    """An image's output bits do not depend on the batch it is run in."""
+    x = rng.normal(size=(100, *hw, c_in)).astype(np.float32)
+    w = Tensor(rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32))
+    full = E.conv2d(Tensor(x), w).data
+    for size in (1, 7):
+        parts = [E.conv2d(Tensor(x[i : i + size]), w).data for i in range(0, 100, size)]
+        assert np.array_equal(np.concatenate(parts), full), size
 
 
 def test_depthwise_conv_no_channel_mixing(rng):
