@@ -35,6 +35,7 @@ def set_allocator_policy():
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -167,9 +168,18 @@ def _mean_std_line(agg):
 
 def cmd_train(args):
     cfg, source, target = _prepare_run(args)
-    [(_, reports, agg)] = run_grid(cfg.train, cfg.seeds, [("", {})], source, target,
-                                   out_dir=args.out, deterministic=args.deterministic)
-    _finish_run(args, cfg)
+    out = Path(args.out)
+    made_out = not out.exists()
+    new_runs = [out / f"seed_{s}" for s in cfg.seeds if not (out / f"seed_{s}").exists()]
+    try:
+        [(_, reports, agg)] = run_grid(cfg.train, cfg.seeds, [("", {})], source, target,
+                                       out_dir=out, deterministic=args.deterministic)
+        _finish_run(args, cfg)
+    except BaseException:
+        # artifacts are complete or absent: remove what this call created
+        for made in [out] if made_out else new_runs:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     if len(reports) > 1:
         print(f"mean over {len(reports)} seeds: {_mean_std_line(agg)}")
     return 0

@@ -185,10 +185,11 @@ def primitive_checks(seed=0):
     ca, cb = _p(rng, (3, 4), "a"), _p(rng, (2, 4), "b")
     case("concat_rows", {"a": ca, "b": cb}, lambda a=ca, b=cb: _weighted(T.concat_rows(a, b), np.random.default_rng(123)))
 
-    # conv2d picks its path from the map size: the 5x5 case above takes the
-    # im2col GEMM, this 10x10 one the nine shifted GEMMs
-    cx2, cw2, cb2 = _p(rng, (1, 10, 10, 3), "x"), _p(rng, (4, 3, 3, 3), "w"), _p(rng, (4,), "b")
-    case("conv2d_nine_gemm", {"x": cx2, "w": cw2, "b": cb2},
+    # conv2d expands the narrower channel side: the 3 -> 4 case above runs an
+    # im2col forward and a per-tap gx, this 5 -> 3 one a per-tap forward,
+    # gw = x.T im2col(g) and an im2col gx
+    cx2, cw2, cb2 = _p(rng, (1, 6, 6, 5), "x"), _p(rng, (3, 5, 3, 3), "w"), _p(rng, (3,), "b")
+    case("conv2d_per_tap", {"x": cx2, "w": cw2, "b": cb2},
          lambda x=cx2, w=cw2, b=cb2: _weighted(T.conv2d(x, w, b), np.random.default_rng(124)))
 
     return cases

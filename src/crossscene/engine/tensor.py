@@ -477,17 +477,25 @@ def conv2d(x, w, b=None):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
     x: (n, h, w, c_in), w: (c_out, c_in, 3, 3), b: (c_out,) or None.
-    Two paths compute it, chosen from h, w and the channel counts alone, never
-    from the batch size or a timing, so the path a pixel takes does not depend
-    on its batch or on machine load:
+    The forward (c_in -> c_out) and the input gradient (c_out -> c_in, against
+    the flipped, channel-transposed kernel) are each an a -> b conv that
+    expands only its narrower channel side, chosen from the channel counts
+    alone (never h*w, the batch size or a timing):
 
-    - small maps, ``h*w <= 81`` with ``c_in`` and ``c_out`` both <= 64: one
-      unrolled GEMM (im2col, Chellapilla, Puri & Simard 2006).  See
-      ``_conv2d_im2col``.
-    - otherwise: nine GEMMs over shifted row ranges of the zero-padded map,
-      with no column copy.  See ``_conv2d_shifted``.
+    - a <= b: one unrolled GEMM with K = 9*a (im2col, Chellapilla, Puri &
+      Simard 2006), ``_conv_im2col``;
+    - a > b: one GEMM per kernel tap, each shifted into the output (the
+      kn2row family, Vasudevan, Anderson & Gregg 2017), ``_conv_per_tap``.
 
-    The input gradient is skipped when the input needs no gradient.
+    The weight gradient unrolls the narrower of x and g.  No expanded matrix
+    is wider than 9*min(c_in, c_out), and the tape keeps only x.  The input
+    gradient is skipped when x needs none.
+
+    On OpenBLAS 0.3.31 an image's output bits do not depend on its batch at
+    the preset channel counts (16, 32, 64).  When c_out mod 16 is 1..8 they
+    can: a GEMM with N mod 16 in 1..8 rounds a 25- or 49-row A differently
+    from a 4900-row one once K reaches 32 to 128 (the bound depends on N and
+    M), e.g. for one 7x7 image at 64 -> 4, 176 -> 8 or 32 -> 24.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
         raise ValueError("conv2d expects NHWC input and a (c_out, c_in, 3, 3) kernel")
@@ -495,21 +503,39 @@ def conv2d(x, w, b=None):
         raise ValueError(
             f"conv2d channel mismatch: input has {x.data.shape[3]}, kernel expects {w.data.shape[1]}"
         )
-    _, h, wd_, c = x.data.shape
-    c_out = w.data.shape[0]
-    path = _conv2d_im2col if h * wd_ <= 81 and c <= 64 and c_out <= 64 else _conv2d_shifted
-    out, grads = path(x.data, w.data, x.requires_grad)
+    xd = x.data
+    c, c_out = xd.shape[3], w.data.shape[0]
+    # contiguous per-tap kernels: with a strided view OpenBLAS rounded one
+    # 5x5 image at 32 -> 16 differently alone than in a batch
+    taps = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0)).reshape(9, c, c_out)
+    out = _conv3x3(xd, taps)
     if b is not None:
         out += b.data
 
     def vjp(g):
-        gx, gw = grads(g)
+        # when g is the narrower side, one copy of its columns serves gw and gx
+        gcols = _im2col(g) if c > c_out else None
+        gw = _conv_weight_grad(xd, g, gcols)
+        gx = None
+        if x.requires_grad:
+            flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))  # the c_out -> c_in conv
+            if gcols is None:
+                gx = _conv3x3(g, flipped)
+            else:
+                gx = _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, vjp)
+
+
+def _conv3x3(xd, taps):
+    """The conv of (n, h, w, a) ``xd`` with per-tap kernels ``taps`` (9, a, b),
+    expanding the narrower channel side."""
+    a, b = taps.shape[1:]
+    return (_conv_im2col if a <= b else _conv_per_tap)(xd, taps)
 
 
 def _im2col(xd):
@@ -528,93 +554,61 @@ def _im2col(xd):
 _K_SLICE = 288
 
 
-def _im2col_matmul(xd, kernel):
-    """``_im2col(xd) @ kernel`` as (n*h*w, kernel columns)."""
-    cols = _im2col(xd)
+def _cols_matmul(cols, kernel):
+    """``cols @ kernel``, K taken in slices of ``_K_SLICE``."""
     out = cols[:, :_K_SLICE] @ kernel[:_K_SLICE]
     for k in range(_K_SLICE, cols.shape[1], _K_SLICE):
         out += cols[:, k : k + _K_SLICE] @ kernel[k : k + _K_SLICE]
     return out
 
 
-def _conv2d_im2col(xd, wd, need_gx):
-    """Forward and a ``g -> (gx, gw)`` closure for the one-GEMM path.
-
-    The forward is ``cols @ kernel`` with K = 9*c_in.  ``gw = cols.T @ g``
-    rebuilds the columns rather than keeping them on the tape; ``gx`` is the
-    same product on ``g`` against the flipped, channel-transposed kernel
-    (K = 9*c_out), so no col2im scatter is needed.
-    """
-    n, h, w, c = xd.shape
-    c_out = wd.shape[0]
-    kernel = wd.transpose(2, 3, 1, 0).reshape(9 * c, c_out)  # rows (ki, kj, c_in)
-    out = _im2col_matmul(xd, kernel).reshape(n, h, w, c_out)
-
-    def grads(g):
-        gw = _im2col(xd).T @ g.reshape(n * h * w, c_out)
-        gw = gw.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
-        gx = None
-        if need_gx:
-            flipped = wd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * c_out, c)
-            gx = _im2col_matmul(g, flipped).reshape(n, h, w, c)
-        return gx, gw
-
-    return out, grads
+def _conv_im2col(xd, taps):
+    """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a."""
+    n, h, w, a = xd.shape
+    return _cols_matmul(_im2col(xd), taps.reshape(9 * a, -1)).reshape(n, h, w, -1)
 
 
-def _conv2d_shifted(xd, wd, need_gx):
-    """Forward and a ``g -> (gx, gw)`` closure for the nine-GEMM path.
+# (output, input) slices along one spatial axis for a tap offset of 1, 0 or
+# -1 pixels from input to output
+_SHIFTS = {1: (slice(1, None), slice(None, -1)), 0: (slice(None), slice(None)),
+           -1: (slice(None, -1), slice(1, None))}
 
-    Output pixel (i, j) sits at row i*(w+2) + j of the flattened zero-padded
-    map, and tap (ki, kj) reads the row ki*(w+2) + kj further on, so the conv
-    is nine GEMMs over shifted row ranges of that map with no im2col copy.
-    Rows that wrap across the padded border land outside the (h, w) crop.
-    The weight gradient is nine GEMMs against the same shifted inputs; the
-    input gradient is nine more, scattered back along the shifts.
-    """
-    n, h, wd_, c = xd.shape
-    c_out = wd.shape[0]
-    xrows, offs = _padded_rows(xd)
-    length = xrows.shape[0] - offs[-1]
-    taps = wd.transpose(2, 3, 1, 0).reshape(9, c, c_out)  # taps[k]: (c_in, c_out)
 
-    yrows = np.zeros((xrows.shape[0], c_out), dtype=xd.dtype)
-    np.matmul(xrows[:length], taps[0], out=yrows[:length])
-    part = np.empty((length, c_out), dtype=xd.dtype)
-    for k in range(1, 9):
-        np.matmul(xrows[offs[k] : offs[k] + length], taps[k], out=part)
-        yrows[:length] += part
-    out = yrows.reshape(n, h + 2, wd_ + 2, c_out)[:, :h, :wd_].copy()
+def _conv_per_tap(xd, taps):
+    """Nine (n*h*w, a) @ (a, b) GEMMs into one reused buffer.  Tap (ki, kj)
+    carries input pixel (i, j) to output (i+1-ki, j+1-kj), so each product is
+    added into the output at that shift; what shifts off the map is dropped,
+    as the zero padding would have it."""
+    n, h, w, a = xd.shape
+    b = taps.shape[2]
+    rows = xd.reshape(-1, a)
+    out = np.zeros((n, h, w, b), dtype=xd.dtype)
+    part = np.empty_like(out)
+    for k in range(9):
+        (oi, ii), (oj, ij) = _SHIFTS[1 - k // 3], _SHIFTS[1 - k % 3]
+        np.matmul(rows, taps[k], out=part.reshape(-1, b))
+        out[:, oi, oj] += part[:, ii, ij]
+    return out
 
-    def grads(g):
-        grows = np.zeros((xrows.shape[0], c_out), dtype=g.dtype)
-        grows.reshape(n, h + 2, wd_ + 2, c_out)[:, :h, :wd_] = g
-        grows = grows[:length]
-        # these long-K products run fastest with the wider channel axis as rows
-        if c >= c_out:
-            gtaps = np.stack([xrows[o : o + length].T @ grows for o in offs])
-        else:
-            gtaps = np.stack([grows.T @ xrows[o : o + length] for o in offs]).transpose(0, 2, 1)
-        gw = gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
-        gx = None
-        if need_gx:
-            gxrows = np.zeros_like(xrows, dtype=g.dtype)
-            gpart = np.empty((length, c), dtype=g.dtype)
-            for k, o in enumerate(offs):
-                np.matmul(grows, taps[k].T, out=gpart)
-                gxrows[o : o + length] += gpart
-            gx = gxrows.reshape(n, h + 2, wd_ + 2, c)[:, 1:-1, 1:-1].copy()
-        return gx, gw
 
-    return out, grads
+def _conv_weight_grad(xd, g, gcols=None):
+    """The (c_out, c_in, 3, 3) kernel gradient: ``x.T @ gcols`` given g's
+    columns, where tap t is g's tap 8 - t, else ``im2col(x).T @ g``."""
+    c, c_out = xd.shape[3], g.shape[3]
+    if gcols is None:
+        gtaps = (_im2col(xd).T @ g.reshape(-1, c_out)).reshape(9, c, c_out)
+    else:
+        gtaps = (xd.reshape(-1, c).T @ gcols).reshape(c, 9, c_out)[:, ::-1].transpose(1, 0, 2)
+    return gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
 
 
 def depthwise_conv2d(x, w):
     """Per-channel 3x3 convolution, stride 1, zero pad 1, no bias.
 
     x: (n, h, w, c), w: (c, 3, 3) — one kernel per channel, no cross-channel mixing.
-    Uses conv2d's flattened, zero-padded row layout, so each tap is one
-    elementwise product of a shifted row range, written into a reused buffer.
+    Works on the flattened, zero-padded rows of ``_padded_rows``, so each tap
+    is one elementwise product of a shifted row range, written into a reused
+    buffer.
     The ranges are taken (w+2) pixels to an array row, with each tap tiled to
     match: a (c,)-wide broadcast would run numpy's inner loop c elements at a
     time.  Two zero rows after the map let every range span whole image rows.

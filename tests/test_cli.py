@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 import crossscene
+from crossscene import training
 from crossscene.cli import main, set_allocator_policy
 from crossscene.config import resolve_config
 from crossscene.data import load_scene
+from crossscene.engine import NumericError
 from crossscene.evaluate import evaluate_scene
 from crossscene.training import fit
 
@@ -97,6 +99,32 @@ def test_train_two_seeds_matches_direct_fits(synth_dir, tmp_path, capsys):
             assert (out / f"seed_{seed}" / name).read_bytes() == \
                 (tmp_path / f"direct_{seed}" / name).read_bytes(), (seed, name)
         assert (out / f"seed_{seed}" / "report.txt").exists()
+
+
+def test_train_failure_removes_only_the_run_directories_it_made(synth_dir, tmp_path, monkeypatch, capsys):
+    """A train that fails at its second seed exits 4 and leaves no seed_<s>/ it
+    created, keeps one that was there before as it was, and removes an --out
+    it created."""
+    real_fit = training.fit
+
+    def fit_failing_at_seed_1(config, *args, **kwargs):
+        if config.seed == 1:
+            raise NumericError("non-finite loss")
+        return real_fit(config, *args, **kwargs)
+
+    monkeypatch.setattr(training, "fit", fit_failing_at_seed_1)
+    cfg_path = _cfg_file(synth_dir, seeds=(0, 1, 2), epochs=1)
+    out = tmp_path / "kept"
+    (out / "seed_2").mkdir(parents=True)
+    (out / "seed_2" / "checkpoint.bin").write_bytes(b"earlier run")
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 4
+    assert [p.name for p in out.iterdir()] == ["seed_2"]
+    assert [p.name for p in (out / "seed_2").iterdir()] == ["checkpoint.bin"]
+    assert (out / "seed_2" / "checkpoint.bin").read_bytes() == b"earlier run"
+    fresh = tmp_path / "fresh"
+    assert main(["train", "--config", str(cfg_path), "--out", str(fresh)]) == 4
+    assert not fresh.exists()
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_eval_prints_table_format(synth_dir, capsys):

@@ -142,26 +142,28 @@ def test_batchnorm_matches_two_pass_reference(rng, training):
         np.testing.assert_allclose(got, want, **tol)
 
 
-# conv2d takes the im2col GEMM for h*w <= 81 with both channel counts <= 64,
-# and the nine shifted GEMMs otherwise; the shapes below cover both paths
-@pytest.mark.parametrize("hw", [(6, 5), (10, 9)], ids=["im2col", "nine_gemm"])
-def test_conv2d_matches_direct_convolution(rng, hw):
+# conv2d expands the narrower channel side: im2col when c_in <= c_out, one
+# GEMM per kernel tap otherwise; the cases below cover both sides
+@pytest.mark.parametrize("c_in,c_out,hw", [(3, 4, (6, 5)), (4, 3, (10, 9))], ids=["im2col", "per_tap"])
+def test_conv2d_matches_direct_convolution(rng, c_in, c_out, hw):
     h, w_ = hw
-    x = rng.normal(size=(2, 3, h, w_))  # reference computed in (n, c, h, w)
-    w = rng.normal(size=(4, 3, 3, 3))
+    x = rng.normal(size=(2, c_in, h, w_))  # reference computed in (n, c, h, w)
+    w = rng.normal(size=(c_out, c_in, 3, 3))
     out = E.conv2d(Tensor(x.transpose(0, 2, 3, 1)), Tensor(w)).data.transpose(0, 3, 1, 2)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    ref = np.zeros((2, 4, h, w_))
+    ref = np.zeros((2, c_out, h, w_))
     for n in range(2):
-        for o in range(4):
+        for o in range(c_out):
             for i in range(h):
                 for j in range(w_):
                     ref[n, o, i, j] = (xp[n, :, i : i + 3, j : j + 3] * w[o]).sum()
     assert np.allclose(out, ref, atol=1e-10)
 
 
+# 3 -> 6 takes the im2col side of the rule (gw = im2col(x).T g), 6 -> 3 the
+# per-tap side (gw = x.T im2col(g)), each on two map sizes
 @pytest.mark.parametrize("c_in,c_out,hw", [(3, 6, (4, 5)), (6, 3, (4, 5)), (3, 6, (9, 10)), (6, 3, (9, 10))],
-                         ids=["3-6", "6-3", "3-6-nine_gemm", "6-3-nine_gemm"])
+                         ids=["3-6", "6-3", "3-6-9x10", "6-3-9x10"])
 def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out, hw):
     """A non-grad input gets no gradient; gw and gb are still exact."""
     h, w_ = hw
@@ -181,36 +183,42 @@ def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out, hw):
     assert np.allclose(gb, g.sum(axis=(0, 1, 2)), atol=1e-12)
 
 
-@pytest.mark.parametrize("hw,c_in,c_out,im2col", [
-    ((9, 9), 64, 32, True), ((11, 11), 64, 32, False),
-    ((9, 9), 65, 32, False), ((9, 9), 32, 64, True), ((9, 9), 32, 65, False),
+@pytest.mark.parametrize("hw,c_in,c_out", [
+    ((5, 5), 32, 32), ((5, 5), 33, 32), ((5, 5), 32, 33),
+    ((15, 15), 32, 32), ((15, 15), 33, 32), ((15, 15), 32, 33),
 ])
-def test_conv2d_paths_agree_at_the_rule(rng, hw, c_in, c_out, im2col):
-    """Both paths give forward, gw and gx within float32 rounding of each other
-    just inside and just outside the rule, and conv2d takes the one it names."""
+def test_conv2d_paths_agree_at_the_rule(rng, hw, c_in, c_out):
+    """Both formulations give forward, gw and gx within float32 rounding of
+    each other on and next to the rule's boundary, and conv2d takes the one
+    it names: im2col for an a -> b conv with a <= b, per-tap GEMMs otherwise,
+    and for gw the columns of the narrower of x and g."""
     f32 = np.float32
     x = rng.normal(size=(3, *hw, c_in)).astype(f32)
     w = rng.normal(size=(c_out, c_in, 3, 3)).astype(f32)
     g = rng.normal(size=(3, *hw, c_out)).astype(f32)
-    results = []
-    for path in (tensor._conv2d_im2col, tensor._conv2d_shifted):
-        out, grads = path(x, w, True)
-        gx, gw = grads(g)
-        results.append((out, gw, gx))
-    for a, b in zip(*results):
-        assert a.dtype == f32
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, c_in, c_out)
+    flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))
+    # each pair: (im2col side, per-tap side) of the rule
+    fwd = [tensor._conv_im2col(x, taps), tensor._conv_per_tap(x, taps)]
+    gw = [tensor._conv_weight_grad(x, g), tensor._conv_weight_grad(x, g, tensor._im2col(g))]
+    gx = [tensor._conv_im2col(g, flipped), tensor._conv_per_tap(g, flipped)]
+    for a, b in (fwd, gw, gx):
+        assert a.dtype == b.dtype == f32
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
-    chosen = results[0 if im2col else 1]
     tx, tw = Tensor(x, requires_grad=True), Parameter(w)
     out = E.conv2d(tx, tw)
     out.backward(g)
-    assert np.array_equal(out.data, chosen[0])
-    assert np.array_equal(tw.grad, chosen[1]) and np.array_equal(tx.grad, chosen[2])
+    assert np.array_equal(out.data, fwd[0 if c_in <= c_out else 1])
+    assert np.array_equal(tw.grad, gw[0 if c_in <= c_out else 1])
+    assert np.array_equal(tx.grad, gx[0 if c_out <= c_in else 1])
 
 
 @pytest.mark.parametrize("hw,c_in,c_out", [
-    ((5, 5), 16, 32), ((7, 7), 64, 32), ((7, 7), 32, 64),  # im2col
-    ((7, 7), 176, 32), ((15, 15), 48, 32),  # nine GEMMs
+    ((5, 5), 16, 32), ((7, 7), 64, 32), ((7, 7), 32, 64),
+    ((7, 7), 176, 32), ((15, 15), 48, 32),
+    # 32 -> 16 gave one image other bits alone with strided per-tap kernels
+    ((5, 5), 32, 16), ((15, 15), 32, 64), ((15, 15), 64, 32),
+    ((5, 5), 16, 4),
 ])
 def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
     """An image's output bits do not depend on the batch it is run in."""
