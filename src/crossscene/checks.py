@@ -22,6 +22,7 @@ from .model import CenterAttentionBlock, CenterAttentionConfig, DualHeadClassifi
 
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_STEP = 1e-5
+FULL_MODEL_ENTRIES = 40  # components sampled per parameter of the whole classifier
 
 
 def attention_block_case(variant, seed=0):
@@ -55,7 +56,7 @@ def lmmd_case(seed=0):
     return "lmmd", {"zs": zs, "zt": zt}, build, None
 
 
-def full_model_case(seed=0, max_entries=40):
+def full_model_case(seed=0):
     """Whole classifier on a 4-sample, ps=5, 6-band batch; loss = mean p[:, 0]."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF11)))
     cfg = ExtractorConfig(input_bands=6, patch_size=5)
@@ -65,28 +66,27 @@ def full_model_case(seed=0, max_entries=40):
 
     def build():
         z = model.features(x, training=True)
-        p = model.head_forward(z, "cls")
+        p = E.softmax(model.head_logits(z, "cls"))
         return E.tmean(E.gather_rows(E.transpose(p), np.array([0])))
 
-    return "full_model", model.named_parameters(), build, max_entries
+    return "full_model", model.named_parameters(), build, FULL_MODEL_ENTRIES
 
 
-def standard_cases(seed=0, full_model_entries=40):
+def standard_cases(seed=0):
     """Every registered check: primitives, block variants, alignment, model."""
     cases = [(name, params, build, None) for name, params, build in primitive_checks(seed)]
     for variant in "abcd":
         cases.append(attention_block_case(variant, seed))
     cases.append(lmmd_case(seed))
-    cases.append(full_model_case(seed, full_model_entries))
+    cases.append(full_model_case(seed))
     return cases
 
 
-def run_all_checks(seed=0, tolerance=GRADCHECK_TOLERANCE, step=GRADCHECK_STEP,
-                   full_model_entries=40):
+def run_all_checks(seed=0, tolerance=GRADCHECK_TOLERANCE, step=GRADCHECK_STEP):
     """Run the whole suite; returns (reports, all_passed)."""
     reports = []
     ok = True
-    for name, params, build, max_entries in standard_cases(seed, full_model_entries):
+    for name, params, build, max_entries in standard_cases(seed):
         rep = grad_check(build, params, step=step, max_entries_per_param=max_entries,
                          seed=seed, name=name)
         reports.append(rep)

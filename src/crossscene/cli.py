@@ -49,9 +49,16 @@ from .training import build_model, run_grid
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a removed ``--grid`` name, say) exit 2 with one line, as config errors do."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
 # Ablation grids: named module combinations, the pseudo-head/alignment matrix,
 # and the four attention-block designs.  Each arm is (name, nested changes to
-# TrainConfig).  The table* names are accepted aliases.
+# TrainConfig).
 ABLATION_GRIDS = {
     "modules": [
         (name, {"ablation": {"use_attention": attn, "use_lmmd": lmmd, "use_self_training": st}})
@@ -74,7 +81,6 @@ ABLATION_GRIDS = {
     ],
     "variants": [(f"variant_{v}", {"attention": {"variant": v}}) for v in "abcd"],
 }
-GRID_ALIASES = {"table7": "modules", "table8": "heads", "table9": "variants"}
 
 
 def _config_parent():
@@ -88,7 +94,7 @@ def _config_parent():
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crossscene",
         description="Cross-scene hyperspectral classification: training, evaluation, diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,7 +127,7 @@ def build_parser():
 
     p = sub.add_parser("ablate", parents=[cfg], help="run a named experiment grid")
     p.add_argument("--grid", required=True,
-                   choices=sorted(ABLATION_GRIDS) + sorted(GRID_ALIASES),
+                   choices=sorted(ABLATION_GRIDS),
                    help="modules (5 arms), heads (2x2), variants (block designs a-d)")
     p.add_argument("--out", default="runs/ablate", metavar="DIR")
     p.add_argument("--deterministic", action="store_true")
@@ -248,17 +254,16 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
-    grid_name = GRID_ALIASES.get(args.grid, args.grid)
     cfg, source, target = _prepare_run(args)
     rows = []
-    for arm_name, _, agg in run_grid(cfg.train, cfg.seeds, ABLATION_GRIDS[grid_name],
+    for arm_name, _, agg in run_grid(cfg.train, cfg.seeds, ABLATION_GRIDS[args.grid],
                                      source, target, deterministic=args.deterministic):
         rows.append({"arm": arm_name,
                      "oa": agg["oa"], "aa": agg["aa"], "kappa": agg["kappa"],
                      "seeds": list(cfg.seeds)})
         print(f"{arm_name:24s} {_mean_std_line(agg)}")
     out = _finish_run(args, cfg)
-    write_atomic(out / "ablation.json", json.dumps({"grid": grid_name, "rows": rows}, indent=1) + "\n")
+    write_atomic(out / "ablation.json", json.dumps({"grid": args.grid, "rows": rows}, indent=1) + "\n")
     return 0
 
 

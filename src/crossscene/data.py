@@ -215,27 +215,21 @@ def load_scene(bundle_dir):
 
 # -- normalization -----------------------------------------------------------
 
-NORMALIZATIONS = ("none", "minmax", "zscore")
+NORMALIZATIONS = ("none", "minmax")
 
 
 def normalize_scene(scene, mode="minmax"):
     """Per-band scaling over the whole scene; constant bands map to 0."""
     if mode == "none":
         return Scene(cube=scene.cube.copy(), name=scene.name)
-    cube = scene.cube.astype(np.float32)
-    if mode == "minmax":
-        lo = cube.min(axis=(0, 1), keepdims=True)
-        hi = cube.max(axis=(0, 1), keepdims=True)
-        span = hi - lo
-        span_safe = np.where(span > 0, span, 1.0)
-        out = np.where(span > 0, (cube - lo) / span_safe, 0.0)
-    elif mode == "zscore":
-        mu = cube.mean(axis=(0, 1), keepdims=True)
-        sd = cube.std(axis=(0, 1), keepdims=True)
-        sd_safe = np.where(sd > 0, sd, 1.0)
-        out = np.where(sd > 0, (cube - mu) / sd_safe, 0.0)
-    else:
+    if mode != "minmax":
         raise ValueError(f"unknown normalization mode {mode!r}")
+    cube = scene.cube.astype(np.float32)
+    lo = cube.min(axis=(0, 1), keepdims=True)
+    hi = cube.max(axis=(0, 1), keepdims=True)
+    span = hi - lo
+    span_safe = np.where(span > 0, span, 1.0)
+    out = np.where(span > 0, (cube - lo) / span_safe, 0.0)
     return Scene(cube=out.astype(np.float32), name=scene.name)
 
 

@@ -29,21 +29,18 @@ LEAKY_SLOPE = 0.01
 
 @dataclass
 class CenterAttentionConfig:
-    """Placement of the activation inside the block, and the score divisor.
+    """Placement of the activation inside the block.
 
     variant: 'a' no activation, 'b' after the key map, 'c' after the
-    depthwise convolution, 'd' after key and value maps (default).
+    depthwise convolution, 'd' after key and value maps (default).  The
+    scores are always divided by the square root of the patch side.
     """
 
     variant: str = "d"
-    scale_divisor: str = "sqrt_patch"  # or "sqrt_channels"
 
     def __post_init__(self):
         if self.variant not in BLOCK_VARIANTS:
             raise ValueError(f"variant must be one of {list(BLOCK_VARIANTS)}, got {self.variant!r}")
-        if self.scale_divisor not in ("sqrt_patch", "sqrt_channels"):
-            raise ValueError("scale_divisor must be 'sqrt_patch' or 'sqrt_channels', "
-                             f"got {self.scale_divisor!r}")
 
 
 @dataclass
@@ -52,7 +49,6 @@ class ExtractorConfig:
     patch_size: int
     unit_channels: tuple[int, int, int] = (32, 64, 32)
     use_attention: bool = True
-    feature_mode: str = "pool"  # or "flatten"
 
     def __post_init__(self):
         w1, w2, w3 = self.unit_channels
@@ -61,14 +57,6 @@ class ExtractorConfig:
                              f"got {list(self.unit_channels)}")
         if self.patch_size < 1 or self.patch_size % 2 == 0:
             raise ValueError(f"patch_size must be odd and >= 1, got {self.patch_size}")
-        if self.feature_mode not in ("pool", "flatten"):
-            raise ValueError(f"feature_mode must be 'pool' or 'flatten', got {self.feature_mode!r}")
-
-    @property
-    def feature_dim(self):
-        if self.feature_mode == "flatten":
-            return self.unit_channels[2] * self.patch_size * self.patch_size
-        return self.unit_channels[2]
 
 
 def kaiming_normal(rng, shape, fan_in, dtype=np.float32):
@@ -165,9 +153,8 @@ class CenterAttentionBlock:
         q = self.query(E.center_pixel(x))  # (n, c)
 
         scores = E.tsum(E.mul(E.reshape(k, (n, p, c)), E.reshape(q, (n, 1, c))), axis=2)
-        divisor = math.sqrt(h) if self.config.scale_divisor == "sqrt_patch" else math.sqrt(c)
         gate = E.mul(E.reshape(v, (n, p, c)),
-                     E.reshape(E.scale(scores, 1.0 / divisor), (n, p, 1)))
+                     E.reshape(E.scale(scores, 1.0 / math.sqrt(h)), (n, p, 1)))
         gate_map = E.reshape(gate, (n, h, w, c))
 
         conv_stream = E.depthwise_conv2d(x, self.dw_kernel)
@@ -197,7 +184,7 @@ class FeatureExtractor:
         self.bn3 = BatchNorm2d(w3, dtype, "extractor.bn3")
 
     def __call__(self, patches, training):
-        """patches: Tensor (n, ps, ps, bands) -> features (n, feature_dim)."""
+        """patches: Tensor (n, ps, ps, bands) -> pooled features (n, unit_channels[2])."""
         if patches.shape[3] != self.config.input_bands:
             raise ValueError(
                 f"extractor built for {self.config.input_bands} bands, got {patches.shape[3]}")
@@ -206,10 +193,6 @@ class FeatureExtractor:
             h = self.block(h)
         h = E.leaky_relu(self.bn2(self.conv2(h), training), LEAKY_SLOPE)
         h = E.leaky_relu(self.bn3(self.conv3(h), training), LEAKY_SLOPE)
-        if self.config.feature_mode == "flatten":
-            # (c, h, w) feature order, the order flatten-mode head weights expect
-            n = h.shape[0]
-            return E.reshape(E.transpose(h, (0, 3, 1, 2)), (n, -1))
         return E.avg_pool2d(h)
 
     def parameters(self):
@@ -233,7 +216,7 @@ class DualHeadClassifier:
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x90D)))
         self.extractor = FeatureExtractor(extractor_config, attention_config, rng, self.dtype)
-        fd = extractor_config.feature_dim
+        fd = extractor_config.unit_channels[2]
         self.head_cls = Linear(fd, num_classes, rng, self.dtype, "head_cls")
         self.head_psd = Linear(fd, num_classes, rng, self.dtype, "head_psd")
 
@@ -248,10 +231,6 @@ class DualHeadClassifier:
         if head == "psd":
             return self.head_psd(z)
         raise ValueError(f"unknown head {head!r}")
-
-    def head_forward(self, z, head="cls"):
-        """Probability vectors (softmax rows) from the requested head."""
-        return E.softmax(self.head_logits(z, head))
 
     def predict(self, patches):
         """Hard labels (1..C) via extractor + main head, eval-mode statistics."""
@@ -283,10 +262,10 @@ _DTYPE_TAGS = {"float32": "f32", "float64": "f64"}
 _TAG_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
-def save_checkpoint(model, bin_path, index_path=None):
-    """Flat binary of named tensors + JSON index; bit-exact round trip."""
+def save_checkpoint(model, bin_path):
+    """Flat binary of named tensors + a sibling ``index.json``; bit-exact round trip."""
     bin_path = Path(bin_path)
-    index_path = Path(index_path) if index_path else bin_path.with_name("index.json")
+    index_file = bin_path.with_name("index.json")
     index = OrderedDict()
     offset = 0
     blobs = []
@@ -297,45 +276,53 @@ def save_checkpoint(model, bin_path, index_path=None):
         blobs.append(raw)
         offset += len(raw)
     write_atomic(bin_path, b"".join(blobs))
-    write_atomic(index_path, json.dumps(index, indent=1) + "\n")
-    return bin_path, index_path
+    write_atomic(index_file, json.dumps(index, indent=1) + "\n")
+    return bin_path, index_file
 
 
-def load_checkpoint(model, bin_path, index_path=None):
-    """Restore named tensors in place; shapes and names must match exactly.
+def load_checkpoint(model, bin_path):
+    """Restore named tensors in place from ``bin_path`` and its sibling ``index.json``.
 
-    Every fault in the checkpoint (unparseable index, a missing or extra
-    name, a shape mismatch, an unknown dtype tag, a byte range past the end
-    of the binary) raises ``BundleError`` before any tensor is touched.
+    Shapes and names must match exactly, and the entries must tile the
+    binary: each one starts where the one before it (in index order) ends,
+    and the last one ends at the end of the file.  Every fault (unparseable
+    index, a missing or extra name, a shape mismatch, an unknown dtype tag,
+    a gap or overlap, a file shorter or longer than the index describes)
+    raises ``BundleError`` before any tensor is touched.
     """
     bin_path = Path(bin_path)
-    index_path = Path(index_path) if index_path else bin_path.with_name("index.json")
+    index_file = bin_path.with_name("index.json")
     try:
-        index = json.loads(index_path.read_text())
+        index = json.loads(index_file.read_text())
     except json.JSONDecodeError as e:
-        raise BundleError(f"unparseable checkpoint index {index_path}: {e}") from e
+        raise BundleError(f"unparseable checkpoint index {index_file}: {e}") from e
     raw = bin_path.read_bytes()
     state = model.named_state()
     if set(index) != set(state):
         missing = set(state) - set(index)
         extra = set(index) - set(state)
-        raise BundleError(f"checkpoint/model mismatch in {index_path}: "
+        raise BundleError(f"checkpoint/model mismatch in {index_file}: "
                           f"missing={sorted(missing)} extra={sorted(extra)}")
-    loaded = {}
+    ranges = {}
+    offset = 0
     for name, entry in index.items():
         arr = state[name]
         if entry.get("dtype") not in _TAG_DTYPES:
-            raise BundleError(f"unknown dtype tag {entry.get('dtype')!r} for {name} in {index_path}")
+            raise BundleError(f"unknown dtype tag {entry.get('dtype')!r} for {name} in {index_file}")
         dtype = np.dtype(_TAG_DTYPES[entry["dtype"]])
         shape = tuple(entry["shape"])
         if shape != arr.shape:
             raise BundleError(f"checkpoint shape mismatch for {name}: {shape} vs {arr.shape}")
-        n = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        start = entry["offset"]
-        if start < 0 or start + n > len(raw):
-            raise BundleError(f"checkpoint {bin_path} is truncated: {name} needs bytes "
-                              f"{start}..{start + n}, file has {len(raw)}")
-        loaded[name] = np.frombuffer(raw[start : start + n], dtype=dtype).reshape(shape)
-    for name, values in loaded.items():
-        state[name][...] = values.astype(state[name].dtype)
+        if entry.get("offset") != offset:
+            raise BundleError(f"checkpoint index {index_file} puts {name} at byte "
+                              f"{entry.get('offset')!r}; the entries before it end at {offset}")
+        ranges[name] = (offset, dtype)
+        offset += arr.size * dtype.itemsize
+    if len(raw) != offset:
+        fault = "is truncated" if len(raw) < offset else "has trailing bytes"
+        raise BundleError(f"checkpoint {bin_path} {fault}: its index describes {offset} bytes, "
+                          f"the file has {len(raw)}")
+    for name, (start, dtype) in ranges.items():
+        arr = state[name]
+        arr[...] = np.frombuffer(raw, dtype=dtype, count=arr.size, offset=start).reshape(arr.shape)
     return model

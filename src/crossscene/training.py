@@ -69,17 +69,14 @@ class TrainConfig:
     patch_size: int = 9
     seed: int = 0
     unit_channels: tuple[int, int, int] = (32, 64, 32)
-    feature_mode: str = "pool"
     normalization: str = "minmax"
-    st_warmup_epochs: int = 0
     ablation: Ablation = field(default_factory=Ablation)
     attention: CenterAttentionConfig = field(default_factory=CenterAttentionConfig)
     kernel: KernelSpec = field(default_factory=KernelSpec)
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        for name in ("epochs", "alpha", "beta", "momentum", "weight_decay", "seed",
-                     "st_warmup_epochs"):
+        for name in ("epochs", "alpha", "beta", "momentum", "weight_decay", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch < 1:
@@ -168,7 +165,7 @@ class StepStats:
     batch_size: int
 
 
-def train_step(model, source_batch, target_batch, config, progress, st_active=True):
+def train_step(model, source_batch, target_batch, config, progress):
     """One optimization step; returns the step's loss components.
 
     The target batch may be None when neither alignment nor self-training is
@@ -192,7 +189,7 @@ def train_step(model, source_batch, target_batch, config, progress, st_active=Tr
         if abl.use_lmmd:
             ys = one_hot(source_batch.labels, model.num_classes)
             l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
-        if abl.use_self_training and st_active:
+        if abl.use_self_training:
             l_st, pseudo_count = self_training_loss(
                 model, z_t, p_t, weights, use_pseudo_head=abl.use_pseudo_head)
 
@@ -228,7 +225,6 @@ def extractor_config(config, input_bands):
         patch_size=config.patch_size,
         unit_channels=config.unit_channels,
         use_attention=config.ablation.use_attention,
-        feature_mode=config.feature_mode,
     )
 
 
@@ -275,7 +271,6 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     history = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        st_active = epoch >= config.st_warmup_epochs
         sums = np.zeros(4)
         pseudo = 0
         seen = 0
@@ -284,7 +279,7 @@ def fit(config, source, target, out_dir=None, deterministic=False):
             sbatch = src_patches.batch(refs)
             tbatch = tgt_patches.batch(next(tgt_iter), with_labels=False) if needs_target else None
             w = done / total_steps
-            stats = train_step(model, sbatch, tbatch, config, w, st_active=st_active)
+            stats = train_step(model, sbatch, tbatch, config, w)
             done += 1
             sums += (stats.loss_total, stats.loss_cls, stats.loss_lmmd, stats.loss_st)
             pseudo += stats.pseudo_count
@@ -307,7 +302,7 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        checkpoint, _ = save_checkpoint(model, out / "checkpoint.bin", out / "index.json")
+        checkpoint, _ = save_checkpoint(model, out / "checkpoint.bin")
         write_history(history, out / "history.log")
     return FitResult(model=model, history=history, checkpoint=checkpoint)
 

@@ -16,7 +16,7 @@ import pytest
 import crossscene
 from crossscene import training
 from crossscene.cli import main, set_allocator_policy
-from crossscene.config import resolve_config
+from crossscene.config import resolve_config, save_config
 from crossscene.data import load_scene
 from crossscene.engine import NumericError
 from crossscene.evaluate import evaluate_scene
@@ -187,15 +187,60 @@ def test_ablate_variants_grid(synth_dir, capsys):
     assert "[variant_c seed 0] target OA" in printed
 
 
-def test_ablate_grid_aliases(synth_dir):
+def test_ablate_heads_grid(synth_dir):
     cfg = _cfg_file(synth_dir, epochs=1)
     out = synth_dir / "abl8"
-    rc = main(["ablate", "--config", str(cfg), "--grid", "table8",
+    rc = main(["ablate", "--config", str(cfg), "--grid", "heads",
                "--out", str(out), "--deterministic"])
     assert rc == 0
     data = json.loads((out / "ablation.json").read_text())
     assert data["grid"] == "heads"
     assert len(data["rows"]) == 4
+
+
+# keys that earlier versions accepted; each now names an option that is gone
+@pytest.mark.parametrize("override", [
+    "train.feature_mode=pool", "train.st_warmup_epochs=0",
+    "train.attention.scale_divisor=sqrt_patch", "train.normalization=zscore",
+])
+def test_removed_config_key_exits_2(synth_dir, tmp_path, capsys, override):
+    rc = main(["train", "--config", str(_cfg_file(synth_dir)), "--set", override,
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "\n" not in err
+    assert override.split("=")[0].rsplit(".", 1)[-1] in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_resolved_config_with_removed_keys_exits_2(synth_dir, tmp_path, capsys):
+    # a resolved.cfg as the version before these options were removed wrote it
+    cfg = tmp_path / "resolved.cfg"
+    save_config(resolve_config(config_path=_cfg_file(synth_dir)), cfg)
+    old = json.loads(cfg.read_text())
+    old["train"].update(feature_mode="pool", st_warmup_epochs=0)
+    old["train"]["attention"]["scale_divisor"] = "sqrt_patch"
+    cfg.write_text(json.dumps(old))
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "config error: unknown config keys at train.: feature_mode, st_warmup_epochs"
+    del old["train"]["feature_mode"], old["train"]["st_warmup_epochs"]
+    cfg.write_text(json.dumps(old))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "config error: unknown config keys at train.attention.: scale_divisor"
+
+
+def test_removed_grid_name_exits_2(synth_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--config", str(_cfg_file(synth_dir)), "--grid", "table8",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: argument --grid: invalid choice: 'table8'")
+    assert "\n" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_modules_grid_arm_count():
@@ -262,7 +307,7 @@ def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
     "train.alpha=-1", "train.beta=-1", "train.epochs=abc", "train.epochs=1.5",
     "train.unit_channels=5", "train.seed=x", 'seeds="x"', "seeds=5", "train.lr0=abc",
     "train.momentum=abc", "train.loss_weights.tau=abc", "train.patch_size=-3",
-    "train.kernel.base_bandwidth=true", "train.st_warmup_epochs=-5",
+    "train.kernel.base_bandwidth=true", "train.weight_decay=-1",
     "train.lr0=NaN", "train.momentum=NaN", "train.alpha=NaN", "train.kernel.base_bandwidth=NaN",
     "train.loss_weights.lambda_lmmd=Infinity", "train.kernel.mul_factor=1e308",
     "train.kernel.num_kernels=3000", "train.kernel.base_bandwidth=5e-324",
@@ -371,12 +416,25 @@ def _rename_first(index):
     index[name + "_renamed"] = index.pop(name)
 
 
+def _append_bytes(d):
+    with open(d / "checkpoint.bin", "ab") as f:
+        f.write(bytes(1000))
+
+
+def _overlap_second(index):
+    first, second = list(index)[:2]
+    index[second]["offset"] = index[first]["offset"] + 4
+
+
 @pytest.mark.parametrize("fault,extra,message", [
     (_truncate, [], "truncated"),
     (None, ["--set", "train.unit_channels=[8,16,8]"], "shape mismatch"),
     (_edit_index(lambda ix: ix["extractor.conv1.weight"].update(dtype="f16")), [], "dtype tag"),
     (_edit_index(_rename_first), [], "missing="),
-], ids=["truncated", "other-width", "dtype-tag", "name-mismatch"])
+    (_append_bytes, [], "trailing bytes"),
+    (_edit_index(_overlap_second), [], "the entries before it end at"),
+], ids=["truncated", "other-width", "dtype-tag", "name-mismatch", "appended-bytes",
+        "overlapping-offsets"])
 def test_exit_code_bad_checkpoint(synth_dir, ckpt_dir, tmp_path, capsys, fault, extra, message):
     d = tmp_path / "ckpt"
     d.mkdir()

@@ -1,8 +1,11 @@
 """Config round-trip, presets, overrides, strict key checking."""
 
+import typing
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from crossscene.config import (ConfigError, apply_overrides, config_from_dict,
+from crossscene.config import (ConfigError, ExperimentConfig, apply_overrides, config_from_dict,
                                config_to_dict, resolve_config, save_config)
 
 
@@ -100,3 +103,51 @@ def test_unparseable_config_file(tmp_path):
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="preset"):
         resolve_config(preset="mars")
+
+
+def _leaves(cls, prefix=""):
+    """Dotted names of every non-dataclass field under ``cls``, in field order."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        tp = hints[f.name]
+        out += _leaves(tp, f"{prefix}{f.name}.") if is_dataclass(tp) else [prefix + f.name]
+    return out
+
+
+LEAVES = _leaves(ExperimentConfig)
+
+# The whole config surface.  A new knob is added here in the same change, and
+# that change names the preset, ablation grid, demo, acceptance criterion or
+# benchmark workload that sets it.
+PINNED_LEAVES = (
+    "source_bundle", "target_bundle", "seeds",
+    "train.epochs", "train.batch", "train.lr0", "train.alpha", "train.beta", "train.momentum",
+    "train.weight_decay", "train.patch_size", "train.seed", "train.unit_channels",
+    "train.normalization",
+    "train.ablation.use_attention", "train.ablation.use_lmmd", "train.ablation.use_self_training",
+    "train.ablation.use_pseudo_head",
+    "train.attention.variant",
+    "train.kernel.num_kernels", "train.kernel.mul_factor", "train.kernel.base_bandwidth",
+    "train.loss_weights.lambda_lmmd", "train.loss_weights.lambda_st", "train.loss_weights.tau",
+)
+
+# --set values: non-finite, huge, subnormal, negative and zero numbers, and
+# each JSON type a field might not expect
+HOSTILE_VALUES = ("NaN", "Infinity", "-Infinity", "1e308", "-1e308", "1e-320", "1e9", "-1", "0",
+                  "true", '"x"', "[]", "{}", "[[1]]", "null", "[1,2,3]", "1.5", '""')
+
+
+def test_config_surface_is_pinned():
+    assert tuple(LEAVES) == PINNED_LEAVES
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_hostile_value_is_accepted_or_a_config_error(leaf):
+    for value in HOSTILE_VALUES:
+        try:
+            resolve_config("synth", overrides=[f"{leaf}={value}"])
+        except ConfigError:
+            pass
+        except Exception as e:  # anything else would reach the user as a traceback
+            pytest.fail(f"{leaf}={value} raised {type(e).__name__}: {e}")

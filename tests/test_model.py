@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crossscene import engine as E
 from crossscene.engine import Tensor
 from crossscene.model import (CenterAttentionBlock, CenterAttentionConfig,
                               DualHeadClassifier, ExtractorConfig, load_checkpoint,
@@ -79,21 +80,9 @@ def test_block_hand_computed_single_channel():
     assert abs(expected - 1.4086837283547711) < 1e-12
 
 
-def test_block_divisor_alternative(rng):
-    cfg = CenterAttentionConfig(scale_divisor="sqrt_channels")
-    block = CenterAttentionBlock(4, cfg, np.random.default_rng(2), np.float64, "blk")
-    x = Tensor(rng.normal(size=(1, 3, 3, 4)), dtype=np.float64)
-    a = block(x).data
-    block.config = CenterAttentionConfig(scale_divisor="sqrt_patch")
-    b = block(x).data
-    assert not np.allclose(a, b)  # sqrt(4) vs sqrt(3) changes the gate
-
-
 def test_block_validates_config():
     with pytest.raises(ValueError):
         CenterAttentionConfig(variant="e")
-    with pytest.raises(ValueError):
-        CenterAttentionConfig(scale_divisor="none")
 
 
 @pytest.mark.parametrize("ps", [3, 5, 9])
@@ -133,15 +122,15 @@ def test_zero_head_uniform_probabilities(rng):
     m.head_cls.weight.data[...] = 0.0
     m.head_cls.bias.data[...] = 0.0
     z = Tensor(rng.normal(size=(5, 32)).astype(np.float32))
-    p = m.head_forward(z, "cls").data
+    p = E.softmax(m.head_logits(z, "cls")).data
     assert np.allclose(p, 0.25, atol=1e-7)
 
 
 def test_heads_are_independent(rng):
     m = _model()
     z = Tensor(rng.normal(size=(5, 32)).astype(np.float32))
-    p_cls = m.head_forward(z, "cls").data
-    p_psd = m.head_forward(z, "psd").data
+    p_cls = E.softmax(m.head_logits(z, "cls")).data
+    p_psd = E.softmax(m.head_logits(z, "psd")).data
     assert np.abs(p_cls.sum(1) - 1).max() < 1e-6
     assert not np.allclose(p_cls, p_psd)
     assert not np.shares_memory(m.head_cls.weight.data, m.head_psd.weight.data)
@@ -162,12 +151,6 @@ def test_extractor_config_validation():
         ExtractorConfig(input_bands=4, patch_size=5, unit_channels=(32, 48, 32))
     with pytest.raises(ValueError, match="odd"):
         ExtractorConfig(input_bands=4, patch_size=6)
-
-
-def test_flatten_feature_mode(rng):
-    m = _model(bands=4, ps=3, unit_channels=(16, 32, 16), feature_mode="flatten")
-    x = Tensor(rng.normal(size=(2, 3, 3, 4)).astype(np.float32))
-    assert m.features(x, training=True).shape == (2, 16 * 9)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, rng):

@@ -291,17 +291,6 @@ def test_fit_batch_larger_than_source(tiny_pair, tiny_config):
         fit(cfg, tiny_pair[0], tiny_pair[1])
 
 
-def test_st_warmup_delays_pseudo_labels(tiny_pair, tiny_config):
-    from dataclasses import replace
-
-    cfg = replace(tiny_config, epochs=3, st_warmup_epochs=2,
-                  loss_weights=LossWeights(tau=0.2))
-    res = fit(cfg, tiny_pair[0], tiny_pair[1])
-    assert res.history[0]["pseudo_count"] == 0
-    assert res.history[1]["pseudo_count"] == 0
-    assert res.history[2]["pseudo_count"] > 0
-
-
 def test_write_history_round_trip(tmp_path):
     import json
 
