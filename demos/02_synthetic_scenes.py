@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crossscene.data import (ShiftSpec, extract_patch, labeled_refs, load_scene,
+from crossscene.data import (PatchSource, ShiftSpec, labeled_pixels, load_scene,
                              normalize_scene, save_bundle, synth_domain_pair)
 
 (src, src_labels), (tgt, tgt_labels) = synth_domain_pair(
@@ -37,11 +37,12 @@ with tempfile.TemporaryDirectory() as d:
           np.array_equal(src.cube.view(np.uint32), reloaded.cube.view(np.uint32)))
 
 # Patches mirror at the borders; the center pixel is always the raw spectrum.
-patch = extract_patch(src, 0, 0, 5)
+patch = PatchSource(src, 5).batch(np.array([[0, 0]])).patches.data[0]
 print("corner patch shape:", patch.shape,
       "| center equals pixel:", np.array_equal(patch[2, 2], src.cube[0, 0]))
 
 # Normalization modes.
 mm = normalize_scene(src, "minmax")
 print("minmax band ranges:", mm.cube.min(), "..", mm.cube.max())
-print("labeled refs (raster order), first three:", labeled_refs(src_labels)[:3])
+print("labeled (row, col) pixels (raster order), first three:",
+      labeled_pixels(src_labels)[:3].tolist())

@@ -156,7 +156,13 @@ def _prepare_run(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     if not cfg.source_bundle or not cfg.target_bundle:
         raise ConfigError("config must name source_bundle and target_bundle")
-    return cfg, load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
+    pair = []
+    for role, bundle in (("source", cfg.source_bundle), ("target", cfg.target_bundle)):
+        scene, labels = load_scene(bundle)
+        if not labels.labels.any():  # nothing to train on, adapt on or score
+            raise BundleError(f"{role} bundle {bundle} has no labeled pixel")
+        pair.append((scene, labels))
+    return cfg, *pair
 
 
 def _finish_run(args, cfg):

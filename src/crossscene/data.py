@@ -13,7 +13,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,19 +79,13 @@ class LabelMap:
         return int(self.labels.max())
 
 
-class SampleRef(NamedTuple):
-    row: int
-    col: int
-    label: int  # 1..C, or 0 when the label is hidden/absent
-
-
 @dataclass
 class PatchBatch:
-    """A stack of centered patches: (n, ps, ps, bands) plus optional labels."""
+    """Centered patches (n, ps, ps, bands), optional labels, and their (n, 2) pixels."""
 
     patches: Tensor
     labels: np.ndarray | None
-    refs: list
+    refs: np.ndarray
 
     def __len__(self):
         return self.patches.shape[0]
@@ -236,30 +229,8 @@ def normalize_scene(scene, mode="minmax"):
 # -- patch extraction --------------------------------------------------------
 
 
-def _reflect_indices(start, count, size):
-    """Mirror out-of-range indices about the edges without repeating them."""
-    idx = np.arange(start, start + count)
-    if size == 1:
-        return np.zeros(count, dtype=np.int64)
-    period = 2 * (size - 1)
-    m = np.abs(idx) % period
-    return np.where(m < size, m, period - m).astype(np.int64)
-
-
-def extract_patch(scene, row, col, ps):
-    """Centered ps x ps x bands patch with mirror-reflected borders."""
-    if ps % 2 == 0:
-        raise ValueError(f"patch size must be odd, got {ps}")
-    if not (0 <= row < scene.height and 0 <= col < scene.width):
-        raise ValueError(f"patch center ({row}, {col}) outside scene bounds")
-    half = ps // 2
-    rows = _reflect_indices(row - half, ps, scene.height)
-    cols = _reflect_indices(col - half, ps, scene.width)
-    return scene.cube[np.ix_(rows, cols)]
-
-
 class PatchSource:
-    """Patch extractor with a pre-reflected cube for fast repeated access."""
+    """Patch extractor over a cube mirrored past its edges, the edge pixel not repeated."""
 
     def __init__(self, scene, ps):
         if ps % 2 == 0:
@@ -267,62 +238,52 @@ class PatchSource:
         self.scene = scene
         self.ps = ps
         half = ps // 2
-        rows = _reflect_indices(-half, scene.height + 2 * half, scene.height)
-        cols = _reflect_indices(-half, scene.width + 2 * half, scene.width)
-        self._padded = scene.cube[np.ix_(rows, cols)]
+        self._padded = np.pad(scene.cube, ((half, half), (half, half), (0, 0)), mode="reflect")
 
-    def batch(self, refs, with_labels=True):
-        """Assemble a PatchBatch for a list of SampleRefs."""
+    def batch(self, pixels, labels=None):
+        """A PatchBatch of the patches centered on the (n, 2) ``(row, col)`` pixels."""
         ps = self.ps
-        out = np.empty((len(refs), ps, ps, self.scene.bands), dtype=np.float32)
-        for i, r in enumerate(refs):
-            out[i] = self._padded[r.row : r.row + ps, r.col : r.col + ps]
-        labels = np.array([r.label for r in refs], dtype=np.int64) if with_labels else None
-        return PatchBatch(patches=Tensor(out), labels=labels, refs=list(refs))
+        out = np.empty((len(pixels), ps, ps, self.scene.bands), dtype=np.float32)
+        # one slice copy per pixel beats a fancy-index gather at the preset shapes
+        for i, (r, c) in enumerate(pixels.tolist()):
+            out[i] = self._padded[r : r + ps, c : c + ps]
+        return PatchBatch(patches=Tensor(out), labels=labels, refs=pixels)
 
 
 # -- sample enumeration and batch streams ------------------------------------
 
 
-def labeled_refs(label_map, hide_labels=False):
-    """All labeled pixels in raster order; labels optionally hidden (set 0)."""
-    rows, cols = np.nonzero(label_map.labels > 0)
-    labels = label_map.labels[rows, cols]
-    if hide_labels:
-        return [SampleRef(int(r), int(c), 0) for r, c in zip(rows, cols)]
-    return [SampleRef(int(r), int(c), int(l)) for r, c, l in zip(rows, cols, labels)]
+def labeled_pixels(label_map):
+    """(n, 2) ``(row, col)`` of every labeled pixel, in raster order."""
+    return np.argwhere(label_map.labels > 0)
 
 
-def batch_stream(refs, batch_size, seed, epoch):
-    """Deterministic shuffled full batches for one epoch.
+def batch_stream(count, batch_size, seed, epoch):
+    """Index arrays of deterministic shuffled full batches over ``count`` samples.
 
     The permutation depends only on (seed, epoch); the trailing partial batch
     is dropped.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if not refs:
-        raise ValueError("empty reference list")
+    if count < 1:
+        raise ValueError("no samples to draw batches from")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(epoch))))
-    order = rng.permutation(len(refs))
-    stop = len(refs) - len(refs) % batch_size
-    return [[refs[i] for i in order[start : start + batch_size]]
-            for start in range(0, stop, batch_size)]
+    order = rng.permutation(count)
+    stop = count - count % batch_size
+    return [order[start : start + batch_size] for start in range(0, stop, batch_size)]
 
 
-def cycled_batches(refs, batch_size, seed):
-    """Endless full-batch stream; each pass reshuffles with its pass index."""
+def cycled_batches(count, batch_size, seed):
+    """Endless full-batch index stream; each pass reshuffles with its pass index."""
     epoch = 0
     while True:
-        got = False
-        for batch in batch_stream(refs, batch_size, seed, epoch):
-            got = True
-            yield batch
-        if not got:
-            # fewer refs than one batch: sample with wraparound, still seeded
+        batches = batch_stream(count, batch_size, seed, epoch)
+        if not batches:
+            # fewer samples than one batch: draw with wraparound, still seeded
             rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(epoch), 1)))
-            order = rng.choice(len(refs), size=batch_size, replace=True)
-            yield [refs[i] for i in order]
+            batches = [rng.choice(count, size=batch_size, replace=True)]
+        yield from batches
         epoch += 1
 
 

@@ -147,7 +147,7 @@ def one_hot(labels, num_classes):
     """Labels 1..C -> one-hot rows (n, C)."""
     labels = np.asarray(labels)
     if labels.min() < 1 or labels.max() > num_classes:
-        raise ValueError("labels must lie in 1..C")
+        raise ValueError(f"label out of range 1..{num_classes}")
     out = np.zeros((labels.size, num_classes), dtype=np.float64)
     out[np.arange(labels.size), labels - 1] = 1.0
     return out

@@ -655,13 +655,15 @@ def depthwise_conv2d(x, w):
     return _make(out, (x, w), vjp)
 
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
-                 momentum=0.1, eps=1e-5, update_running=True):
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5
+
+
+def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     """Per-channel batch normalization on NHWC maps.
 
-    Training mode normalizes with batch statistics (biased variance) and, when
-    ``update_running`` is set, folds an unbiased variance estimate into the
-    running buffers in place.  Eval mode normalizes with the running buffers.
+    Training mode normalizes with batch statistics (biased variance) and
+    folds an unbiased variance estimate into the running buffers in place.
+    Eval mode normalizes with the running buffers.
     Works on the (n*h*w, c) row view: one centred copy becomes ``xhat`` in
     place, and the backward pass allocates only the input gradient.
     """
@@ -676,16 +678,15 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
         mu = rows.mean(axis=0)
         xhat = rows - mu
         var = np.einsum("ij,ij->j", xhat, xhat) / cnt
-        if update_running:
-            unbiased = var * (cnt / (cnt - 1)) if cnt > 1 else var
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased
+        unbiased = var * (cnt / (cnt - 1)) if cnt > 1 else var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         xhat = rows - running_mean.astype(xd.dtype)
         var = running_var.astype(xd.dtype)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data

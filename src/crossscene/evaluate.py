@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PatchSource, labeled_refs, normalize_scene, write_atomic
+from .data import PatchSource, labeled_pixels, normalize_scene, write_atomic
 
 
 def confusion(preds, truths, num_classes):
@@ -66,7 +66,7 @@ def metrics(cm):
 
 
 def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
-    """Predict labeled pixels (or all pixels) -> (predictions raster, refs).
+    """Predict labeled pixels (or all pixels) -> (predictions raster, (n, 2) pixels).
 
     Deterministic raster ordering; eval-mode batch norm throughout; the
     trailing partial batch is kept.  Batches of 100 (the default training
@@ -76,19 +76,14 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     scene = normalize_scene(scene, config.normalization)
     src = PatchSource(scene, config.patch_size)
     if map_all:
-        refs = [(r, c) for r in range(scene.height) for c in range(scene.width)]
-        from .data import SampleRef
-        refs = [SampleRef(r, c, 0) for r, c in refs]
+        pixels = np.argwhere(np.ones((scene.height, scene.width), dtype=bool))
     else:
-        refs = labeled_refs(label_map)
+        pixels = labeled_pixels(label_map)
     raster = np.zeros((scene.height, scene.width), dtype=np.int32)
-    for start in range(0, len(refs), batch):
-        chunk = refs[start : start + batch]
-        pb = src.batch(chunk, with_labels=False)
-        preds = model.predict(pb.patches)
-        for ref, p in zip(chunk, preds):
-            raster[ref.row, ref.col] = p
-    return raster, refs
+    for start in range(0, len(pixels), batch):
+        chunk = pixels[start : start + batch]
+        raster[chunk[:, 0], chunk[:, 1]] = model.predict(src.batch(chunk).patches)
+    return raster, pixels
 
 
 def evaluate_scene(model, scene, label_map, config, map_all=False):

@@ -95,7 +95,7 @@ class Conv2d:
 class BatchNorm2d:
     """Per-channel batch norm; scale starts at 1, shift at 0.
 
-    Uses ``batch_norm2d``'s defaults: eps 1e-5, running-buffer momentum 0.1.
+    Uses ``batch_norm2d``'s constants: eps 1e-5, running-buffer momentum 0.1.
     """
 
     def __init__(self, channels, dtype, prefix):
@@ -285,10 +285,11 @@ def load_checkpoint(model, bin_path):
 
     Shapes and names must match exactly, and the entries must tile the
     binary: each one starts where the one before it (in index order) ends,
-    and the last one ends at the end of the file.  Every fault (unparseable
-    index, a missing or extra name, a shape mismatch, an unknown dtype tag,
-    a gap or overlap, a file shorter or longer than the index describes)
-    raises ``BundleError`` before any tensor is touched.
+    and the last one ends at the end of the file.  Every fault (an
+    unparseable index or one that is not an object of objects, a missing or
+    extra name, a shape mismatch, an unknown dtype tag, a gap or overlap, a
+    file shorter or longer than the index describes) raises ``BundleError``
+    before any tensor is touched.
     """
     bin_path = Path(bin_path)
     index_file = bin_path.with_name("index.json")
@@ -296,6 +297,8 @@ def load_checkpoint(model, bin_path):
         index = json.loads(index_file.read_text())
     except json.JSONDecodeError as e:
         raise BundleError(f"unparseable checkpoint index {index_file}: {e}") from e
+    if not (isinstance(index, dict) and all(isinstance(e, dict) for e in index.values())):
+        raise BundleError(f"checkpoint index {index_file} must map each tensor name to an object")
     raw = bin_path.read_bytes()
     state = model.named_state()
     if set(index) != set(state):
@@ -310,8 +313,8 @@ def load_checkpoint(model, bin_path):
         if entry.get("dtype") not in _TAG_DTYPES:
             raise BundleError(f"unknown dtype tag {entry.get('dtype')!r} for {name} in {index_file}")
         dtype = np.dtype(_TAG_DTYPES[entry["dtype"]])
-        shape = tuple(entry["shape"])
-        if shape != arr.shape:
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or tuple(shape) != arr.shape:
             raise BundleError(f"checkpoint shape mismatch for {name}: {shape} vs {arr.shape}")
         if entry.get("offset") != offset:
             raise BundleError(f"checkpoint index {index_file} puts {name} at byte "

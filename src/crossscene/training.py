@@ -24,7 +24,7 @@ import numpy as np
 
 from . import engine as E
 from .data import (NORMALIZATIONS, BundleError, PatchSource, batch_stream, cycled_batches,
-                   labeled_refs, normalize_scene, write_atomic)
+                   labeled_pixels, normalize_scene, write_atomic)
 from .discrepancy import KernelSpec, lmmd, one_hot
 from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_grads
 from .evaluate import aggregate_runs, evaluate_scene, format_report
@@ -93,19 +93,10 @@ class TrainConfig:
 # -- losses -------------------------------------------------------------------
 
 
-def cross_entropy(logits, targets, num_classes=None):
-    """Mean cross-entropy of logits, through the stable log-sum-exp path.
-
-    ``targets`` may be integer labels (1..C) or one-hot / soft rows (n, C).
-    """
-    targets = np.asarray(targets)
-    if targets.ndim == 1:
-        if num_classes is None:
-            num_classes = logits.shape[1]
-        if targets.min() < 1 or targets.max() > num_classes:
-            raise ValueError("label out of range")
-        targets = one_hot(targets, num_classes)
-    y = Tensor(targets.astype(logits.dtype))
+def cross_entropy(logits, labels, num_classes):
+    """Mean cross-entropy of logits against labels 1..C, through the stable
+    log-sum-exp path."""
+    y = Tensor(one_hot(labels, num_classes).astype(logits.dtype))
     per_sample = E.scale(E.tsum(E.mul(y, E.log_softmax(logits)), axis=1), -1.0)
     return E.tmean(per_sample)
 
@@ -236,14 +227,15 @@ def build_model(config, num_classes, input_bands):
 def fit(config, source, target, out_dir=None, deterministic=False):
     """Train on a (Scene, LabelMap) source and an unlabeled target scene.
 
-    Target labels are never read here; they stay in the bundle for later
+    Target label values are never read here: the target's labeled mask only
+    picks the pixels to adapt on, and the labels stay in the bundle for later
     evaluation.  With ``out_dir`` the checkpoint, the per-epoch history
     (one JSON record per line) and nothing else are written there.  In
     deterministic mode the wall-time field is recorded as 0 so reruns
     produce byte-identical artifacts.
     """
     src_scene, src_labels = source
-    tgt_scene, _tgt_labels = target
+    tgt_scene, tgt_labels = target
     if src_scene.bands != tgt_scene.bands:
         raise BundleError(
             f"band mismatch: source has {src_scene.bands} bands, target has {tgt_scene.bands}")
@@ -253,18 +245,18 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     num_classes = src_labels.num_classes
     model = build_model(config, num_classes, src_scene.bands)
 
-    src_refs = labeled_refs(src_labels)
-    tgt_refs = labeled_refs(_tgt_labels, hide_labels=True)
-    steps_per_epoch = len(src_refs) // config.batch
+    src_pixels = labeled_pixels(src_labels)
+    tgt_pixels = labeled_pixels(tgt_labels)
+    steps_per_epoch = len(src_pixels) // config.batch
     if steps_per_epoch == 0 and config.epochs > 0:
         raise ConfigError(
-            f"batch size {config.batch} exceeds the {len(src_refs)} labeled source pixels")
+            f"batch size {config.batch} exceeds the {len(src_pixels)} labeled source pixels")
 
     src_patches = PatchSource(src_scene, config.patch_size)
     tgt_patches = PatchSource(tgt_scene, config.patch_size)
     needs_target = config.ablation.use_lmmd or config.ablation.use_self_training
     stream_seeds = np.random.SeedSequence(config.seed).generate_state(2).tolist()
-    tgt_iter = cycled_batches(tgt_refs, config.batch, stream_seeds[1]) if needs_target else None
+    tgt_iter = cycled_batches(len(tgt_pixels), config.batch, stream_seeds[1])
 
     total_steps = config.epochs * steps_per_epoch
     done = 0
@@ -275,9 +267,10 @@ def fit(config, source, target, out_dir=None, deterministic=False):
         pseudo = 0
         seen = 0
         last_lr = None
-        for refs in batch_stream(src_refs, config.batch, stream_seeds[0], epoch):
-            sbatch = src_patches.batch(refs)
-            tbatch = tgt_patches.batch(next(tgt_iter), with_labels=False) if needs_target else None
+        for idx in batch_stream(len(src_pixels), config.batch, stream_seeds[0], epoch):
+            pixels = src_pixels[idx]
+            sbatch = src_patches.batch(pixels, src_labels.labels[pixels[:, 0], pixels[:, 1]])
+            tbatch = tgt_patches.batch(tgt_pixels[next(tgt_iter)]) if needs_target else None
             w = done / total_steps
             stats = train_step(model, sbatch, tbatch, config, w)
             done += 1

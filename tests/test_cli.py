@@ -364,6 +364,24 @@ def test_exit_code_band_mismatch(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("role", ["source", "target"])
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_exit_code_unlabeled_bundle(synth_dir, tmp_path, capsys, role, epochs):
+    blank = tmp_path / "blank"
+    shutil.copytree(synth_dir / "data" / role, blank)
+    (blank / "classes.json").unlink()  # its per-class counts would reject the blank raster first
+    (blank / "gt.bin").write_bytes(bytes(len((blank / "gt.bin").read_bytes())))
+    cfg = json.loads(_cfg_file(synth_dir, epochs=epochs).read_text())
+    cfg[f"{role}_bundle"] = str(blank)
+    bad = tmp_path / "blank.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"data error: {role} bundle {blank} has no labeled pixel"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("palette,message", [
     ('[[0, 0, 0], [255, 0', "malformed palette"),
     ("[[0, 0, 0], [255, 0, 0]]", "has 2 entries"),
@@ -426,15 +444,28 @@ def _overlap_second(index):
     index[second]["offset"] = index[first]["offset"] + 4
 
 
+def _write_index(text):
+    return lambda d: (d / "index.json").write_text(text)
+
+
+_CONV1 = "extractor.conv1.weight"
+
+
 @pytest.mark.parametrize("fault,extra,message", [
     (_truncate, [], "truncated"),
     (None, ["--set", "train.unit_channels=[8,16,8]"], "shape mismatch"),
-    (_edit_index(lambda ix: ix["extractor.conv1.weight"].update(dtype="f16")), [], "dtype tag"),
+    (_edit_index(lambda ix: ix[_CONV1].update(dtype="f16")), [], "dtype tag"),
     (_edit_index(_rename_first), [], "missing="),
     (_append_bytes, [], "trailing bytes"),
     (_edit_index(_overlap_second), [], "the entries before it end at"),
+    (_edit_index(lambda ix: ix[_CONV1].pop("shape")), [], "shape mismatch"),
+    (_edit_index(lambda ix: ix.update({_CONV1: [0, [32, 3, 3, 8]]})), [], "to an object"),
+    (_edit_index(lambda ix: ix[_CONV1].update(shape=5)), [], "shape mismatch"),
+    (_write_index("5"), [], "to an object"),
+    (_write_index("null"), [], "to an object"),
 ], ids=["truncated", "other-width", "dtype-tag", "name-mismatch", "appended-bytes",
-        "overlapping-offsets"])
+        "overlapping-offsets", "no-shape", "list-entry", "scalar-shape", "top-level-number",
+        "top-level-null"])
 def test_exit_code_bad_checkpoint(synth_dir, ckpt_dir, tmp_path, capsys, fault, extra, message):
     d = tmp_path / "ckpt"
     d.mkdir()

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from crossscene.config import resolve_config, save_config
-from crossscene.data import (BundleError, LabelMap, PatchSource, SampleRef, Scene, ShiftSpec,
-                             batch_stream, cycled_batches, extract_patch, labeled_refs,
-                             load_scene, normalize_scene, save_bundle, synth_domain_pair,
-                             write_atomic)
+from crossscene.data import (BundleError, LabelMap, PatchSource, Scene, ShiftSpec, batch_stream,
+                             cycled_batches, labeled_pixels, load_scene, normalize_scene,
+                             save_bundle, synth_domain_pair, write_atomic)
 from crossscene.evaluate import default_palette, write_map
 from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, save_checkpoint
 from crossscene.training import write_history
@@ -134,11 +133,15 @@ def test_normalize_none_is_identity(rng):
     assert np.array_equal(normalize_scene(scene, "none").cube, scene.cube)
 
 
+def _patches(scene, ps, pixels):
+    return PatchSource(scene, ps).batch(np.array(pixels).reshape(-1, 2)).patches.data
+
+
 def test_patch_center_identity(rng):
     scene, _ = _toy_scene(rng)
+    pixels = [(0, 0), (3, 4), (6, 8)]
     for ps in (1, 3, 5):
-        for row, col in [(0, 0), (3, 4), (6, 8)]:
-            patch = extract_patch(scene, row, col, ps)
+        for (row, col), patch in zip(pixels, _patches(scene, ps, pixels)):
             assert np.array_equal(patch[ps // 2, ps // 2], scene.cube[row, col])
 
 
@@ -146,84 +149,79 @@ def test_patch_mirror_layout_2x2():
     # scene [[a,b],[c,d]], patch at (0,0): [[d,c,d],[b,a,b],[d,c,d]]
     a, b, c, d = 1.0, 2.0, 3.0, 4.0
     cube = np.array([[[a], [b]], [[c], [d]]], dtype=np.float32)
-    patch = extract_patch(Scene(cube=cube), 0, 0, 3)[:, :, 0]
+    patch = _patches(Scene(cube=cube), 3, [(0, 0)])[0, :, :, 0]
     assert np.array_equal(patch, [[d, c, d], [b, a, b], [d, c, d]])
+
+
+def test_patch_pad_wider_than_scene():
+    # a 1x3 row [a b c] at ps 9 reflects again past each edge: a b c b a b c b a
+    a, b, c = 1.0, 2.0, 3.0
+    cube = np.array([[[a], [b], [c]]], dtype=np.float32)
+    patch = _patches(Scene(cube=cube), 9, [(0, 0)])[0, :, :, 0]
+    assert np.array_equal(patch, np.tile([a, b, c, b, a, b, c, b, a], (9, 1)))
 
 
 def test_patch_ps1_is_pixel(rng):
     scene, _ = _toy_scene(rng)
-    assert np.array_equal(extract_patch(scene, 2, 3, 1)[0, 0], scene.cube[2, 3])
+    assert np.array_equal(_patches(scene, 1, [(2, 3)])[0, 0, 0], scene.cube[2, 3])
 
 
 def test_patch_errors(rng):
     scene, _ = _toy_scene(rng)
     with pytest.raises(ValueError, match="odd"):
-        extract_patch(scene, 1, 1, 4)
-    with pytest.raises(ValueError, match="bounds"):
-        extract_patch(scene, -1, 0, 3)
+        PatchSource(scene, 4)
 
 
-def test_patch_source_matches_extract(rng):
-    scene, _ = _toy_scene(rng)
-    refs = [SampleRef(row, col, 0) for row in range(scene.height)
-            for col in range(0, scene.width, 3)]
-    for ps in (3, 5, 7, 9):  # pad larger than the scene exercises repeated reflection
-        patches = PatchSource(scene, ps).batch(refs, with_labels=False).patches.data
-        for ref, patch in zip(refs, patches):
-            assert np.array_equal(patch, extract_patch(scene, ref.row, ref.col, ps))
+def test_patch_batch_carries_pixels_and_labels(rng):
+    scene, labels = _toy_scene(rng)
+    pixels = labeled_pixels(labels)[:5]
+    batch = PatchSource(scene, 3).batch(pixels, labels.labels[pixels[:, 0], pixels[:, 1]])
+    assert np.array_equal(batch.refs, pixels) and len(batch) == 5
+    assert np.array_equal(batch.labels, [labels.labels[r, c] for r, c in pixels])
+    assert PatchSource(scene, 3).batch(pixels).labels is None
 
 
-def test_labeled_refs_raster_order_and_hiding():
+def test_labeled_pixels_raster_order():
     labels = np.array([[0, 2], [2, 1]])
-    refs = labeled_refs(LabelMap(labels=labels))
-    assert [(r.row, r.col, r.label) for r in refs] == [(0, 1, 2), (1, 0, 2), (1, 1, 1)]
-    hidden = labeled_refs(LabelMap(labels=labels), hide_labels=True)
-    assert all(r.label == 0 for r in hidden)
+    pixels = labeled_pixels(LabelMap(labels=labels))
+    assert pixels.tolist() == [[0, 1], [1, 0], [1, 1]]
 
 
 def test_batch_stream_counts_and_determinism():
-    refs = labeled_refs(LabelMap(labels=np.arange(1, 251).reshape(10, 25) % 3 + 1))
-    assert len(refs) == 250
-    batches = batch_stream(refs, 100, seed=4, epoch=0)
+    batches = batch_stream(250, 100, seed=4, epoch=0)
     assert len(batches) == 2  # floor(250 / 100)
-    again = batch_stream(refs, 100, seed=4, epoch=0)
-    assert batches == again
+    again = batch_stream(250, 100, seed=4, epoch=0)
+    assert all(np.array_equal(a, b) for a, b in zip(batches, again))
+    assert len(np.unique(np.concatenate(batches))) == 200
 
 
 def test_batch_stream_epochs_permute():
-    labels = np.ones((20, 50), dtype=int)  # 1000 refs
-    refs = labeled_refs(LabelMap(labels=labels))
-    e0 = [r for b in batch_stream(refs, 100, seed=1, epoch=0) for r in b]
-    e1 = [r for b in batch_stream(refs, 100, seed=1, epoch=1) for r in b]
-    assert e0 != e1
+    e0 = np.concatenate(batch_stream(1000, 100, seed=1, epoch=0))
+    e1 = np.concatenate(batch_stream(1000, 100, seed=1, epoch=1))
+    assert not np.array_equal(e0, e1)
 
 
 def test_batch_stream_errors():
     with pytest.raises(ValueError):
-        batch_stream([], 10, 0, 0)
-    refs = labeled_refs(LabelMap(labels=np.ones((2, 2), dtype=int)))
+        batch_stream(0, 10, 0, 0)
     with pytest.raises(ValueError):
-        batch_stream(refs, 0, 0, 0)
+        batch_stream(4, 0, 0, 0)
 
 
 def test_cycled_batches_cover_and_reshuffle():
-    refs = labeled_refs(LabelMap(labels=np.ones((3, 10), dtype=int)))  # 30 refs
-    it = cycled_batches(refs, 10, seed=2)
-    first_pass = [next(it) for _ in range(3)]
-    second_pass = [next(it) for _ in range(3)]
-    flat1 = sorted((r.row, r.col) for b in first_pass for r in b)
-    flat2 = sorted((r.row, r.col) for b in second_pass for r in b)
-    assert flat1 == flat2 == sorted((r.row, r.col) for r in refs)
-    assert first_pass != second_pass  # reshuffled between passes
+    it = cycled_batches(30, 10, seed=2)
+    first_pass = np.concatenate([next(it) for _ in range(3)])
+    second_pass = np.concatenate([next(it) for _ in range(3)])
+    assert sorted(first_pass) == sorted(second_pass) == list(range(30))
+    assert not np.array_equal(first_pass, second_pass)  # reshuffled between passes
 
 
 def test_cycled_batches_fewer_refs_than_batch():
-    refs = labeled_refs(LabelMap(labels=np.ones((1, 5), dtype=int)))  # 5 refs
-    it = cycled_batches(refs, 8, seed=3)
+    it = cycled_batches(5, 8, seed=3)
     batch = next(it)
     assert len(batch) == 8
-    assert set(batch) <= set(refs)  # sampled with wraparound
-    assert next(it) != batch  # reseeded per pass
+    assert set(batch.tolist()) <= set(range(5))  # sampled with wraparound
+    assert not np.array_equal(next(it), batch)  # reseeded per pass
 
 
 def test_synth_identity_shift_means_match():

@@ -93,7 +93,7 @@ def test_batchnorm_running_stats_update(rng):
     x = Tensor(rng.normal(loc=1.0, size=(4, 5, 5, 3)).astype(np.float32))
     gamma, beta = Parameter(np.ones(3)), Parameter(np.zeros(3))
     rm, rv = np.zeros(3), np.ones(3)
-    E.batch_norm2d(x, gamma, beta, rm, rv, training=True, momentum=0.1)
+    E.batch_norm2d(x, gamma, beta, rm, rv, training=True)
     mu = x.data.mean(axis=(0, 1, 2))
     assert np.allclose(rm, 0.1 * mu, atol=1e-6)
     # eval mode must not touch the buffers

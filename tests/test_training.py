@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossscene import engine as E
-from crossscene.data import PatchSource, labeled_refs, normalize_scene
+from crossscene.data import LabelMap, PatchSource, labeled_pixels, normalize_scene
 from crossscene.engine import NumericError, Tensor, zero_grads
 from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig
 from crossscene.training import (Ablation, LossWeights, build_model,
@@ -25,26 +25,20 @@ def _model(classes=3, bands=8, seed=0):
 
 def test_cross_entropy_uniform():
     logits = Tensor(np.zeros((5, 4), dtype=np.float32))
-    loss = cross_entropy(logits, np.array([1, 2, 3, 4, 1]))
+    loss = cross_entropy(logits, np.array([1, 2, 3, 4, 1]), 4)
     assert loss.item() == pytest.approx(math.log(4), rel=1e-6)
 
 
 def test_cross_entropy_saturated_is_near_zero():
     logits = np.full((3, 4), -30.0, dtype=np.float32)
     logits[np.arange(3), [0, 1, 2]] = 30.0
-    loss = cross_entropy(Tensor(logits), np.array([1, 2, 3]))
+    loss = cross_entropy(Tensor(logits), np.array([1, 2, 3]), 4)
     assert loss.item() < 1e-3
-
-
-def test_cross_entropy_soft_targets():
-    logits = Tensor(np.zeros((2, 3)))
-    soft = np.array([[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]])
-    assert cross_entropy(logits, soft).item() == pytest.approx(math.log(3), rel=1e-6)
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError, match="range"):
-        cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]))
+        cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]), 3)
 
 
 # -- pseudo-label selection ----------------------------------------------------
@@ -192,12 +186,12 @@ def _step_once(pair, cfg, seed=0, steps=1):
     tgt_scene = normalize_scene(tgt_scene, cfg.normalization)
     model = build_model(cfg, src_labels.num_classes, src_scene.bands)
     sp, tp = PatchSource(src_scene, cfg.patch_size), PatchSource(tgt_scene, cfg.patch_size)
-    srefs = labeled_refs(src_labels)
-    trefs = labeled_refs(tgt_labels, hide_labels=True)
+    spix, tpix = labeled_pixels(src_labels), labeled_pixels(tgt_labels)
     out = []
     for k in range(steps):
-        sb = sp.batch(srefs[k * cfg.batch : (k + 1) * cfg.batch])
-        tb = tp.batch(trefs[k * cfg.batch : (k + 1) * cfg.batch], with_labels=False)
+        chunk = spix[k * cfg.batch : (k + 1) * cfg.batch]
+        sb = sp.batch(chunk, src_labels.labels[chunk[:, 0], chunk[:, 1]])
+        tb = tp.batch(tpix[k * cfg.batch : (k + 1) * cfg.batch])
         out.append(train_step(model, sb, tb, cfg, progress=0.0))
     return model, out
 
@@ -240,9 +234,10 @@ def test_non_finite_loss_aborts(tiny_pair, tiny_config):
     model = build_model(tiny_config, src_labels.num_classes, src_scene.bands)
     model.head_cls.weight.data[...] = np.nan
     sp = PatchSource(normalize_scene(src_scene, "none"), 5)
-    refs = labeled_refs(src_labels)[:50]
+    pixels = labeled_pixels(src_labels)[:50]
+    batch = sp.batch(pixels, src_labels.labels[pixels[:, 0], pixels[:, 1]])
     with pytest.raises(NumericError, match="non-finite"):
-        train_step(model, sp.batch(refs), None, tiny_config, progress=0.0)
+        train_step(model, batch, None, tiny_config, progress=0.0)
 
 
 def test_fit_zero_epochs_keeps_init(tiny_pair, tiny_config, tmp_path):
@@ -273,8 +268,19 @@ def test_fit_history_and_lr_monotone(tiny_pair, tiny_config, tmp_path):
     assert len(lines) == 4
 
 
+def test_fit_ignores_target_label_values(tiny_pair, tiny_config, tmp_path):
+    tgt_scene, tgt_labels = tiny_pair[1]
+    relabeled = np.array([0, 3, 1, 2])[tgt_labels.labels]  # same labeled mask, classes permuted
+    assert (relabeled != tgt_labels.labels).any()
+    fit(tiny_config, tiny_pair[0], tiny_pair[1], out_dir=tmp_path / "a", deterministic=True)
+    fit(tiny_config, tiny_pair[0], (tgt_scene, LabelMap(labels=relabeled)),
+        out_dir=tmp_path / "b", deterministic=True)
+    for name in ("checkpoint.bin", "history.log"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_fit_band_mismatch(tiny_pair, tiny_config):
-    from crossscene.data import LabelMap, Scene
+    from crossscene.data import Scene
 
     (src_scene, src_labels), _ = tiny_pair
     bad = Scene(cube=np.zeros((10, 10, 5), dtype=np.float32))
