@@ -5,11 +5,12 @@ from __future__ import annotations
 import ctypes
 import os
 
-# Honor the thread-count env var before numpy spins up its BLAS pools.
-_threads = os.environ.get("CROSSSCENE_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+# BLAS threads per stream, set before numpy spins up its BLAS pools.  Training
+# and scene inference run two streams (engine.fork_join), so one thread each
+# fills two cores; CROSSSCENE_THREADS overrides the default of 1.
+_threads = os.environ.get("CROSSSCENE_THREADS") or "1"
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, _threads)
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -22,7 +23,11 @@ def set_allocator_policy():
     dynamic mmap threshold those come from new mmaps whose pages fault in on
     every training step.  Serving blocks below 32 MB from the heap and keeping
     up to 256 MB of freed heap top mapped lets each step reuse the last step's
-    pages.  Returns False, changing nothing, where libc has no ``mallopt``.
+    pages.  The two stream threads keep glibc's per-thread arenas: one shared
+    arena (``M_ARENA_MAX`` 1) gave a houston-shape run about 18 MB more peak
+    RSS, and a wider spread, likely because the threads' allocations then
+    interleave differently from run to run.  Returns False, changing nothing,
+    where libc has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

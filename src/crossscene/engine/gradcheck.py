@@ -192,6 +192,14 @@ def primitive_checks(seed=0):
     case("conv2d_per_tap", {"x": cx2, "w": cw2, "b": cb2},
          lambda x=cx2, w=cw2, b=cb2: _weighted(T.conv2d(x, w, b), np.random.default_rng(124)))
 
+    # batch_norm2d with its LeakyReLU epilogue, as the extractor calls it
+    lbx, lbg, lbb = _p(rng, (3, 5, 5, 4), "x"), _p(rng, (4,), "gamma"), _p(rng, (4,), "beta")
+    lrm, lrv = np.zeros(4), np.ones(4)
+    case("batch_norm2d_leaky", {"x": lbx, "gamma": lbg, "beta": lbb},
+         lambda x=lbx, g=lbg, b=lbb, rm=lrm, rv=lrv: _weighted(
+             T.batch_norm2d(x, g, b, rm, rv, training=True, slope=0.01),
+             np.random.default_rng(125)))
+
     return cases
 
 

@@ -4,7 +4,13 @@ This is the compute substrate for the whole classifier: a small tape of
 primitives (convolution, batch norm, activations, reductions) rather than a
 general autodiff system.  Every op records a vector-Jacobian product closure;
 ``Tensor.backward`` walks the tape in reverse topological order and
-accumulates gradients on the leaves.  Inside ``no_grad`` nothing is recorded.
+accumulates gradients on the leaves.  Inside ``no_grad`` nothing is recorded
+(in the calling thread only).
+
+Two independent subgraphs can run at once: ``fork_join`` runs one of them on
+a persistent second thread, and ``backward_pair`` walks two subgraphs that
+share only leaves on the two threads.  numpy releases the GIL inside its
+GEMMs and ufunc loops, so the two streams use two cores.
 
 Spatial maps are channels-last, (n, h, w, c), end to end: the layout patches
 are cut in, so no op or caller transposes activations.  Convolution kernels
@@ -19,6 +25,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,6 +119,9 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``.
 
         ``self`` must be scalar unless an explicit seed gradient is given.
+        The walk consumes the tape: each node drops its VJP closure and its
+        parents once it has been used, so the graph below ``self`` can be
+        walked only once.
         """
         if grad is None:
             if self.data.size != 1:
@@ -120,30 +131,74 @@ class Tensor:
             grad = np.asarray(grad, dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise ValueError("seed gradient shape mismatch")
-        if not self.requires_grad:
-            return
+        if self.requires_grad:
+            _accumulate(_leaf_grads(self, grad))
 
-        order = _topo_order(self)
-        grads = {id(self): grad}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
+
+def _leaf_grads(root, grad):
+    """{id(leaf): [leaf, summed gradient]} over the tape below ``root``.
+
+    Walks in reverse topological order.  Each node is dropped from the walk
+    as soon as its VJP has run: its closure and parent links are cleared, so
+    the arrays they kept alive are freed while the walk goes on, and it no
+    longer requires grad, so a second walk cannot mistake it for a leaf.
+    """
+    order = _topo_order(root)
+    grads = {id(root): grad}
+    leaves = {}
+    while order:
+        node = order.pop()
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            leaves[id(node)] = [node, g]
+            continue
+        parents, vjp = node._parents, node._vjp
+        node._parents, node._vjp = (), None
+        node.requires_grad = False
+        for parent, pg in zip(parents, vjp(g)):
+            if pg is None or not parent.requires_grad:
                 continue
-            if node._vjp is None:
-                # leaf: accumulate
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad += g
-                continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg
+    return leaves
+
+
+def _accumulate(leaves):
+    for leaf, g in leaves.values():
+        if leaf.grad is None:
+            leaf.grad = g.copy()
+        else:
+            leaf.grad += g
+
+
+def backward_pair(a, grad_a, b, grad_b):
+    """``a.backward(grad_a)`` and ``b.backward(grad_b)`` as one walk over both
+    would accumulate them, with the two subgraphs walked on two threads.
+
+    The subgraphs may share only leaves, and a shared leaf must get one
+    gradient from each: the two are added before the leaf's ``grad +=``, as
+    the one walk's running sum does (``G + (x + y)`` can round differently
+    from ``(G + x) + y``).  A ``None`` seed skips that subgraph.
+    """
+    seeded = [(t, np.asarray(g, dtype=t.dtype)) for t, g in ((a, grad_a), (b, grad_b))
+              if g is not None and t.requires_grad]
+    if len(seeded) < 2:
+        for t, g in seeded:
+            _accumulate(_leaf_grads(t, g))
+        return
+    (a, grad_a), (b, grad_b) = seeded
+    la, lb = fork_join(lambda: _leaf_grads(a, grad_a), lambda: _leaf_grads(b, grad_b))
+    for key, (leaf, g) in lb.items():
+        if key in la:
+            la[key][1] = la[key][1] + g
+        else:
+            la[key] = [leaf, g]
+    _accumulate(la)
 
 
 class Parameter(Tensor):
@@ -186,8 +241,11 @@ def _lift(x, dtype):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-# False inside ``no_grad``: ops then leave no tape edge behind.
-_recording = True
+class _TapeState(threading.local):
+    recording = True  # per thread; False inside ``no_grad``: ops leave no tape edge
+
+
+_tape = _TapeState()
 
 
 @contextlib.contextmanager
@@ -195,21 +253,48 @@ def no_grad():
     """Run ops without recording the tape: no output requires grad.
 
     Inference runs under it, so no VJP closure keeps an op's inputs alive
-    and each intermediate is freed as soon as the next op has read it.
+    and each intermediate is freed as soon as the next op has read it.  It
+    holds for the calling thread only; another thread keeps recording.
     """
-    global _recording
-    prev, _recording = _recording, False
+    prev, _tape.recording = _tape.recording, False
     try:
         yield
     finally:
-        _recording = prev
+        _tape.recording = prev
+
+
+# The side stream: its one thread starts at the first ``fork_join`` and then
+# stays, so a training step does not pay for a thread start.
+_side = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crossscene-stream")
+
+
+def fork_join(first, second):
+    """``(first(), second())``, with ``second`` run on the persistent side
+    thread while ``first`` runs on the caller.
+
+    An exception from ``first`` is raised only after ``second`` has finished,
+    so nothing is left running on the side thread.  ``second`` must not call
+    ``fork_join`` itself: it would wait on its own thread.
+    """
+    future = _side.submit(second)
+    try:
+        out = first()
+    except BaseException:
+        future.exception()
+        raise
+    return out, future.result()
+
+
+def _records(*parents):
+    """Whether an op on ``parents`` leaves a tape edge."""
+    return _tape.recording and any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, vjp):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = _recording and any(p.requires_grad for p in parents)
+    out.requires_grad = _records(*parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -418,9 +503,16 @@ def leaky_relu(x, negative_slope=0.01):
 
 
 def gelu(x):
-    """Exact erf form: x * Phi(x)."""
+    """Exact erf form: x * Phi(x).
+
+    ``erf`` runs on a float64 copy: scipy's float32 loop holds the GIL, the
+    float64 one does not, and rounding its result to float32 gives the float32
+    loop's bits.
+    """
     xd = x.data
-    cdf = 0.5 * (1.0 + _erf(xd * _INV_SQRT2))
+    cdf = _erf((xd * _INV_SQRT2).astype(np.float64, copy=False)).astype(xd.dtype, copy=False)
+    cdf += 1.0
+    cdf *= 0.5
     data = xd * cdf
 
     def vjp(g):
@@ -658,18 +750,27 @@ def depthwise_conv2d(x, w):
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5
 
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
-    """Per-channel batch normalization on NHWC maps.
+def batch_norm2d(x, gamma, beta, running_mean, running_var, training, slope=None):
+    """Per-channel batch normalization on NHWC maps, with an optional
+    LeakyReLU epilogue.
 
     Training mode normalizes with batch statistics (biased variance) and
-    folds an unbiased variance estimate into the running buffers in place.
-    Eval mode normalizes with the running buffers.
+    folds an unbiased variance estimate into the running buffers in place:
+    ``buf = (1 - BN_MOMENTUM) * buf + BN_MOMENTUM * stat``.  Eval mode
+    normalizes with the running buffers.
     Works on the (n*h*w, c) row view: one centred copy becomes ``xhat`` in
     place, and the backward pass allocates only the input gradient.
+
+    With ``slope`` the output is ``leaky_relu(bn, slope)``, bit for bit, but
+    the tape keeps ``xhat`` and the sign mask of the BN output instead of
+    the BN output itself (after In-Place Activated BatchNorm, Rota Bulo,
+    Porzi & Kontschieder 2018, which inverts the activation instead).
     """
     xd = x.data
     if xd.ndim != 4:
         raise ValueError("batch_norm2d expects an NHWC input")
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise ValueError(f"batch_norm2d needs a slope in [0, 1], got {slope}")
     shape = xd.shape
     c = shape[3]
     rows = xd.reshape(-1, c)
@@ -690,9 +791,17 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data
+    factor = None
+    if slope is not None:
+        if _records(x, gamma, beta):
+            factor = np.array([slope, 1.0], dtype=xd.dtype)
+            positive = out > 0
+        np.maximum(out, slope * out, out=out)
 
     def vjp(g):
         g = g.reshape(-1, c)
+        if factor is not None:
+            g = g * np.take(factor, positive)
         gbeta = g.sum(axis=0)
         ggamma = np.einsum("ij,ij->j", g, xhat)
         if training:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine as E
 from .data import PatchSource, labeled_pixels, normalize_scene, write_atomic
 
 
@@ -72,6 +73,8 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     trailing partial batch is kept.  Batches of 100 (the default training
     batch) keep every intermediate small enough for the allocator to reuse
     from one batch to the next instead of mapping fresh pages for each.
+    Two batches are scored at a time, the second on the engine's side thread;
+    a batch's predictions do not depend on the thread that scores it.
     """
     scene = normalize_scene(scene, config.normalization)
     src = PatchSource(scene, config.patch_size)
@@ -80,9 +83,16 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     else:
         pixels = labeled_pixels(label_map)
     raster = np.zeros((scene.height, scene.width), dtype=np.int32)
-    for start in range(0, len(pixels), batch):
-        chunk = pixels[start : start + batch]
+
+    def score(chunk):
         raster[chunk[:, 0], chunk[:, 1]] = model.predict(src.batch(chunk).patches)
+
+    for start in range(0, len(pixels), 2 * batch):
+        first, second = pixels[start : start + batch], pixels[start + batch : start + 2 * batch]
+        if len(second):
+            E.fork_join(lambda: score(first), lambda: score(second))
+        else:
+            score(first)
     return raster, pixels
 
 

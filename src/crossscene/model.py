@@ -93,7 +93,8 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel batch norm; scale starts at 1, shift at 0.
+    """Per-channel batch norm followed by LeakyReLU, as one engine op; scale
+    starts at 1, shift at 0.
 
     Uses ``batch_norm2d``'s constants: eps 1e-5, running-buffer momentum 0.1.
     """
@@ -105,9 +106,15 @@ class BatchNorm2d:
         self.running_var = np.ones(channels, dtype=np.float64)
         self.prefix = prefix
 
-    def __call__(self, x, training):
-        return E.batch_norm2d(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                              training=training)
+    def __call__(self, x, training, bn_updates=None):
+        running = (self.running_mean, self.running_var)
+        if training and bn_updates is not None:
+            # folded into zeros, the buffers end up holding exactly the
+            # momentum-scaled batch statistics: 0 * (1 - m) + m * stat
+            running = (np.zeros_like(self.running_mean), np.zeros_like(self.running_var))
+            bn_updates.append((self, *running))
+        return E.batch_norm2d(x, self.gamma, self.beta, *running, training=training,
+                              slope=LEAKY_SLOPE)
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -115,6 +122,15 @@ class BatchNorm2d:
     def buffers(self):
         return [(f"{self.prefix}.running_mean", self.running_mean),
                 (f"{self.prefix}.running_var", self.running_var)]
+
+
+def apply_bn_updates(bn_updates):
+    """Fold running-buffer updates deferred by ``features(..., bn_updates=)``
+    into the buffers, in the order the forward made them."""
+    for bn, mean_step, var_step in bn_updates:
+        for buf, step in ((bn.running_mean, mean_step), (bn.running_var, var_step)):
+            buf *= 1.0 - E.BN_MOMENTUM
+            buf += step
 
 
 class CenterAttentionBlock:
@@ -183,16 +199,20 @@ class FeatureExtractor:
         self.conv3 = Conv2d(w2, w3, rng, dtype, "extractor.conv3")
         self.bn3 = BatchNorm2d(w3, dtype, "extractor.bn3")
 
-    def __call__(self, patches, training):
-        """patches: Tensor (n, ps, ps, bands) -> pooled features (n, unit_channels[2])."""
+    def __call__(self, patches, training, bn_updates=None):
+        """patches: Tensor (n, ps, ps, bands) -> pooled features (n, unit_channels[2]).
+
+        With a ``bn_updates`` list, training-mode batch norm leaves the running
+        buffers alone and appends its updates there for ``apply_bn_updates``.
+        """
         if patches.shape[3] != self.config.input_bands:
             raise ValueError(
                 f"extractor built for {self.config.input_bands} bands, got {patches.shape[3]}")
-        h = E.leaky_relu(self.bn1(self.conv1(patches), training), LEAKY_SLOPE)
+        h = self.bn1(self.conv1(patches), training, bn_updates)
         if self.block is not None:
             h = self.block(h)
-        h = E.leaky_relu(self.bn2(self.conv2(h), training), LEAKY_SLOPE)
-        h = E.leaky_relu(self.bn3(self.conv3(h), training), LEAKY_SLOPE)
+        h = self.bn2(self.conv2(h), training, bn_updates)
+        h = self.bn3(self.conv3(h), training, bn_updates)
         return E.avg_pool2d(h)
 
     def parameters(self):
@@ -222,8 +242,8 @@ class DualHeadClassifier:
 
     # -- forward surfaces ----------------------------------------------
 
-    def features(self, patches, training):
-        return self.extractor(patches, training)
+    def features(self, patches, training, bn_updates=None):
+        return self.extractor(patches, training, bn_updates)
 
     def head_logits(self, z, head="cls"):
         if head == "cls":

@@ -1,8 +1,9 @@
 """Loss composition, pseudo-label routing, the training loop, and the run grid.
 
 Per step, the labeled source batch and the unlabeled target batch are
-forwarded separately (each domain normalizes with its own batch statistics;
-the running buffers accumulate from both).  The total loss is
+forwarded separately, on two threads (each domain normalizes with its own
+batch statistics; the running buffers accumulate from both, source first).
+The total loss is
 
     total = cls + lambda_lmmd * alignment + lambda_st * self_training
 
@@ -28,7 +29,8 @@ from .data import (NORMALIZATIONS, BundleError, PatchSource, batch_stream, cycle
 from .discrepancy import KernelSpec, lmmd, one_hot
 from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_grads
 from .evaluate import aggregate_runs, evaluate_scene, format_report
-from .model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, save_checkpoint
+from .model import (CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, apply_bn_updates,
+                    save_checkpoint)
 
 
 class ConfigError(ValueError):
@@ -160,7 +162,15 @@ def train_step(model, source_batch, target_batch, config, progress):
     """One optimization step; returns the step's loss components.
 
     The target batch may be None when neither alignment nor self-training is
-    enabled (a source-only arm); then the step is plain supervised SGD.
+    enabled (a source-only arm); then the step is plain supervised SGD on one
+    stream.  Otherwise the two extractor passes, which share nothing until the
+    loss, run as two streams (``E.fork_join``): the target's forward on the
+    engine's side thread, with its BN running-buffer updates deferred and
+    applied after the source's, as a serial forward orders them.  The heads
+    and losses run on leaf copies of the two feature batches; their gradients
+    then seed the two extractor walks, again run together
+    (``E.backward_pair``).  The step's bits are those of running both passes
+    one after the other on one thread.
     """
     abl = config.ablation
     weights = config.loss_weights
@@ -168,14 +178,23 @@ def train_step(model, source_batch, target_batch, config, progress):
     params = model.parameters()
     zero_grads(params)
 
-    z_s = model.features(source_batch.patches, training=True)
+    feat_t = z_t = None
+    if target_batch is not None and (abl.use_lmmd or abl.use_self_training):
+        bn_updates = []
+        feat_s, feat_t = E.fork_join(
+            lambda: model.features(source_batch.patches, training=True),
+            lambda: model.features(target_batch.patches, training=True, bn_updates=bn_updates))
+        apply_bn_updates(bn_updates)
+        z_t = Tensor(feat_t.data, requires_grad=True)
+    else:
+        feat_s = model.features(source_batch.patches, training=True)
+    z_s = Tensor(feat_s.data, requires_grad=True)
     l_cls = source_classification_loss(model, z_s, source_batch.labels)
 
     l_lmmd = None
     l_st = None
     pseudo_count = 0
-    if target_batch is not None and (abl.use_lmmd or abl.use_self_training):
-        z_t = model.features(target_batch.patches, training=True)
+    if z_t is not None:
         p_t = E.softmax(model.head_logits(z_t, "cls")).detach()
         if abl.use_lmmd:
             ys = one_hot(source_batch.labels, model.num_classes)
@@ -191,6 +210,7 @@ def train_step(model, source_batch, target_batch, config, progress):
             f"lmmd={l_lmmd.item() if l_lmmd is not None else 0:.6g}, "
             f"st={l_st.item() if l_st is not None else 0:.6g})")
     total.backward()
+    E.backward_pair(feat_s, z_s.grad, feat_t, z_t.grad if z_t is not None else None)
     sgd_momentum_step(params, lr, config.momentum, config.weight_decay)
     return StepStats(
         lr=lr,

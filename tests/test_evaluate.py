@@ -167,10 +167,12 @@ def test_predict_scene_independent_of_batch(tiny_pair, tiny_config):
     (src_scene, src_labels), _ = tiny_pair
     model = build_model(tiny_config, src_labels.num_classes, src_scene.bands)
     full, _ = predict_scene(model, src_scene, src_labels, tiny_config, map_all=True, batch=500)
-    for batch in (1, 7, 100):
-        raster, _ = predict_scene(model, src_scene, src_labels, tiny_config, map_all=True,
-                                  batch=batch)
+    raster_order = np.argwhere(np.ones(src_labels.labels.shape, dtype=bool))
+    for batch in (1, 7, 100):  # two batches at a time, on two threads
+        raster, pixels = predict_scene(model, src_scene, src_labels, tiny_config, map_all=True,
+                                       batch=batch)
         assert np.array_equal(raster, full)
+        assert np.array_equal(pixels, raster_order)
 
 
 @pytest.mark.slow

@@ -1,5 +1,7 @@
 """Network construction, the attention block contracts, heads, checkpoints."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,37 @@ def test_pseudo_head_never_touches_inference(tiny_pair, rng):
     m.head_psd.weight.data += 123.0
     m.head_psd.bias.data -= 7.0
     assert np.array_equal(before, m.predict(x))
+
+
+def test_overlapping_predicts_leave_recording_on(rng):
+    """Two ``predict`` calls whose ``no_grad`` spans overlap (enter, enter,
+    exit, exit) leave the tape recording in every thread afterwards."""
+    m = _model()
+    x = Tensor(rng.normal(size=(3, 5, 5, 6)).astype(np.float32))
+    both_inside = threading.Barrier(2, timeout=10)
+    first_done = threading.Event()
+    features = m.features
+
+    def gated(*args, **kwargs):
+        both_inside.wait()
+        if threading.current_thread().name == "second":
+            first_done.wait(10)
+        return features(*args, **kwargs)
+
+    m.features = gated
+
+    def first():
+        m.predict(x)
+        first_done.set()
+
+    threads = [threading.Thread(target=first, name="first"),
+               threading.Thread(target=m.predict, args=(x,), name="second")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert E.mul(E.Parameter(np.ones(2)), E.Parameter(np.ones(2))).requires_grad
 
 
 def test_extractor_config_validation():

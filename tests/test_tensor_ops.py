@@ -1,5 +1,8 @@
 """Forward semantics and tape behavior of the engine primitives."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,31 @@ def test_batchnorm_running_stats_update(rng):
     before = rm.copy()
     E.batch_norm2d(x, gamma, beta, rm, rv, training=False)
     assert np.array_equal(rm, before)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_epilogue_equals_bn_then_leaky_relu(rng, training):
+    """The fused LeakyReLU gives the bits of the two ops it replaces: output,
+    input, scale and shift gradients, and the running buffers."""
+    f32 = np.float32
+    x = rng.normal(loc=0.3, size=(6, 5, 5, 4)).astype(f32)
+    g = rng.normal(size=x.shape).astype(f32)
+    gamma0, beta0 = rng.normal(size=4).astype(f32), rng.normal(size=4).astype(f32)
+
+    def run(fused):
+        t, gamma, beta = Tensor(x, requires_grad=True), Parameter(gamma0), Parameter(beta0)
+        rm, rv = np.full(4, 0.2), np.full(4, 1.5)
+        if fused:
+            out = E.batch_norm2d(t, gamma, beta, rm, rv, training=training, slope=0.01)
+        else:
+            out = E.leaky_relu(E.batch_norm2d(t, gamma, beta, rm, rv, training=training), 0.01)
+        out.backward(g)
+        return out.data, t.grad, gamma.grad, beta.grad, rm, rv
+
+    fused, plain = run(True), run(False)
+    assert (fused[0] < 0).any() and (fused[0] > 0).any()  # both slopes are taken
+    for a, b in zip(fused, plain):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _bn_reference(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5):
@@ -354,6 +382,57 @@ def test_no_grad_records_no_tape(rng):
     assert not y.requires_grad and y._vjp is None and y._parents == ()
     assert np.array_equal(y.data, taped.data)
     assert E.conv2d(x, w).requires_grad  # recording resumes on exit
+
+
+def test_no_grad_is_per_thread():
+    """``no_grad`` in one thread stops recording there and nowhere else."""
+    p = Parameter(np.ones(2))
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def other():
+        with E.no_grad():
+            entered.set()
+            release.wait(10)
+            seen["other"] = E.mul(p, p).requires_grad
+
+    t = threading.Thread(target=other)
+    t.start()
+    assert entered.wait(10)
+    seen["this"] = E.mul(p, p).requires_grad  # while the other thread is inside no_grad
+    release.set()
+    t.join(10)
+    assert not t.is_alive()
+    assert seen == {"this": True, "other": False}
+
+
+def test_no_grad_state_survives_fast_thread_switching():
+    """Four threads entering and leaving ``no_grad`` at a 1 us switch interval
+    each see only their own recording state."""
+    p = Parameter(np.ones(2))
+    wrong = []
+
+    def toggle(k):
+        for i in range(300):
+            if (i + k) % 2:
+                with E.no_grad():
+                    if E.mul(p, p).requires_grad:
+                        wrong.append((k, i))
+            elif not E.mul(p, p).requires_grad:
+                wrong.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=toggle, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_no_grad_restores_recording_after_error():

@@ -1,18 +1,25 @@
 """Loss contracts, gradient routing between the heads, and the training loop."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crossscene import engine as E
 from crossscene.data import LabelMap, PatchSource, labeled_pixels, normalize_scene
-from crossscene.engine import NumericError, Tensor, zero_grads
+from crossscene.engine import (NumericError, Tensor, lr_schedule, sgd_momentum_step,
+                               zero_grads)
 from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig
-from crossscene.training import (Ablation, LossWeights, build_model,
+from crossscene.discrepancy import lmmd, one_hot
+from crossscene.training import (Ablation, LossWeights, StepStats, TrainConfig, build_model,
                                  cross_entropy, fit, select_pseudo,
                                  self_training_loss, source_classification_loss,
-                                 total_loss, train_step, write_history)
+                                 total_loss, train_step, with_changes, write_history)
 
 
 def _model(classes=3, bands=8, seed=0):
@@ -194,6 +201,112 @@ def _step_once(pair, cfg, seed=0, steps=1):
         tb = tp.batch(tpix[k * cfg.batch : (k + 1) * cfg.batch])
         out.append(train_step(model, sb, tb, cfg, progress=0.0))
     return model, out
+
+
+def serial_train_step(model, source_batch, target_batch, config, progress):
+    """The oracle for ``train_step``: both extractor passes and one backward
+    walk over the whole step, one after the other on the calling thread."""
+    abl = config.ablation
+    weights = config.loss_weights
+    lr = lr_schedule(progress, config.lr0, config.alpha, config.beta)
+    params = model.parameters()
+    zero_grads(params)
+
+    z_s = model.features(source_batch.patches, training=True)
+    l_cls = source_classification_loss(model, z_s, source_batch.labels)
+
+    l_lmmd = None
+    l_st = None
+    pseudo_count = 0
+    if target_batch is not None and (abl.use_lmmd or abl.use_self_training):
+        z_t = model.features(target_batch.patches, training=True)
+        p_t = E.softmax(model.head_logits(z_t, "cls")).detach()
+        if abl.use_lmmd:
+            ys = one_hot(source_batch.labels, model.num_classes)
+            l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
+        if abl.use_self_training:
+            l_st, pseudo_count = self_training_loss(
+                model, z_t, p_t, weights, use_pseudo_head=abl.use_pseudo_head)
+
+    total = total_loss(l_cls, l_lmmd, l_st, weights, abl)
+    total.backward()
+    sgd_momentum_step(params, lr, config.momentum, config.weight_decay)
+    return StepStats(
+        lr=lr,
+        loss_total=float(total.item()),
+        loss_cls=float(l_cls.item()),
+        loss_lmmd=float(l_lmmd.item()) if l_lmmd is not None else 0.0,
+        loss_st=float(l_st.item()) if l_st is not None else 0.0,
+        pseudo_count=pseudo_count,
+        batch_size=len(source_batch.refs),
+    )
+
+
+STREAM_ARMS = {
+    "full": {},
+    "attention off": {"ablation": {"use_attention": False}},
+    "source only": {"ablation": {"use_lmmd": False, "use_self_training": False}},
+}
+
+
+def compare_streamed_to_serial(steps=3):
+    """{arm: [names of state arrays whose bits differ, pseudo labels taken]}
+    after ``steps`` of ``train_step`` and of ``serial_train_step`` from one
+    init on the ``tiny_pair`` domains."""
+    from crossscene.data import ShiftSpec, synth_domain_pair
+
+    (src, src_labels), (tgt, tgt_labels) = synth_domain_pair(
+        num_classes=3, bands=8, blob_grid=3, blob_size=5, shift=ShiftSpec(1.3, 0.1),
+        noise_sigma=0.05, seed=7)
+    base = TrainConfig(epochs=2, batch=50, patch_size=5, normalization="none",
+                       unit_channels=(16, 32, 16), seed=0,
+                       loss_weights=LossWeights(tau=0.4))  # low enough to take pseudo labels
+    sp, tp = PatchSource(src, base.patch_size), PatchSource(tgt, base.patch_size)
+    spix, tpix = labeled_pixels(src_labels), labeled_pixels(tgt_labels)
+    out = {}
+    for arm, changes in STREAM_ARMS.items():
+        cfg = with_changes(base, changes)
+        needs_target = cfg.ablation.use_lmmd or cfg.ablation.use_self_training
+        streamed, serial = (build_model(cfg, src_labels.num_classes, src.bands) for _ in range(2))
+        pseudo = 0
+        for k in range(steps):
+            chunk = spix[k * cfg.batch : (k + 1) * cfg.batch]
+            sb = sp.batch(chunk, src_labels.labels[chunk[:, 0], chunk[:, 1]])
+            tb = tp.batch(tpix[k * cfg.batch : (k + 1) * cfg.batch]) if needs_target else None
+            a = train_step(streamed, sb, tb, cfg, progress=k / steps)
+            b = serial_train_step(serial, sb, tb, cfg, progress=k / steps)
+            assert a == b, (arm, k, a, b)
+            pseudo += a.pseudo_count
+        mine, oracle = _training_state(streamed), _training_state(serial)
+        out[arm] = [[name for name in oracle if mine[name].tobytes() != oracle[name].tobytes()],
+                    pseudo]
+    return out
+
+
+def _training_state(model):
+    """Parameters, BN running buffers and momentum buffers, by name."""
+    state = dict(model.named_state())
+    state.update({f"{p.name}.momentum": p.momentum for p in model.parameters()})
+    return state
+
+
+def test_streamed_train_step_matches_serial_oracle():
+    """Parameters, momentum and BN running buffers are bit for bit those of
+    the serial step.  Run in a fresh process at one BLAS thread per stream,
+    so the thread count is pinned and the two streams overlap."""
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(CROSSSCENE_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = ("import crossscene.cli, json, test_training; "
+            "print(json.dumps(test_training.compare_streamed_to_serial()))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert {arm: differ for arm, (differ, _) in result.items()} == {arm: [] for arm in STREAM_ARMS}
+    assert result["full"][1] > 0  # the self-training path ran
 
 
 def test_init_loss_near_log_c(tiny_pair, tiny_config):
