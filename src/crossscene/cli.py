@@ -48,7 +48,8 @@ from .checks import GRADCHECK_TOLERANCE, run_all_checks
 from .config import ConfigError, PRESETS, resolve_config, save_config
 from .data import BundleError, ShiftSpec, load_scene, save_bundle, synth_domain_pair, write_atomic
 from .engine import NumericError
-from .evaluate import default_palette, evaluate_scene, format_mean_std, format_report, write_map
+from .evaluate import (default_palette, evaluate_scene, format_mean_std, format_report,
+                       predict_scene, write_map)
 from .model import load_checkpoint
 from .training import build_model, run_grid
 
@@ -202,8 +203,14 @@ def cmd_train(args):
     return 0
 
 
-def _restore_model(args, cfg):
+def _restore_model(args, cfg, labeled=True):
+    """The checkpoint's model and the bundle; ``labeled``: the bundle must
+    have a labeled pixel."""
     scene, labels = load_scene(args.bundle)
+    if labeled and not labels.labels.any():
+        raise BundleError(f"bundle {args.bundle} has no labeled pixel")
+    if not labels.num_classes:  # no labeled pixel and no classes.json
+        raise BundleError(f"bundle {args.bundle} has no labeled pixel and names no class")
     model = build_model(cfg.train, labels.num_classes, scene.bands)
     ckpt = Path(args.checkpoint)
     if not ckpt.is_file():
@@ -240,12 +247,15 @@ def _load_palette(path, num_classes):
 
 def cmd_map(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
-    model, scene, labels = _restore_model(args, cfg)
+    model, scene, labels = _restore_model(args, cfg, labeled=not args.all_pixels)
     if args.palette:
         palette = _load_palette(args.palette, labels.num_classes)
     else:
         palette = default_palette(labels.num_classes)
-    _, raster = evaluate_scene(model, scene, labels, cfg.train, map_all=args.all_pixels)
+    if labels.labels.any():
+        _, raster = evaluate_scene(model, scene, labels, cfg.train, map_all=args.all_pixels)
+    else:  # an unlabeled scene: nothing to score, every pixel to map
+        raster, _ = predict_scene(model, scene, labels, cfg.train, map_all=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_map(raster, palette, out / "map.ppm")

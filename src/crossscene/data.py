@@ -249,6 +249,12 @@ class PatchSource:
             out[i] = self._padded[r : r + ps, c : c + ps]
         return PatchBatch(patches=Tensor(out), labels=labels, refs=pixels)
 
+    def rows(self, start, stop):
+        """The padded rows the patches centred on rows start..stop-1 cover:
+        (stop - start + ps - 1, width + ps - 1, bands), a view.  The patch of
+        pixel (r, c) is its window whose top-left is (r - start, c)."""
+        return self._padded[start : stop + self.ps - 1]
+
 
 # -- sample enumeration and batch streams ------------------------------------
 

@@ -597,9 +597,7 @@ def conv2d(x, w, b=None):
         )
     xd = x.data
     c, c_out = xd.shape[3], w.data.shape[0]
-    # contiguous per-tap kernels: with a strided view OpenBLAS rounded one
-    # 5x5 image at 32 -> 16 differently alone than in a batch
-    taps = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0)).reshape(9, c, c_out)
+    taps = _tap_kernels(w.data)
     out = _conv3x3(xd, taps)
     if b is not None:
         out += b.data
@@ -621,6 +619,14 @@ def conv2d(x, w, b=None):
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, vjp)
+
+
+def _tap_kernels(wd):
+    """(c_out, c_in, 3, 3) -> (9, c_in, c_out) per-tap kernels, taps in raster
+    order.  Contiguous: with a strided view OpenBLAS rounded one 5x5 image at
+    32 -> 16 differently alone than in a batch."""
+    c_out, c = wd.shape[:2]
+    return np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(9, c, c_out)
 
 
 def _conv3x3(xd, taps):
@@ -681,6 +687,60 @@ def _conv_per_tap(xd, taps):
         np.matmul(rows, taps[k], out=part.reshape(-1, b))
         out[:, oi, oj] += part[:, ii, ij]
     return out
+
+
+def conv2d_windows(xd, wd, bd, ps):
+    """Forward-only ``conv2d`` with bias of every ps x ps window of one
+    (h, w, c_in) map, each window zero-padded on its own, as if the windows
+    were cut out and batched.
+
+    A window position's output depends on the window only through which taps
+    stay inside it: all nine in the interior, a subset on the window's top,
+    bottom, left or right edge, the centre tap alone at ps = 1.  So the map
+    is convolved once per border class (top, middle or bottom row x left,
+    middle or right column; one class at ps = 1), each class only over the
+    map rows where it occurs in some window.  A class adds its taps in order
+    0..8 onto zeros, the subset of what ``_conv_per_tap`` adds.  So on the
+    per-tap side (c_in > c_out) a window cut from the classes is bit for bit
+    its batched conv wherever a per-tap GEMM gives a row the same bits at any
+    row count.
+
+    Returns (out, index): ``out`` (m, c_out) holds the class maps, w pixels
+    wide, one after the other; ``index`` (ps, ps) holds the row of ``out``
+    for each position of the window at (0, 0).  The window whose top-left
+    map pixel is (t, s) reads rows ``index + t*w + s``.
+    """
+    h, w, c = xd.shape
+    if h < ps or w < ps:
+        raise ValueError(f"conv2d_windows needs a map of at least {ps}x{ps}, got {h}x{w}")
+    taps = _tap_kernels(wd)
+    b = taps.shape[2]
+    # per class along one axis: its first and last window position, the taps it keeps
+    axis = [(0, 0, (1,))] if ps == 1 else [(0, 0, (1, 2)), (1, ps - 2, (0, 1, 2)),
+                                          (ps - 1, ps - 1, (0, 1))]
+    n = len(axis)
+    counts = [h - ps + 1 + last - first for first, last, _ in axis]  # map rows per row class
+    starts = np.cumsum([0] + [counts[r] * w for r in range(n) for _ in range(n)])
+    out = np.zeros((starts[-1], b), dtype=xd.dtype)
+    maps = [out[starts[i] : starts[i + 1]].reshape(-1, w, b) for i in range(n * n)]
+    rows = xd.reshape(-1, c)
+    part = np.empty((h, w, b), dtype=xd.dtype)
+    for k in range(9):
+        ki, kj = divmod(k, 3)
+        users = [(r, s) for r in range(n) for s in range(n)
+                 if ki in axis[r][2] and kj in axis[s][2]]
+        if not users:
+            continue
+        np.matmul(rows, taps[k], out=part.reshape(-1, b))
+        oj, ij = _SHIFTS[1 - kj]
+        for r, s in users:
+            top = axis[r][0] + ki - 1  # the part row read by the class map's first row
+            maps[n * r + s][:, oj] += part[top : top + counts[r], ij]
+    out += bd
+    cls = [0] if ps == 1 else [0] + [1] * (ps - 2) + [2]
+    index = np.array([[starts[n * cls[i] + cls[j]] + (i - axis[cls[i]][0]) * w + j
+                       for j in range(ps)] for i in range(ps)], dtype=np.int64)
+    return out, index
 
 
 def _conv_weight_grad(xd, g, gcols=None):

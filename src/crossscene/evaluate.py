@@ -66,6 +66,13 @@ def metrics(cm):
     )
 
 
+# The most stem-map bytes one row strip may hold in scene inference (a strip
+# holds at least one pixel row's maps, even where that is more).  Each of the
+# two streams holds one strip at a time; maps of the whole 80x80 hyrank-shape
+# scene raised the peak RSS of a map run by half.
+STRIP_BYTES = 4 << 20
+
+
 def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     """Predict labeled pixels (or all pixels) -> (predictions raster, (n, 2) pixels).
 
@@ -73,27 +80,76 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     trailing partial batch is kept.  Batches of 100 (the default training
     batch) keep every intermediate small enough for the allocator to reuse
     from one batch to the next instead of mapping fresh pages for each.
-    Two batches are scored at a time, the second on the engine's side thread;
+    Each batch is one ``model.predict`` call.  Two streams, the caller and
+    the engine's side thread, take alternate strips of consecutive batches;
     a batch's predictions do not depend on the thread that scores it.
+
+    When the extractor ``shares_stem``, overlapping patches share their
+    position-wise layers (conv1, bn1 and the block's key and value maps).
+    A strip then spans a few pixel rows, and if its pixels are dense enough
+    to pay for it, it computes its stem maps once (at most ``STRIP_BYTES``
+    of them) and gathers each batch's stems from them, bit for bit the stems
+    of the batch's patches.  Otherwise batches are cut as patches, and each
+    strip is one batch.
     """
     scene = normalize_scene(scene, config.normalization)
-    src = PatchSource(scene, config.patch_size)
+    ps = config.patch_size
+    src = PatchSource(scene, ps)
     if map_all:
         pixels = np.argwhere(np.ones((scene.height, scene.width), dtype=bool))
     else:
         pixels = labeled_pixels(label_map)
     raster = np.zeros((scene.height, scene.width), dtype=np.int32)
+    batches = [pixels[start : start + batch] for start in range(0, len(pixels), batch)]
 
-    def score(chunk):
-        raster[chunk[:, 0], chunk[:, 1]] = model.predict(src.batch(chunk).patches)
+    extractor = model.extractor
+    width = scene.width + ps - 1
 
-    for start in range(0, len(pixels), 2 * batch):
-        first, second = pixels[start : start + batch], pixels[start + batch : start + 2 * batch]
-        if len(second):
-            E.fork_join(lambda: score(first), lambda: score(second))
-        else:
-            score(first)
+    def class_rows(h):
+        """Rows of the class maps for h pixel rows, each ``width`` long (see
+        ``engine.conv2d_windows``)."""
+        return 3 * (3 * h + ps - 3)
+
+    maps = 1 if extractor.block is None else 3  # h, key, value
+    row_bytes = width * maps * extractor.config.unit_channels[0] * model.dtype.itemsize
+    max_rows = max(1, (STRIP_BYTES // row_bytes - class_rows(0)) // 9)
+
+    def score_strips(strips):
+        for strip in strips:
+            top, stop = strip[0][0, 0], strip[-1][-1, 0] + 1
+            stems = None
+            # at the hyrank and houston shapes a class-map position costs
+            # about half what a patch position does (measured)
+            if (extractor.shares_stem and stop - top <= max_rows
+                    and 2 * sum(map(len, strip)) * ps * ps >= class_rows(stop - top) * width):
+                stems = extractor.window_stems(src.rows(top, stop))
+            for chunk in strip:
+                x = src.batch(chunk).patches if stems is None else stems.gather(chunk - (top, 0))
+                raster[chunk[:, 0], chunk[:, 1]] = model.predict(x)
+
+    strips = _row_strips(batches, max_rows) if extractor.shares_stem else [[b] for b in batches]
+    E.fork_join(lambda: score_strips(strips[0::2]), lambda: score_strips(strips[1::2]))
     return raster, pixels
+
+
+def _row_strips(batches, max_rows):
+    """Consecutive raster-ordered batches grouped into strips.  The pixel rows
+    are cut into an even number of equal spans of at most ``max_rows``, so
+    the two streams get equal shares, and a strip takes batches while its
+    pixels fit in one span's height; a batch taller than that is a strip of
+    its own."""
+    if not batches:
+        return []
+    span = batches[-1][-1, 0] - batches[0][0, 0] + 1
+    count = 2 * -(-span // (2 * max_rows))
+    rows = -(-span // count)
+    strips = []
+    for chunk in batches:
+        if strips and chunk[-1, 0] - strips[-1][0][0, 0] < rows:
+            strips[-1].append(chunk)
+        else:
+            strips.append([chunk])
+    return strips
 
 
 def evaluate_scene(model, scene, label_map, config, map_all=False):

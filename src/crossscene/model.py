@@ -21,7 +21,7 @@ import numpy as np
 
 from . import engine as E
 from .data import BundleError, write_atomic
-from .engine import Parameter
+from .engine import Parameter, Tensor
 
 BLOCK_VARIANTS = ("a", "b", "c", "d")
 LEAKY_SLOPE = 0.01
@@ -150,37 +150,74 @@ class CenterAttentionBlock:
         self.dw_kernel = Parameter(kaiming_normal(rng, (channels, 3, 3), 9, dtype=dtype),
                                    name=f"{prefix}.dw_kernel")
 
-    def __call__(self, x):
-        n, h, w, c = x.shape
-        if c != self.channels:
-            raise ValueError(f"block built for {self.channels} channels, got {c}")
-        if h != w or h % 2 == 0:
-            raise ValueError("block needs square odd spatial dims")
+    def key_value(self, x):
+        """The position-wise half: the key and value maps of x (..., c), as
+        (m, c) rows."""
         variant = self.config.variant
-        p = h * w
-
-        flat = E.reshape(x, (n * p, c))
+        flat = E.reshape(x, (-1, self.channels))
         k = self.key(flat)
         if variant in ("b", "d"):
             k = E.gelu(k)
         v = self.value(flat)
         if variant == "d":
             v = E.gelu(v)
+        return k, v
+
+    def __call__(self, x, key=None, value=None):
+        """The per-patch half on x (n, h, w, c), with ``key_value(x)`` unless
+        its key and value maps are given, in any shape that holds (n*h*w, c)."""
+        n, h, w, c = x.shape
+        if c != self.channels:
+            raise ValueError(f"block built for {self.channels} channels, got {c}")
+        if h != w or h % 2 == 0:
+            raise ValueError("block needs square odd spatial dims")
+        if key is None:
+            key, value = self.key_value(x)
+        p = h * w
         q = self.query(E.center_pixel(x))  # (n, c)
 
-        scores = E.tsum(E.mul(E.reshape(k, (n, p, c)), E.reshape(q, (n, 1, c))), axis=2)
-        gate = E.mul(E.reshape(v, (n, p, c)),
+        scores = E.tsum(E.mul(E.reshape(key, (n, p, c)), E.reshape(q, (n, 1, c))), axis=2)
+        gate = E.mul(E.reshape(value, (n, p, c)),
                      E.reshape(E.scale(scores, 1.0 / math.sqrt(h)), (n, p, 1)))
         gate_map = E.reshape(gate, (n, h, w, c))
 
         conv_stream = E.depthwise_conv2d(x, self.dw_kernel)
-        if variant == "c":
+        if self.config.variant == "c":
             conv_stream = E.gelu(conv_stream)
         return E.add(E.mul(gate_map, conv_stream), x)
 
     def parameters(self):
         return (self.key.parameters() + self.value.parameters()
                 + self.query.parameters() + [self.dw_kernel])
+
+
+@dataclass
+class Stem:
+    """The extractor's position-wise layers on a batch of patches: bn1(conv1)
+    maps h and, with the attention block, its key and value maps."""
+
+    h: Tensor
+    key: Tensor | None = None
+    value: Tensor | None = None
+
+
+@dataclass
+class WindowStems:
+    """The stem of every window of a map, held once per map position and
+    border class (``FeatureExtractor.window_stems``).
+
+    maps: h, then key and value if the block exists, each (m, c) rows;
+    index: (ps, ps) rows of the window at (0, 0); width: the map's width.
+    """
+
+    maps: list
+    index: np.ndarray
+    width: int
+
+    def gather(self, tops):
+        """The Stem of the windows whose top-left map pixels are the (n, 2) ``tops``."""
+        rows = (tops[:, 0] * self.width + tops[:, 1])[:, None, None] + self.index
+        return Stem(*(Tensor(np.take(m, rows, axis=0)) for m in self.maps))
 
 
 class FeatureExtractor:
@@ -199,21 +236,64 @@ class FeatureExtractor:
         self.conv3 = Conv2d(w2, w3, rng, dtype, "extractor.conv3")
         self.bn3 = BatchNorm2d(w3, dtype, "extractor.bn3")
 
-    def __call__(self, patches, training, bn_updates=None):
-        """patches: Tensor (n, ps, ps, bands) -> pooled features (n, unit_channels[2]).
+    def stem(self, patches, training, bn_updates=None):
+        """The position-wise layers on patches (n, ps, ps, bands): a Stem."""
+        if patches.shape[3] != self.config.input_bands:
+            raise ValueError(
+                f"extractor built for {self.config.input_bands} bands, got {patches.shape[3]}")
+        return self._with_key_value(self.bn1(self.conv1(patches), training, bn_updates))
+
+    def _with_key_value(self, h):
+        if self.block is None:
+            return Stem(h)
+        return Stem(h, *self.block.key_value(h))
+
+    def trunk(self, stem, training, bn_updates=None):
+        """The per-patch layers on a Stem -> pooled features (n, unit_channels[2])."""
+        h = stem.h
+        if self.block is not None:
+            h = self.block(h, stem.key, stem.value)
+        h = self.bn2(self.conv2(h), training, bn_updates)
+        h = self.bn3(self.conv3(h), training, bn_updates)
+        return E.avg_pool2d(h)
+
+    def __call__(self, x, training, bn_updates=None):
+        """x: patches Tensor (n, ps, ps, bands), or their Stem -> pooled
+        features (n, unit_channels[2]).
 
         With a ``bn_updates`` list, training-mode batch norm leaves the running
         buffers alone and appends its updates there for ``apply_bn_updates``.
         """
-        if patches.shape[3] != self.config.input_bands:
-            raise ValueError(
-                f"extractor built for {self.config.input_bands} bands, got {patches.shape[3]}")
-        h = self.bn1(self.conv1(patches), training, bn_updates)
-        if self.block is not None:
-            h = self.block(h)
-        h = self.bn2(self.conv2(h), training, bn_updates)
-        h = self.bn3(self.conv3(h), training, bn_updates)
-        return E.avg_pool2d(h)
+        stem = x if isinstance(x, Stem) else self.stem(x, training, bn_updates)
+        return self.trunk(stem, training, bn_updates)
+
+    @property
+    def shares_stem(self):
+        """Whether ``window_stems`` gives every window bit for bit the eval-mode
+        stem of the patch cut out there.
+
+        That needs conv1 on the per-tap side (bands > w1), and its tap GEMMs
+        and the key and value affines giving a row the same bits at any row
+        count.  On OpenBLAS 0.3.31 they do when w1 is a multiple of 16 and
+        there are fewer than 576 bands (see ``engine.conv2d``), for row
+        counts from 9 up: one patch of 3x3 has nine.  At ps = 1 a one-patch
+        batch has one row, which numpy runs as a GEMV with other bits, and
+        no position is shared anyway.
+        """
+        bands, w1 = self.config.input_bands, self.config.unit_channels[0]
+        return self.config.patch_size > 1 and w1 < bands < 576 and w1 % 16 == 0
+
+    def window_stems(self, rows):
+        """WindowStems of every patch-sized window of rows (h, w, bands), in
+        eval mode: conv1 once per border class (``engine.conv2d_windows``),
+        then bn1 and the key and value maps once per class map position."""
+        out, index = E.conv2d_windows(rows, self.conv1.weight.data, self.conv1.bias.data,
+                                      self.config.patch_size)
+        with E.no_grad():
+            stem = self._with_key_value(self.bn1(Tensor(out[None, None]), training=False))
+        maps = [t.data.reshape(out.shape[0], -1) for t in (stem.h, stem.key, stem.value)
+                if t is not None]
+        return WindowStems(maps, index, rows.shape[1])
 
     def parameters(self):
         params = self.conv1.parameters() + self.bn1.parameters()
@@ -253,7 +333,11 @@ class DualHeadClassifier:
         raise ValueError(f"unknown head {head!r}")
 
     def predict(self, patches):
-        """Hard labels (1..C) via extractor + main head, eval-mode statistics."""
+        """Hard labels (1..C) via extractor + main head, eval-mode statistics.
+
+        ``patches`` is a Tensor of patches or their eval-mode Stem (one cut
+        from ``FeatureExtractor.window_stems``).
+        """
         with E.no_grad():
             z = self.features(patches, training=False)
             logits = self.head_logits(z, "cls")

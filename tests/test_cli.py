@@ -382,6 +382,57 @@ def test_exit_code_unlabeled_bundle(synth_dir, tmp_path, capsys, role, epochs):
     assert not (tmp_path / "x").exists()
 
 
+def _blank_target(synth_dir, tmp_path, names=True):
+    """The target bundle with every label cleared; ``names``: keep its class
+    names in classes.json (without the per-class counts)."""
+    blank = tmp_path / "blank"
+    shutil.copytree(synth_dir / "data" / "target", blank)
+    (blank / "gt.bin").write_bytes(bytes(len((blank / "gt.bin").read_bytes())))
+    classes = blank / "classes.json"
+    if names:
+        classes.write_text(json.dumps({"names": json.loads(classes.read_text())["names"]}))
+    else:
+        classes.unlink()
+    return blank
+
+
+@pytest.mark.parametrize("command", [["eval"], ["map"]], ids=["eval", "map"])
+def test_unlabeled_bundle_has_nothing_to_score(synth_dir, ckpt_dir, tmp_path, capsys, command):
+    blank = _blank_target(synth_dir, tmp_path)
+    rc = main([*command, "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+               str(ckpt_dir / "checkpoint.bin"), "--bundle", str(blank),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"data error: bundle {blank} has no labeled pixel"
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_all_pixels_of_unlabeled_bundle(synth_dir, ckpt_dir, tmp_path, capsys):
+    """Mapping an unlabeled scene writes the map its labeled copy gets."""
+    blank = _blank_target(synth_dir, tmp_path)
+    args = ["map", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+            str(ckpt_dir / "checkpoint.bin"), "--all-pixels"]
+    assert main(args + ["--bundle", str(blank), "--out", str(tmp_path / "blank_map")]) == 0
+    assert main(args + ["--bundle", str(synth_dir / "data" / "target"),
+                        "--out", str(tmp_path / "map")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("map.ppm", "map.palette.json"):
+        assert (tmp_path / "blank_map" / name).read_bytes() == (tmp_path / "map" / name).read_bytes()
+
+
+def test_map_all_pixels_of_unlabeled_bundle_without_class_names(synth_dir, ckpt_dir, tmp_path,
+                                                                capsys):
+    blank = _blank_target(synth_dir, tmp_path, names=False)
+    rc = main(["map", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+               str(ckpt_dir / "checkpoint.bin"), "--bundle", str(blank), "--all-pixels",
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"data error: bundle {blank} has no labeled pixel and names no class"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("palette,message", [
     ('[[0, 0, 0], [255, 0', "malformed palette"),
     ("[[0, 0, 0], [255, 0, 0]]", "has 2 entries"),

@@ -7,7 +7,10 @@ from crossscene.evaluate import (MetricsReport, aggregate_runs, confusion,
                                  default_palette, evaluate_scene, format_mean_std,
                                  format_report, metrics, predict_scene, render_map,
                                  write_map)
-from crossscene.training import build_model
+from crossscene.data import LabelMap, PatchSource, ShiftSpec, labeled_pixels, synth_domain_pair
+from crossscene.evaluate import STRIP_BYTES
+from crossscene.model import DualHeadClassifier, FeatureExtractor, Stem
+from crossscene.training import TrainConfig, build_model
 
 
 def test_confusion_diagonal_when_perfect():
@@ -163,16 +166,99 @@ def test_evaluate_scene_map_all(tiny_pair, tiny_config):
     assert (raster > 0).all()
 
 
-def test_predict_scene_independent_of_batch(tiny_pair, tiny_config):
-    (src_scene, src_labels), _ = tiny_pair
-    model = build_model(tiny_config, src_labels.num_classes, src_scene.bands)
-    full, _ = predict_scene(model, src_scene, src_labels, tiny_config, map_all=True, batch=500)
+@pytest.fixture(scope="module")
+def per_tap_pair():
+    """The tiny pair at 40 bands: conv1 (40 -> 16) runs on the per-tap side,
+    as at every real preset, and scene inference shares the stem."""
+    return synth_domain_pair(num_classes=3, bands=40, blob_grid=3, blob_size=5,
+                             shift=ShiftSpec(1.3, 0.1), noise_sigma=0.05, seed=7)
+
+
+def _check_independent_of_batch(pair, config):
+    (src_scene, src_labels), _ = pair
+    model = build_model(config, src_labels.num_classes, src_scene.bands)
+    full, _ = predict_scene(model, src_scene, src_labels, config, map_all=True, batch=500)
     raster_order = np.argwhere(np.ones(src_labels.labels.shape, dtype=bool))
-    for batch in (1, 7, 100):  # two batches at a time, on two threads
-        raster, pixels = predict_scene(model, src_scene, src_labels, tiny_config, map_all=True,
+    for batch in (1, 7, 100):  # two batches or strips at a time, on two threads
+        raster, pixels = predict_scene(model, src_scene, src_labels, config, map_all=True,
                                        batch=batch)
         assert np.array_equal(raster, full)
         assert np.array_equal(pixels, raster_order)
+    return model
+
+
+def test_predict_scene_independent_of_batch(tiny_pair, tiny_config):
+    model = _check_independent_of_batch(tiny_pair, tiny_config)
+    assert not model.extractor.shares_stem  # 8 -> 16: conv1 on the im2col side
+
+
+def test_predict_scene_independent_of_batch_per_tap_side(per_tap_pair, tiny_config):
+    model = _check_independent_of_batch(per_tap_pair, tiny_config)
+    assert model.extractor.shares_stem
+
+
+def _trained(pair, config):
+    """A model with non-trivial batch-norm statistics, so its labels vary."""
+    (scene, labels), _ = pair
+    model = build_model(config, labels.num_classes, scene.bands)
+    src = PatchSource(scene, config.patch_size)
+    model.features(src.batch(labeled_pixels(labels)).patches, training=True)
+    return model
+
+
+@pytest.mark.parametrize("strip_bytes", [1, 100_000, STRIP_BYTES])
+@pytest.mark.parametrize("map_all", [True, False])
+def test_predict_scene_shared_stem_matches_per_patch(per_tap_pair, tiny_config, monkeypatch,
+                                                     strip_bytes, map_all):
+    """Strips of every height (one pixel row at 1 byte) and both label
+    densities give the raster the per-patch path gives."""
+    (scene, labels), _ = per_tap_pair
+    model = _trained(per_tap_pair, tiny_config)
+    sparse = LabelMap(labels=np.where(np.arange(labels.labels.size).reshape(labels.labels.shape)
+                                      % 3 == 0, labels.labels, 0))
+    monkeypatch.setattr("crossscene.evaluate.STRIP_BYTES", strip_bytes)
+    shared = [predict_scene(model, scene, lm, tiny_config, map_all=map_all, batch=batch)[0]
+              for lm in (labels, sparse) for batch in (7, 100)]
+    monkeypatch.setattr(FeatureExtractor, "shares_stem", False)
+    for raster, (lm, batch) in zip(shared, [(lm, b) for lm in (labels, sparse) for b in (7, 100)]):
+        per_patch, _ = predict_scene(model, scene, lm, tiny_config, map_all=map_all, batch=batch)
+        assert np.array_equal(raster, per_patch)
+    assert len(np.unique(shared[0])) > 1
+
+
+def test_predict_scene_calls_predict_once_per_batch(per_tap_pair, tiny_config, monkeypatch):
+    """Every batch goes through ``DualHeadClassifier.predict`` (the benchmark
+    times scene inference by that call), gathered stems included."""
+    (scene, labels), _ = per_tap_pair
+    model = _trained(per_tap_pair, tiny_config)
+    calls = []
+
+    def predict(self, x):
+        calls.append(x)
+        return np.ones(len(x.h.data if isinstance(x, Stem) else x.data), dtype=np.int64)
+
+    monkeypatch.setattr(DualHeadClassifier, "predict", predict)
+    for batch in (7, 100):
+        calls.clear()
+        predict_scene(model, scene, labels, tiny_config, map_all=True, batch=batch)
+        assert len(calls) == -(-scene.height * scene.width // batch)
+        assert all(isinstance(x, Stem) for x in calls)
+
+
+@pytest.mark.parametrize("bands,w1", [(40, 16 + r) for r in range(1, 9)] + [(8, 16), (16, 16)])
+def test_predict_scene_falls_back_to_patches(bands, w1, monkeypatch):
+    """Where the shared stem would not be exact, every batch is cut as patches."""
+    (scene, labels), _ = synth_domain_pair(num_classes=3, bands=bands, blob_grid=2, blob_size=4,
+                                           seed=3)
+    config = TrainConfig(patch_size=5, normalization="none", unit_channels=(w1, 2 * w1, w1))
+    model = build_model(config, labels.num_classes, scene.bands)
+
+    def refuse(*args):
+        raise AssertionError("window_stems called")
+
+    monkeypatch.setattr(FeatureExtractor, "window_stems", refuse)
+    raster, _ = predict_scene(model, scene, labels, config, map_all=True, batch=5)
+    assert (raster > 0).all()
 
 
 @pytest.mark.slow

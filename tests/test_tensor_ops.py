@@ -258,6 +258,47 @@ def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
         assert np.array_equal(np.concatenate(parts), full), size
 
 
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_affine_output_independent_of_batch(rng, d):
+    """A row's output bits do not depend on the rows it is run with, from the
+    9 rows of one 3x3 patch up (the shared key and value maps of scene
+    inference rest on it).  One row alone is a GEMV in numpy, which at
+    d = 64 gives other bits."""
+    x = rng.normal(size=(4900, d)).astype(np.float32)
+    w = Tensor(rng.normal(size=(d, d)).astype(np.float32))
+    b = Tensor(rng.normal(size=d).astype(np.float32))
+    full = E.affine(Tensor(x), w, b).data
+    for size in (9, 25, 49, 225, 1118):
+        parts = [E.affine(Tensor(x[i : i + size]), w, b).data for i in range(0, 4900, size)]
+        assert np.array_equal(np.concatenate(parts), full), size
+
+
+@pytest.mark.parametrize("ps", [1, 3, 5, 7, 15])
+@pytest.mark.parametrize("hw", [(4, 5), (9, 9), (12, 3)])
+def test_conv2d_windows_match_batched_conv2d(rng, ps, hw):
+    """Every window cut from the border-class maps of a reflect-padded scene
+    is bit for bit conv2d + bias of the patch cut out there, corners
+    included; at ps 7 and 15 the pad is wider than the scene."""
+    h, w = hw
+    half = ps // 2
+    padded = np.pad(rng.normal(size=(h, w, 40)).astype(np.float32),
+                    ((half, half), (half, half), (0, 0)), mode="reflect")
+    kernel = Tensor(rng.normal(size=(32, 40, 3, 3)).astype(np.float32))
+    bias = Tensor(rng.normal(size=32).astype(np.float32))
+    out, index = E.conv2d_windows(padded, kernel.data, bias.data, ps)
+    pixels = np.argwhere(np.ones((h, w), dtype=bool))
+    patches = np.stack([padded[r : r + ps, c : c + ps] for r, c in pixels])
+    windows = np.take(out, (pixels[:, 0] * padded.shape[1] + pixels[:, 1])[:, None, None] + index,
+                      axis=0)
+    assert np.array_equal(windows, E.conv2d(Tensor(patches), kernel, bias).data)
+
+
+def test_conv2d_windows_rejects_a_map_smaller_than_a_window():
+    with pytest.raises(ValueError, match="at least 5x5"):
+        E.conv2d_windows(np.zeros((4, 9, 3), np.float32), np.zeros((2, 3, 3, 3), np.float32),
+                         np.zeros(2, np.float32), 5)
+
+
 def test_depthwise_conv_no_channel_mixing(rng):
     x = rng.normal(size=(1, 5, 5, 3))
     w = np.zeros((3, 3, 3))
