@@ -8,7 +8,7 @@ gradients against central finite differences.
 import numpy as np
 
 from crossscene import engine as E
-from crossscene.engine import Parameter, Tensor, grad_check, run_primitive_checks
+from crossscene.engine import Parameter, Tensor, grad_check, primitive_checks
 
 rng = np.random.default_rng(0)
 
@@ -35,5 +35,6 @@ print(f"\ngrad check '{report.name}': max relative error {report.max_rel_err:.2e
 
 # And the whole primitive suite.
 print("\nprimitive suite:")
-for rep in run_primitive_checks(seed=0):
+for name, params, build in primitive_checks(0):
+    rep = grad_check(build, params, name=name)
     print(f"  {rep.name:20s} {rep.max_rel_err:.2e}  {'ok' if rep.passed(1e-4) else 'FAIL'}")

@@ -21,11 +21,10 @@ source, target = synth_domain_pair(
 
 config = TrainConfig(epochs=10, batch=100, patch_size=5,
                      normalization="none", unit_channels=(16, 32, 16),
-                     loss_weights=LossWeights(lambda_lmmd=0.2, lambda_st=0.2),
-                     seed=0)
+                     loss_weights=LossWeights(lambda_lmmd=0.2, lambda_st=0.2))
 
 with tempfile.TemporaryDirectory() as d:
-    result = fit(config, source, target, out_dir=d)
+    result = fit(config, source, target, seed=0, out_dir=d)
     print("artifacts:", sorted(p.name for p in Path(d).iterdir()))
 
 print("\nepoch  lr       cls     align   self-train  pseudo")

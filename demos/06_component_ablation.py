@@ -20,7 +20,7 @@ source, target = synth_domain_pair(
 
 base = TrainConfig(epochs=10, batch=100, patch_size=5, normalization="none",
                    unit_channels=(16, 32, 16),
-                   loss_weights=LossWeights(lambda_lmmd=0.2, lambda_st=0.2), seed=0)
+                   loss_weights=LossWeights(lambda_lmmd=0.2, lambda_st=0.2))
 
 ARMS = [
     ("baseline   (supervised only)", Ablation(False, False, False, True)),
@@ -33,6 +33,6 @@ ARMS = [
 print("arm                            target OA")
 for name, ablation in ARMS:
     cfg = replace(base, ablation=ablation)
-    result = fit(cfg, source, target)
+    result = fit(cfg, source, target, seed=0)
     report, _ = evaluate_scene(result.model, target[0], target[1], cfg)
     print(f"{name:30s} {report.oa * 100:6.2f}%")

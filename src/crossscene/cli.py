@@ -46,7 +46,8 @@ from pathlib import Path
 
 from .checks import GRADCHECK_TOLERANCE, run_all_checks
 from .config import ConfigError, PRESETS, resolve_config, save_config
-from .data import BundleError, ShiftSpec, load_scene, save_bundle, synth_domain_pair, write_atomic
+from .data import (BundleError, ShiftSpec, is_list_of, load_scene, save_bundle, synth_domain_pair,
+                   write_atomic)
 from .engine import NumericError
 from .evaluate import (default_palette, evaluate_scene, format_mean_std, format_report,
                        predict_scene, write_map)
@@ -136,7 +137,6 @@ def build_parser():
                    choices=sorted(ABLATION_GRIDS),
                    help="modules (5 arms), heads (2x2), variants (block designs a-d)")
     p.add_argument("--out", default="runs/ablate", metavar="DIR")
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("synth", help="generate a synthetic two-domain bundle pair")
@@ -234,11 +234,14 @@ def cmd_eval(args):
 def _load_palette(path, num_classes):
     """[r, g, b] rows from a JSON list: the background, then one per class."""
     try:
-        palette = [tuple(int(v) for v in row) for row in json.loads(Path(path).read_text())]
-    except (ValueError, TypeError) as e:
+        palette = json.loads(Path(path).read_text())
+    except ValueError as e:
         raise BundleError(f"malformed palette {path}: {e}") from e
-    if any(len(rgb) != 3 or not all(0 <= v <= 255 for v in rgb) for rgb in palette):
-        raise BundleError(f"malformed palette {path}: each entry must be [r, g, b] in 0..255")
+    if not is_list_of(palette, list) or not all(
+            is_list_of(rgb, int) and len(rgb) == 3 and all(0 <= v <= 255 for v in rgb)
+            for rgb in palette):
+        raise BundleError(f"malformed palette {path}: each entry must be [r, g, b], "
+                          f"integers in 0..255")
     if len(palette) < num_classes + 1:
         raise BundleError(f"palette {path} has {len(palette)} entries; {num_classes} classes "
                           f"need {num_classes + 1} (index 0 is the background)")
@@ -248,10 +251,8 @@ def _load_palette(path, num_classes):
 def cmd_map(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     model, scene, labels = _restore_model(args, cfg, labeled=not args.all_pixels)
-    if args.palette:
-        palette = _load_palette(args.palette, labels.num_classes)
-    else:
-        palette = default_palette(labels.num_classes)
+    palette = (_load_palette(args.palette, labels.num_classes) if args.palette
+               else default_palette(labels.num_classes))
     if labels.labels.any():
         _, raster = evaluate_scene(model, scene, labels, cfg.train, map_all=args.all_pixels)
     else:  # an unlabeled scene: nothing to score, every pixel to map
@@ -278,7 +279,7 @@ def cmd_ablate(args):
     cfg, source, target = _prepare_run(args)
     rows = []
     for arm_name, _, agg in run_grid(cfg.train, cfg.seeds, ABLATION_GRIDS[args.grid],
-                                     source, target, deterministic=args.deterministic):
+                                     source, target):
         rows.append({"arm": arm_name,
                      "oa": agg["oa"], "aa": agg["aa"], "kappa": agg["kappa"],
                      "seeds": list(cfg.seeds)})

@@ -142,6 +142,11 @@ def save_bundle(scene, label_map, bundle_dir):
     return out
 
 
+def is_list_of(value, tp):
+    """Whether ``value`` is a JSON list of ``tp``; a bool is no int, a float no int."""
+    return isinstance(value, list) and all(type(v) is tp for v in value)
+
+
 def load_scene(bundle_dir):
     """Load a bundle directory -> (Scene, LabelMap).
 
@@ -188,8 +193,11 @@ def load_scene(bundle_dir):
             payload = json.loads(classes_path.read_text())
         except json.JSONDecodeError as e:
             raise BundleError(f"unparseable {classes_path}: {e}") from e
-        class_names = list(payload.get("names", []))
-        counts = payload.get("counts")
+        if not (isinstance(payload, dict) and is_list_of(payload.get("names"), str)
+                and is_list_of(payload.get("counts", []), int)):
+            raise BundleError(f"malformed {classes_path}: names must be a list of strings, "
+                              f"counts (optional) a list of integers")
+        class_names, counts = payload["names"], payload.get("counts")
         if class_names and labels.max() > len(class_names):
             raise BundleError(
                 f"label value {labels.max()} exceeds the {len(class_names)} classes "
@@ -197,7 +205,7 @@ def load_scene(bundle_dir):
             )
         if counts is not None:
             actual = [int((labels == c + 1).sum()) for c in range(len(class_names))]
-            if actual != [int(c) for c in counts]:
+            if actual != counts:
                 raise BundleError(
                     f"per-class counts in {classes_path} do not match the raster: "
                     f"expected {counts}, found {actual}"

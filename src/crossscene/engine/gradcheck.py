@@ -201,11 +201,3 @@ def primitive_checks(seed=0):
              np.random.default_rng(125)))
 
     return cases
-
-
-def run_primitive_checks(seed=0, tolerance=1e-4, step=1e-5):
-    """Run every primitive case; returns a list of GradCheckReport."""
-    reports = []
-    for name, params, build in primitive_checks(seed):
-        reports.append(grad_check(build, params, step=step, name=name))
-    return reports

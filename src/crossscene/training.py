@@ -69,7 +69,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     patch_size: int = 9
-    seed: int = 0
     unit_channels: tuple[int, int, int] = (32, 64, 32)
     normalization: str = "minmax"
     ablation: Ablation = field(default_factory=Ablation)
@@ -78,7 +77,7 @@ class TrainConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        for name in ("epochs", "alpha", "beta", "momentum", "weight_decay", "seed"):
+        for name in ("epochs", "alpha", "beta", "momentum", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch < 1:
@@ -239,13 +238,14 @@ def extractor_config(config, input_bands):
     )
 
 
-def build_model(config, num_classes, input_bands):
+def build_model(config, num_classes, input_bands, seed=0):
     return DualHeadClassifier(extractor_config(config, input_bands), config.attention,
-                              num_classes, seed=config.seed)
+                              num_classes, seed=seed)
 
 
-def fit(config, source, target, out_dir=None, deterministic=False):
-    """Train on a (Scene, LabelMap) source and an unlabeled target scene.
+def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
+    """Train on a (Scene, LabelMap) source and an unlabeled target scene;
+    ``seed`` draws the initial weights and both domains' batch orders.
 
     Target label values are never read here: the target's labeled mask only
     picks the pixels to adapt on, and the labels stay in the bundle for later
@@ -263,7 +263,7 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     src_scene = normalize_scene(src_scene, config.normalization)
     tgt_scene = normalize_scene(tgt_scene, config.normalization)
     num_classes = src_labels.num_classes
-    model = build_model(config, num_classes, src_scene.bands)
+    model = build_model(config, num_classes, src_scene.bands, seed)
 
     src_pixels = labeled_pixels(src_labels)
     tgt_pixels = labeled_pixels(tgt_labels)
@@ -275,7 +275,7 @@ def fit(config, source, target, out_dir=None, deterministic=False):
     src_patches = PatchSource(src_scene, config.patch_size)
     tgt_patches = PatchSource(tgt_scene, config.patch_size)
     needs_target = config.ablation.use_lmmd or config.ablation.use_self_training
-    stream_seeds = np.random.SeedSequence(config.seed).generate_state(2).tolist()
+    stream_seeds = np.random.SeedSequence(seed).generate_state(2).tolist()
     tgt_iter = cycled_batches(len(tgt_pixels), config.batch, stream_seeds[1])
 
     total_steps = config.epochs * steps_per_epoch
@@ -345,12 +345,11 @@ def run_grid(train, seeds, arms, source, target, out_dir=None, deterministic=Fal
     """
     results = []
     for name, changes in arms:
-        base = with_changes(train, changes)
+        cfg = with_changes(train, changes)
         reports = []
         for seed in seeds:
-            cfg = replace(base, seed=int(seed))
             run_dir = Path(out_dir) / f"seed_{seed}" if out_dir is not None else None
-            res = fit(cfg, source, target, out_dir=run_dir, deterministic=deterministic)
+            res = fit(cfg, source, target, seed, out_dir=run_dir, deterministic=deterministic)
             report, _ = evaluate_scene(res.model, target[0], target[1], cfg)
             if run_dir is not None:
                 write_atomic(run_dir / "report.txt",

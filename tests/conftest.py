@@ -20,7 +20,7 @@ def tiny_pair():
 @pytest.fixture
 def tiny_config():
     return TrainConfig(epochs=2, batch=50, patch_size=5, normalization="none",
-                       unit_channels=(16, 32, 16), seed=0)
+                       unit_channels=(16, 32, 16))
 
 
 @pytest.fixture

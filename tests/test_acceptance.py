@@ -8,7 +8,6 @@ is skipped (not failed) unless CROSSSCENE_PAVIA_DIR points at bundles.
 
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +158,8 @@ def test_criterion_5_synthetic_domain_adaptation():
     for seed in SEEDS:
         source, target = synth_domain_pair(seed=seed, **SYNTH)
         for arm, ablation in ARMS:
-            cfg = TrainConfig(seed=seed, ablation=ablation, **SYNTH_TRAIN)
-            result = fit(cfg, source, target)
+            cfg = TrainConfig(ablation=ablation, **SYNTH_TRAIN)
+            result = fit(cfg, source, target, seed=seed)
             report, _ = evaluate_scene(result.model, target[0], target[1], cfg)
             oa[arm].append(report.oa * 100)
     elapsed = time.perf_counter() - t0
@@ -185,10 +184,10 @@ def test_criterion_6_determinism(tmp_path):
                                        blob_grid=3, blob_size=5,
                                        shift=ShiftSpec(1.3, 0.1), noise_sigma=0.05)
     cfg = TrainConfig(epochs=5, batch=50, patch_size=5, normalization="none",
-                      unit_channels=(16, 32, 16), seed=11,
+                      unit_channels=(16, 32, 16),
                       loss_weights=LossWeights(lambda_lmmd=0.2, lambda_st=0.2, tau=0.7))
-    fit(cfg, source, target, out_dir=tmp_path / "a", deterministic=True)
-    fit(cfg, source, target, out_dir=tmp_path / "b", deterministic=True)
+    fit(cfg, source, target, seed=11, out_dir=tmp_path / "a", deterministic=True)
+    fit(cfg, source, target, seed=11, out_dir=tmp_path / "b", deterministic=True)
     ck = (tmp_path / "a" / "checkpoint.bin").read_bytes() == \
          (tmp_path / "b" / "checkpoint.bin").read_bytes()
     hist = (tmp_path / "a" / "history.log").read_bytes() == \
@@ -209,12 +208,10 @@ def test_criterion_7_real_pavia_conditional():
         pytest.skip("real Pavia bundles not supplied")
     source = load_scene(Path(root) / "source")
     target = load_scene(Path(root) / "target")
-    base = TrainConfig(patch_size=9,
-                       loss_weights=LossWeights(lambda_lmmd=1.0, lambda_st=0.8))
+    cfg = TrainConfig(patch_size=9, loss_weights=LossWeights(lambda_lmmd=1.0, lambda_st=0.8))
     oas = []
     for seed in range(5):
-        cfg = replace(base, seed=seed)
-        result = fit(cfg, source, target)
+        result = fit(cfg, source, target, seed=seed)
         report, _ = evaluate_scene(result.model, target[0], target[1], cfg)
         oas.append(report.oa)
     mean_oa = float(np.mean(oas))

@@ -1,5 +1,6 @@
 """End-to-end command-line interface: subcommands, artifacts, exit codes."""
 
+import argparse
 import ctypes
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 
 import crossscene
 from crossscene import training
-from crossscene.cli import main, set_allocator_policy
+from crossscene.cli import build_parser, main, set_allocator_policy
 from crossscene.config import resolve_config, save_config
 from crossscene.data import load_scene
 from crossscene.engine import NumericError
@@ -93,7 +94,7 @@ def test_train_two_seeds_matches_direct_fits(synth_dir, tmp_path, capsys):
     cfg = resolve_config(config_path=cfg_path)
     source, target = load_scene(cfg.source_bundle), load_scene(cfg.target_bundle)
     for seed in (0, 1):
-        fit(replace(cfg.train, seed=seed), source, target, out_dir=tmp_path / f"direct_{seed}",
+        fit(cfg.train, source, target, seed=seed, out_dir=tmp_path / f"direct_{seed}",
             deterministic=True)
         for name in ("checkpoint.bin", "index.json", "history.log"):
             assert (out / f"seed_{seed}" / name).read_bytes() == \
@@ -107,10 +108,10 @@ def test_train_failure_removes_only_the_run_directories_it_made(synth_dir, tmp_p
     it created."""
     real_fit = training.fit
 
-    def fit_failing_at_seed_1(config, *args, **kwargs):
-        if config.seed == 1:
+    def fit_failing_at_seed_1(config, source, target, seed=0, **kwargs):
+        if seed == 1:
             raise NumericError("non-finite loss")
-        return real_fit(config, *args, **kwargs)
+        return real_fit(config, source, target, seed, **kwargs)
 
     monkeypatch.setattr(training, "fit", fit_failing_at_seed_1)
     cfg_path = _cfg_file(synth_dir, seeds=(0, 1, 2), epochs=1)
@@ -167,8 +168,7 @@ def test_ablate_variants_grid(synth_dir, capsys):
     # two epochs at lr0 0.1 on min-max input are enough for the block variants to part
     cfg_path = _cfg_file(synth_dir, lr0=0.1, normalization="minmax")
     out = synth_dir / "abl"
-    rc = main(["ablate", "--config", str(cfg_path), "--grid", "variants",
-               "--out", str(out), "--deterministic"])
+    rc = main(["ablate", "--config", str(cfg_path), "--grid", "variants", "--out", str(out)])
     assert rc == 0
     rows = json.loads((out / "ablation.json").read_text())["rows"]
     assert [r["arm"] for r in rows] == ["variant_a", "variant_b", "variant_c", "variant_d"]
@@ -190,8 +190,7 @@ def test_ablate_variants_grid(synth_dir, capsys):
 def test_ablate_heads_grid(synth_dir):
     cfg = _cfg_file(synth_dir, epochs=1)
     out = synth_dir / "abl8"
-    rc = main(["ablate", "--config", str(cfg), "--grid", "heads",
-               "--out", str(out), "--deterministic"])
+    rc = main(["ablate", "--config", str(cfg), "--grid", "heads", "--out", str(out)])
     assert rc == 0
     data = json.loads((out / "ablation.json").read_text())
     assert data["grid"] == "heads"
@@ -201,7 +200,7 @@ def test_ablate_heads_grid(synth_dir):
 # keys that earlier versions accepted; each now names an option that is gone
 @pytest.mark.parametrize("override", [
     "train.feature_mode=pool", "train.st_warmup_epochs=0",
-    "train.attention.scale_divisor=sqrt_patch", "train.normalization=zscore",
+    "train.attention.scale_divisor=sqrt_patch", "train.normalization=zscore", "train.seed=5",
 ])
 def test_removed_config_key_exits_2(synth_dir, tmp_path, capsys, override):
     rc = main(["train", "--config", str(_cfg_file(synth_dir)), "--set", override,
@@ -218,18 +217,41 @@ def test_resolved_config_with_removed_keys_exits_2(synth_dir, tmp_path, capsys):
     cfg = tmp_path / "resolved.cfg"
     save_config(resolve_config(config_path=_cfg_file(synth_dir)), cfg)
     old = json.loads(cfg.read_text())
-    old["train"].update(feature_mode="pool", st_warmup_epochs=0)
+    old["train"].update(feature_mode="pool", st_warmup_epochs=0, seed=0)
     old["train"]["attention"]["scale_divisor"] = "sqrt_patch"
     cfg.write_text(json.dumps(old))
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err.strip()
-    assert err == "config error: unknown config keys at train.: feature_mode, st_warmup_epochs"
-    del old["train"]["feature_mode"], old["train"]["st_warmup_epochs"]
+    assert err == "config error: unknown config keys at train.: feature_mode, seed, st_warmup_epochs"
+    del old["train"]["feature_mode"], old["train"]["st_warmup_epochs"], old["train"]["seed"]
     cfg.write_text(json.dumps(old))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.strip()
     assert err == "config error: unknown config keys at train.attention.: scale_divisor"
+
+
+# The whole CLI surface, as tests/test_config.py pins the config's.  `eval`
+# and `map` keep `--seed` though neither reads it: perfbench/run.py passes
+# `--seed` to every `map` call it makes.
+PINNED_OPTIONS = {
+    "train": ("--config", "--preset", "--set", "--seed", "--out", "--deterministic"),
+    "eval": ("--config", "--preset", "--set", "--seed", "--checkpoint", "--bundle", "--out"),
+    "map": ("--config", "--preset", "--set", "--seed", "--checkpoint", "--bundle", "--out",
+            "--palette", "--all-pixels"),
+    "gradcheck": ("--seed", "--tolerance"),
+    "ablate": ("--config", "--preset", "--set", "--seed", "--grid", "--out"),
+    "synth": ("--out", "--classes", "--bands", "--grid", "--blob", "--gain", "--offset",
+              "--noise", "--class-sigma", "--proto-low", "--proto-high", "--seed"),
+}
+
+
+def test_cli_surface_is_pinned():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: tuple(o for a in p._actions for o in a.option_strings
+                           if o not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert surface == PINNED_OPTIONS
 
 
 def test_removed_grid_name_exits_2(synth_dir, tmp_path, capsys):
@@ -305,7 +327,7 @@ def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
 
 @pytest.mark.parametrize("override", [
     "train.alpha=-1", "train.beta=-1", "train.epochs=abc", "train.epochs=1.5",
-    "train.unit_channels=5", "train.seed=x", 'seeds="x"', "seeds=5", "train.lr0=abc",
+    "train.unit_channels=5", "train.batch=x", 'seeds="x"', "seeds=5", "train.lr0=abc",
     "train.momentum=abc", "train.loss_weights.tau=abc", "train.patch_size=-3",
     "train.kernel.base_bandwidth=true", "train.weight_decay=-1",
     "train.lr0=NaN", "train.momentum=NaN", "train.alpha=NaN", "train.kernel.base_bandwidth=NaN",
@@ -436,7 +458,9 @@ def test_map_all_pixels_of_unlabeled_bundle_without_class_names(synth_dir, ckpt_
 @pytest.mark.parametrize("palette,message", [
     ('[[0, 0, 0], [255, 0', "malformed palette"),
     ("[[0, 0, 0], [255, 0, 0]]", "has 2 entries"),
-], ids=["malformed", "too-short"])
+    ("[[0, 0, 0], [true, 0, 0], [0, 0, 255], [0, 255, 0]]", "integers in 0..255"),
+    ("[[0, 0, 0], [12.9, 0, 0], [0, 0, 255], [0, 255, 0]]", "integers in 0..255"),
+], ids=["malformed", "too-short", "bool-entry", "float-entry"])
 def test_exit_code_bad_palette(synth_dir, ckpt_dir, tmp_path, capsys, palette, message):
     pal = tmp_path / "palette.json"
     pal.write_text(palette)
@@ -531,16 +555,23 @@ def test_exit_code_bad_checkpoint(synth_dir, ckpt_dir, tmp_path, capsys, fault, 
     assert err.startswith("data error") and message in err and "\n" not in err
 
 
-def test_exit_code_malformed_class_manifest(synth_dir, ckpt_dir, tmp_path, capsys):
+@pytest.mark.parametrize("payload", [
+    None, "[]", '{"names": 5}', '{"names": ["a", "b", "c"], "counts": 7}',
+    '{"names": ["a", "b", "c"], "counts": ["x"]}',
+], ids=["truncated", "list", "names-not-a-list", "counts-not-a-list", "count-not-an-int"])
+def test_exit_code_malformed_class_manifest(synth_dir, ckpt_dir, tmp_path, capsys, payload):
     bundle = tmp_path / "target"
     shutil.copytree(synth_dir / "data" / "target", bundle)
     raw = (bundle / "classes.json").read_text()
-    (bundle / "classes.json").write_text(raw[: len(raw) // 2])
-    rc = main(["eval", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
-               str(ckpt_dir / "checkpoint.bin"), "--bundle", str(bundle)])
-    assert rc == 3
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("data error") and "classes.json" in err and "\n" not in err
+    (bundle / "classes.json").write_text(raw[: len(raw) // 2] if payload is None else payload)
+    cfg = ["--config", str(_cfg_file(synth_dir))]
+    for argv in (["eval", *cfg, "--checkpoint", str(ckpt_dir / "checkpoint.bin"),
+                  "--bundle", str(bundle)],
+                 ["train", *cfg, "--set", f"target_bundle={bundle}", "--out", str(tmp_path / "x")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data error") and "classes.json" in err and "\n" not in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")

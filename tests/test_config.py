@@ -81,7 +81,8 @@ def test_values_take_their_field_types():
                                     "train.kernel.base_bandwidth=2"])
     assert type(cfg.train.lr0) is float and cfg.train.unit_channels == (16, 32, 16)
     assert cfg.train.kernel.base_bandwidth == 2.0
-    for bad, key in [({"train": {"seed": "5"}}, "train.seed"), ({"train": {"seed": 5.0}}, "train.seed"),
+    for bad, key in [({"train": {"epochs": "5"}}, "train.epochs"),
+                     ({"train": {"epochs": 5.0}}, "train.epochs"),
                      ({"train": {"ablation": {"use_lmmd": 1}}}, "train.ablation.use_lmmd"),
                      ({"seeds": [True]}, "seeds")]:
         with pytest.raises(ConfigError, match=key):
@@ -123,7 +124,7 @@ LEAVES = _leaves(ExperimentConfig)
 PINNED_LEAVES = (
     "source_bundle", "target_bundle", "seeds",
     "train.epochs", "train.batch", "train.lr0", "train.alpha", "train.beta", "train.momentum",
-    "train.weight_decay", "train.patch_size", "train.seed", "train.unit_channels",
+    "train.weight_decay", "train.patch_size", "train.unit_channels",
     "train.normalization",
     "train.ablation.use_attention", "train.ablation.use_lmmd", "train.ablation.use_self_training",
     "train.ablation.use_pseudo_head",

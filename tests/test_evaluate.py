@@ -268,7 +268,7 @@ def test_overfit_source_scores_high(tiny_pair):
     from crossscene.training import Ablation, TrainConfig, fit
 
     cfg = TrainConfig(epochs=125, batch=50, patch_size=5, normalization="none",
-                      unit_channels=(16, 32, 16), seed=0,
+                      unit_channels=(16, 32, 16),
                       ablation=Ablation(True, False, False, True))  # supervised only
     res = fit(cfg, tiny_pair[0], tiny_pair[1])  # 500 steps on 225 px: overfit
     rep, _ = evaluate_scene(res.model, tiny_pair[0][0], tiny_pair[0][1], cfg)

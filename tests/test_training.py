@@ -187,7 +187,7 @@ def test_total_loss_respects_ablation_flags():
 # -- the step and the loop -----------------------------------------------------
 
 
-def _step_once(pair, cfg, seed=0, steps=1):
+def _step_once(pair, cfg, steps=1):
     (src_scene, src_labels), (tgt_scene, tgt_labels) = pair
     src_scene = normalize_scene(src_scene, cfg.normalization)
     tgt_scene = normalize_scene(tgt_scene, cfg.normalization)
@@ -259,7 +259,7 @@ def compare_streamed_to_serial(steps=3):
         num_classes=3, bands=8, blob_grid=3, blob_size=5, shift=ShiftSpec(1.3, 0.1),
         noise_sigma=0.05, seed=7)
     base = TrainConfig(epochs=2, batch=50, patch_size=5, normalization="none",
-                       unit_channels=(16, 32, 16), seed=0,
+                       unit_channels=(16, 32, 16),
                        loss_weights=LossWeights(tau=0.4))  # low enough to take pseudo labels
     sp, tp = PatchSource(src, base.patch_size), PatchSource(tgt, base.patch_size)
     spix, tpix = labeled_pixels(src_labels), labeled_pixels(tgt_labels)
