@@ -2,10 +2,13 @@
 
 This is the compute substrate for the whole classifier: a small tape of
 primitives (convolution, batch norm, activations, reductions) rather than a
-general autodiff system.  Every op records a vector-Jacobian product closure;
-``Tensor.backward`` walks the tape in reverse topological order and
-accumulates gradients on the leaves.  Inside ``no_grad`` nothing is recorded
-(in the calling thread only).
+general autodiff system.  Every op records a node with its parents' nodes
+and a vector-Jacobian product closure; ``Tensor.backward`` walks the nodes in
+reverse topological order and accumulates gradients on the leaves.  The tape
+holds no op output itself: a VJP closure captures only the arrays and shapes
+its formula reads, so an activation that no backward reads is freed as soon
+as the forward code drops it.  Inside ``no_grad`` nothing is recorded (in
+the calling thread only).
 
 Two independent subgraphs can run at once: ``fork_join`` runs one of them on
 a persistent second thread, and ``backward_pair`` walks two subgraphs that
@@ -71,16 +74,20 @@ def _as_array(data, dtype=None):
 
 
 class Tensor:
-    """A dense float array plus an optional edge into the gradient tape."""
+    """A dense float array plus an optional edge into the gradient tape.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    An op output that the tape records points to its ``_Node``; the node,
+    not the tensor, is what the tape keeps.  A leaf that requires grad is
+    its own node.
+    """
+
+    __slots__ = ("data", "grad", "_leaf_grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjp = None
+        self._leaf_grad = bool(requires_grad)
+        self._node = None
 
     # -- introspection -------------------------------------------------
 
@@ -107,6 +114,28 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
     # -- tape ----------------------------------------------------------
+
+    @property
+    def requires_grad(self):
+        """A leaf: as built.  An op output: until a walk has consumed its node."""
+        node = self._node
+        return self._leaf_grad if node is None else node.requires_grad
+
+    @property
+    def _parents(self):
+        node = self._node
+        return () if node is None else node._parents
+
+    @property
+    def _vjp(self):
+        """The VJP the walk calls for this output; settable, so that a
+        profiler can wrap it after the op."""
+        node = self._node
+        return None if node is None else node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node._vjp = vjp
 
     def detach(self):
         """A view of the same data with no tape edge."""
@@ -135,6 +164,30 @@ class Tensor:
             _accumulate(_leaf_grads(self, grad))
 
 
+class _Node:
+    """The tape entry of one recorded op: its parents' nodes and its VJP.
+
+    It holds no array: what the backward reads, the VJP closure captures, so
+    an op output that no VJP reads is freed as soon as the caller drops it.
+    A parent that needs no gradient is held as ``None``.  Parents point
+    down the graph only, so the tape holds no reference cycle.
+    """
+
+    __slots__ = ("_parents", "_vjp", "requires_grad")
+
+    def __init__(self, parents, vjp):
+        self._parents = parents
+        self._vjp = vjp
+        self.requires_grad = True
+
+
+def _tape_node(t):
+    """The node the walk uses for ``t``: an op output's ``_Node``, else ``t``
+    itself (a leaf tensor, or a node already)."""
+    node = getattr(t, "_node", None)
+    return t if node is None else node
+
+
 def _leaf_grads(root, grad):
     """{id(leaf): [leaf, summed gradient]} over the tape below ``root``.
 
@@ -143,6 +196,7 @@ def _leaf_grads(root, grad):
     the arrays they kept alive are freed while the walk goes on, and it no
     longer requires grad, so a second walk cannot mistake it for a leaf.
     """
+    root = _tape_node(root)
     order = _topo_order(root)
     grads = {id(root): grad}
     leaves = {}
@@ -158,7 +212,7 @@ def _leaf_grads(root, grad):
         node._parents, node._vjp = (), None
         node.requires_grad = False
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None or not parent.requires_grad:
                 continue
             key = id(parent)
             if key in grads:
@@ -216,7 +270,9 @@ class Parameter(Tensor):
 
 
 def _topo_order(root):
-    """Post-order over the requires_grad subgraph (parents before users)."""
+    """Post-order over the requires_grad subgraph below ``root``, a tensor or
+    a node (parents before users)."""
+    root = _tape_node(root)
     order = []
     visited = set()
     stack = [(root, False)]
@@ -230,7 +286,7 @@ def _topo_order(root):
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p is not None and p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     return order
 
@@ -294,13 +350,11 @@ def _make(data, parents, vjp):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = _records(*parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._vjp = vjp
-    else:
-        out._parents = ()
-        out._vjp = None
+    out._leaf_grad = False
+    out._node = None
+    if _records(*parents):
+        out._node = _Node(tuple(_tape_node(p) if p.requires_grad else None for p in parents),
+                          vjp)
     return out
 
 
@@ -324,9 +378,10 @@ def add(a, b):
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = _lift(b, a.dtype)
     data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(data, (a, b), vjp)
 
@@ -384,15 +439,15 @@ def affine(x, w, b):
 
 def tsum(x, axis=None, keepdims=False):
     data = x.data.sum(axis=axis, keepdims=keepdims)
-    shape = x.data.shape
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, shape).astype(x.data.dtype, copy=True),)
+            return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
         ax = axis if isinstance(axis, tuple) else (axis,)
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, shape).astype(x.data.dtype, copy=True),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
 
     return _make(data, (x,), vjp)
 
@@ -497,7 +552,7 @@ def leaky_relu(x, negative_slope=0.01):
     data = np.maximum(xd, negative_slope * xd)
 
     def vjp(g):
-        return (g * np.take(np.array([negative_slope, 1.0], dtype=g.dtype), xd > 0),)
+        return (g * np.maximum((xd > 0).astype(g.dtype), g.dtype.type(negative_slope)),)
 
     return _make(data, (x,), vjp)
 
@@ -601,19 +656,20 @@ def conv2d(x, w, b=None):
     out = _conv3x3(xd, taps)
     if b is not None:
         out += b.data
+    needs_gx, has_bias = x.requires_grad, b is not None
 
     def vjp(g):
         # when g is the narrower side, one copy of its columns serves gw and gx
         gcols = _im2col(g) if c > c_out else None
         gw = _conv_weight_grad(xd, g, gcols)
         gx = None
-        if x.requires_grad:
+        if needs_gx:
             flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))  # the c_out -> c_in conv
             if gcols is None:
                 gx = _conv3x3(g, flipped)
             else:
                 gx = _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape)
-        if b is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))
 
@@ -765,23 +821,25 @@ def depthwise_conv2d(x, w):
     match: a (c,)-wide broadcast would run numpy's inner loop c elements at a
     time.  Two zero rows after the map let every range span whole image rows.
     The kernel gradient is a per-channel dot product per tap; the input
-    gradient is nine shifted in-place adds.
+    gradient is nine shifted in-place adds.  The tape keeps x, not its
+    padded copy: the backward pads it again.
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or w.data.shape[1:] != (3, 3):
         raise ValueError("depthwise_conv2d expects NHWC input and a (c, 3, 3) kernel")
     if x.data.shape[3] != w.data.shape[0]:
         raise ValueError("depthwise_conv2d channel mismatch")
-    n, h, wd_, c = x.data.shape
+    xd = x.data
+    n, h, wd_, c = xd.shape
     wp = wd_ + 2
     rows = n * (h + 2) * wp
-    xrows, offs = _padded_rows(x.data, extra=2)
+    xrows, offs = _padded_rows(xd, extra=2)
     length = rows - 2 * wp  # covers every output row; offs[-1] + length == rows + 2
     taps = np.tile(w.data.transpose(1, 2, 0).reshape(9, c), wp)  # taps[k]: (wp*c,)
 
     def shifted(a, o):
         return a[o : o + length].reshape(-1, wp * c)
 
-    yrows = np.empty((rows, c), dtype=x.data.dtype)
+    yrows = np.empty((rows, c), dtype=xd.dtype)
     y = shifted(yrows, 0)
     np.multiply(shifted(xrows, 0), taps[0], out=y)
     part = np.empty_like(y)
@@ -791,6 +849,7 @@ def depthwise_conv2d(x, w):
     out = yrows.reshape(n, h + 2, wp, c)[:, :h, :wd_].copy()
 
     def vjp(g):
+        xrows = _padded_rows(xd, extra=2)[0]  # rebuilt, so the tape keeps only x
         grows = np.zeros((rows, c), dtype=g.dtype)
         grows.reshape(n, h + 2, wp, c)[:, :h, :wd_] = g
         grows = grows[:length]
@@ -849,19 +908,19 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training, slope=None
         var = running_var.astype(xd.dtype)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
-    out = xhat * gamma.data
+    gd = gamma.data
+    out = xhat * gd
     out += beta.data
-    factor = None
+    positive = None
     if slope is not None:
         if _records(x, gamma, beta):
-            factor = np.array([slope, 1.0], dtype=xd.dtype)
             positive = out > 0
         np.maximum(out, slope * out, out=out)
 
     def vjp(g):
         g = g.reshape(-1, c)
-        if factor is not None:
-            g = g * np.take(factor, positive)
+        if positive is not None:
+            g = g * np.maximum(positive.astype(g.dtype), g.dtype.type(slope))
         gbeta = g.sum(axis=0)
         ggamma = np.einsum("ij,ij->j", g, xhat)
         if training:
@@ -869,9 +928,9 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training, slope=None
             gx = xhat * (-ggamma / cnt)
             gx += g
             gx -= gbeta / cnt
-            gx *= gamma.data * inv
+            gx *= gd * inv
         else:
-            gx = g * (gamma.data * inv)
+            gx = g * (gd * inv)
         return gx.reshape(shape), ggamma, gbeta
 
     return _make(out.reshape(shape), (x, gamma, beta), vjp)

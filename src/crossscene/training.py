@@ -194,7 +194,8 @@ def train_step(model, source_batch, target_batch, config, progress):
     l_st = None
     pseudo_count = 0
     if z_t is not None:
-        p_t = E.softmax(model.head_logits(z_t, "cls")).detach()
+        with E.no_grad():
+            p_t = E.softmax(model.head_logits(z_t, "cls"))
         if abl.use_lmmd:
             ys = one_hot(source_batch.labels, model.num_classes)
             l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)

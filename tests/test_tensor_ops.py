@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -481,3 +482,70 @@ def test_no_grad_restores_recording_after_error():
         with E.no_grad():
             raise RuntimeError("boom")
     assert E.mul(Parameter(np.ones(2)), Parameter(np.ones(2))).requires_grad
+
+
+# -- what the tape keeps -----------------------------------------------------
+
+
+def _unread_product(rng):
+    a, b = Parameter(rng.normal(size=(4, 5))), Parameter(rng.normal(size=(4, 5)))
+    prod = E.mul(a, b)
+    return prod, E.tsum(prod), (a, b)
+
+
+def _unread_sum(rng):
+    a, b = Parameter(rng.normal(size=(4, 5))), Parameter(rng.normal(size=(4, 5)))
+    prod = E.mul(a, b)
+    return prod, E.tsum(E.add(prod, a)), (a, b)
+
+
+def _unread_conv(rng):
+    x = Tensor(rng.normal(size=(2, 5, 5, 3)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+    gamma, beta = Parameter(np.ones(4, np.float32)), Parameter(np.zeros(4, np.float32))
+    conv = E.conv2d(x, w)
+    bn = E.batch_norm2d(conv, gamma, beta, np.zeros(4), np.ones(4), training=True, slope=0.01)
+    return conv, E.tsum(bn), (w, gamma, beta)
+
+
+@pytest.mark.parametrize("build", [_unread_product, _unread_sum, _unread_conv],
+                         ids=["mul-into-tsum", "mul-into-add", "conv2d-into-batch_norm2d"])
+def test_tape_frees_an_output_no_vjp_reads(rng, build):
+    """An op output that no VJP reads is freed once the caller drops it, while
+    the graph above it is still alive, and the walk still reaches below it."""
+    out, loss, leaves = build(rng)
+    ref = weakref.ref(out.data)
+    del out
+    assert ref() is None
+    loss.backward()
+    assert all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in leaves)
+
+
+def test_second_backward_over_a_consumed_graph_is_a_no_op(rng):
+    x = Parameter(rng.normal(size=(3, 4)))
+    h = E.gelu(E.mul(x, x))
+    loss = E.tsum(h)
+    loss.backward()
+    first = x.grad.copy()
+    loss.backward()
+    E.tsum(h).backward()  # a new root over the consumed graph
+    assert not loss.requires_grad and not h.requires_grad
+    assert np.array_equal(x.grad, first)
+
+
+def test_walk_calls_the_vjp_set_after_the_op(rng):
+    """As ``perfbench/tracer.py`` does: wrap ``out._vjp`` after the op."""
+    x = Parameter(rng.normal(size=(3, 4)))
+    out = E.scale(x, 2.0)
+    calls = []
+    inner = out._vjp
+
+    def wrapped(g):
+        calls.append(g.shape)
+        return inner(g)
+
+    out._vjp = wrapped
+    assert out._vjp is wrapped
+    E.tsum(out).backward()
+    assert calls == [(3, 4)]
+    assert np.array_equal(x.grad, np.full((3, 4), 2.0))
