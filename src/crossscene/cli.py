@@ -40,6 +40,7 @@ def set_allocator_policy():
 
 import argparse
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -90,6 +91,17 @@ ABLATION_GRIDS = {
 }
 
 
+def _positive_finite(text):
+    """A float option that must be finite and above 0 (a usage error otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
 def _config_parent():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="JSON experiment config")
@@ -129,7 +141,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every registered subgraph")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
+    p.add_argument("--tolerance", type=_positive_finite, default=GRADCHECK_TOLERANCE)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", parents=[cfg], help="run a named experiment grid")

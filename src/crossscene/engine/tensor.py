@@ -562,17 +562,24 @@ def gelu(x):
 
     ``erf`` runs on a float64 copy: scipy's float32 loop holds the GIL, the
     float64 one does not, and rounding its result to float32 gives the float32
-    loop's bits.
+    loop's bits.  When the op is recorded, the forward also computes the
+    backward's factor ``Phi(x) + x * phi(x)``, and the tape keeps that one
+    array instead of x and Phi(x).
     """
     xd = x.data
     cdf = _erf((xd * _INV_SQRT2).astype(np.float64, copy=False)).astype(xd.dtype, copy=False)
     cdf += 1.0
     cdf *= 0.5
     data = xd * cdf
+    deriv = None
+    if _records(x):
+        deriv = np.exp(-0.5 * xd * xd)
+        deriv *= _INV_SQRT2PI  # phi(x)
+        deriv *= xd
+        deriv += cdf
 
     def vjp(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (cdf + xd * pdf),)
+        return (g * deriv,)
 
     return _make(data, (x,), vjp)
 
@@ -638,6 +645,13 @@ def conv2d(x, w, b=None):
     is wider than 9*min(c_in, c_out), and the tape keeps only x.  The input
     gradient is skipped when x needs none.
 
+    The backward builds its column matrix whole only while it fits in
+    ``COL_BYTES``.  Past that, the weight gradient takes the columns one
+    kernel row (three taps) at a time, and the input gradient takes g's
+    columns a block of images at a time.  Each piece is a block of the one
+    GEMM's rows or columns with K whole, so at the preset channel counts the
+    bits do not change (at others, see the next paragraph).
+
     On OpenBLAS 0.3.31 an image's output bits do not depend on its batch at
     the preset channel counts (16, 32, 64).  When c_out mod 16 is 1..8 they
     can: a GEMM with N mod 16 in 1..8 rounds a 25- or 49-row A differently
@@ -659,16 +673,17 @@ def conv2d(x, w, b=None):
     needs_gx, has_bias = x.requires_grad, b is not None
 
     def vjp(g):
-        # when g is the narrower side, one copy of its columns serves gw and gx
-        gcols = _im2col(g) if c > c_out else None
+        gcols = None
+        if c > c_out:  # g is the narrower side: while its columns fit, one copy serves gw and gx
+            gcols = _im2col(g) if _col_bytes(g, c_out) <= COL_BYTES else _kernel_row_cols(g)
         gw = _conv_weight_grad(xd, g, gcols)
         gx = None
         if needs_gx:
             flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))  # the c_out -> c_in conv
-            if gcols is None:
-                gx = _conv3x3(g, flipped)
-            else:
+            if isinstance(gcols, np.ndarray):
                 gx = _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape)
+            else:
+                gx = _conv3x3(g, flipped, COL_BYTES)
         if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))
@@ -685,20 +700,50 @@ def _tap_kernels(wd):
     return np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(9, c, c_out)
 
 
-def _conv3x3(xd, taps):
+def _conv3x3(xd, taps, col_bytes=None):
     """The conv of (n, h, w, a) ``xd`` with per-tap kernels ``taps`` (9, a, b),
-    expanding the narrower channel side."""
+    expanding the narrower channel side (``col_bytes``: see ``_conv_im2col``)."""
     a, b = taps.shape[1:]
-    return (_conv_im2col if a <= b else _conv_per_tap)(xd, taps)
+    return _conv_im2col(xd, taps, col_bytes) if a <= b else _conv_per_tap(xd, taps)
+
+
+# The conv backward builds an im2col column matrix whole up to this many
+# bytes, and in pieces past it (see ``conv2d``).  At the houston shape (100
+# patches of 15x15, 9*32 columns) the matrix is 25.9 MB, and the two streams'
+# walks, each at its first conv with most of its tape alive, set a training
+# run's peak RSS.  Pieces cost time where g's columns feed both gw and gx
+# (a 64 -> 32 VJP took 1.12-1.15x as long at 7x7 and 15x15), so the hyrank
+# and pavia shapes (patch 7 and 9: 5.6 and 9.3 MB) stay whole.
+COL_BYTES = 12 << 20
+
+
+def _col_bytes(xd, c):
+    """The bytes of the (n*h*w, 9*c) columns of a map shaped like ``xd``."""
+    return xd.shape[0] * xd.shape[1] * xd.shape[2] * 9 * c * xd.itemsize
+
+
+def _windows(xd):
+    """(n, h, w, 3, 3, c) view: [..., ki, kj, :] is the zero-padded input
+    pixel that tap (ki, kj) reads for each output pixel."""
+    n, h, w, c = xd.shape
+    padded = _padded_rows(xd)[0].reshape(n, h + 2, w + 2, c)
+    return sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
 def _im2col(xd):
     """(n*h*w, 9*c) columns: row p holds the zero-padded 3x3 neighbourhood of
     output pixel p, taps in raster order, channels innermost."""
     n, h, w, c = xd.shape
-    padded = _padded_rows(xd)[0].reshape(n, h + 2, w + 2, c)
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (n, h, w, c, 3, 3)
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 9 * c)  # the one copy
+    return _windows(xd).reshape(n * h * w, 9 * c)  # the one copy
+
+
+def _kernel_row_cols(xd):
+    """The three (n*h*w, 3*c) column blocks of ``_im2col(xd)``, one kernel
+    row each, built one at a time."""
+    windows = _windows(xd)
+    n, h, w, _, _, c = windows.shape
+    for ki in range(3):
+        yield windows[:, :, :, ki].reshape(n * h * w, 3 * c)
 
 
 # OpenBLAS 0.3.31 rounds a K = 576 product with M*N*K <= 1e6 differently from
@@ -708,18 +753,31 @@ def _im2col(xd):
 _K_SLICE = 288
 
 
-def _cols_matmul(cols, kernel):
-    """``cols @ kernel``, K taken in slices of ``_K_SLICE``."""
-    out = cols[:, :_K_SLICE] @ kernel[:_K_SLICE]
+def _cols_matmul(cols, kernel, out=None):
+    """``cols @ kernel`` (into ``out`` if given), K taken in slices of ``_K_SLICE``."""
+    out = np.matmul(cols[:, :_K_SLICE], kernel[:_K_SLICE], out=out)
     for k in range(_K_SLICE, cols.shape[1], _K_SLICE):
         out += cols[:, k : k + _K_SLICE] @ kernel[k : k + _K_SLICE]
     return out
 
 
-def _conv_im2col(xd, taps):
-    """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a."""
+def _conv_im2col(xd, taps, col_bytes=None):
+    """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a.
+
+    With ``col_bytes`` and columns larger than that, the columns are built
+    for blocks of images of equal size (at least one image each), each
+    block's rows multiplied into its rows of the output.
+    """
     n, h, w, a = xd.shape
-    return _cols_matmul(_im2col(xd), taps.reshape(9 * a, -1)).reshape(n, h, w, -1)
+    kernel = taps.reshape(9 * a, -1)
+    blocks = 1 if col_bytes is None else min(n, -(-_col_bytes(xd, a) // col_bytes))
+    if blocks <= 1:
+        return _cols_matmul(_im2col(xd), kernel).reshape(n, h, w, -1)
+    step, b = -(-n // blocks), kernel.shape[1]
+    out = np.empty((n, h, w, b), dtype=xd.dtype)
+    for i in range(0, n, step):
+        _cols_matmul(_im2col(xd[i : i + step]), kernel, out=out[i : i + step].reshape(-1, b))
+    return out
 
 
 # (output, input) slices along one spatial axis for a tap offset of 1, 0 or
@@ -800,13 +858,26 @@ def conv2d_windows(xd, wd, bd, ps):
 
 
 def _conv_weight_grad(xd, g, gcols=None):
-    """The (c_out, c_in, 3, 3) kernel gradient: ``x.T @ gcols`` given g's
-    columns, where tap t is g's tap 8 - t, else ``im2col(x).T @ g``."""
+    """The (c_out, c_in, 3, 3) kernel gradient.
+
+    Given g's columns ``gcols``, whole or as ``_kernel_row_cols(g)``'s three
+    blocks: ``x.T @ gcols``, where tap t is g's tap 8 - t, a block of the
+    product's columns per kernel row.  Else ``im2col(x).T @ g``: whole while
+    x's columns fit in ``COL_BYTES``, else one block of the product's rows
+    per kernel row.  K = n*h*w is never split, so both ways give the same
+    bits.
+    """
     c, c_out = xd.shape[3], g.shape[3]
+    # map, unlike a loop variable, drops each column block before building the next
     if gcols is None:
-        gtaps = (_im2col(xd).T @ g.reshape(-1, c_out)).reshape(9, c, c_out)
+        g = g.reshape(-1, c_out)
+        cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _kernel_row_cols(xd)
+        gtaps = np.concatenate(list(map(lambda part: part.T @ g, cols))).reshape(9, c, c_out)
     else:
-        gtaps = (xd.reshape(-1, c).T @ gcols).reshape(c, 9, c_out)[:, ::-1].transpose(1, 0, 2)
+        xt = xd.reshape(-1, c).T
+        cols = [gcols] if isinstance(gcols, np.ndarray) else gcols
+        gtaps = np.concatenate(list(map(lambda part: xt @ part, cols)), axis=1)
+        gtaps = gtaps.reshape(c, 9, c_out)[:, ::-1].transpose(1, 0, 2)
     return gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
 
 
@@ -880,10 +951,13 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training, slope=None
     Works on the (n*h*w, c) row view: one centred copy becomes ``xhat`` in
     place, and the backward pass allocates only the input gradient.
 
-    With ``slope`` the output is ``leaky_relu(bn, slope)``, bit for bit, but
-    the tape keeps ``xhat`` and the sign mask of the BN output instead of
-    the BN output itself (after In-Place Activated BatchNorm, Rota Bulo,
-    Porzi & Kontschieder 2018, which inverts the activation instead).
+    With ``slope`` the output is ``leaky_relu(bn, slope)``, bit for bit, and
+    the tape keeps ``xhat`` and the output, not the BN output (after
+    In-Place Activated BatchNorm, Rota Bulo, Porzi & Kontschieder 2018,
+    which inverts the activation instead).  For a slope in [0, 1] the
+    output is positive exactly where the BN output is, so it gives the
+    LeakyReLU gradient's sign without a stored mask, and a conv that reads
+    the output keeps that array anyway.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -911,16 +985,14 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training, slope=None
     gd = gamma.data
     out = xhat * gd
     out += beta.data
-    positive = None
+    act = None
     if slope is not None:
-        if _records(x, gamma, beta):
-            positive = out > 0
-        np.maximum(out, slope * out, out=out)
+        act = np.maximum(out, slope * out, out=out)
 
     def vjp(g):
         g = g.reshape(-1, c)
-        if positive is not None:
-            g = g * np.maximum(positive.astype(g.dtype), g.dtype.type(slope))
+        if act is not None:
+            g = g * np.maximum((act > 0).astype(g.dtype), g.dtype.type(slope))
         gbeta = g.sum(axis=0)
         ggamma = np.einsum("ij,ij->j", g, xhat)
         if training:

@@ -164,6 +164,32 @@ def test_gradcheck_command(capsys):
     assert "all checks pass" in out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "0", "abc"])
+def test_gradcheck_bad_tolerance_exits_2(capsys, monkeypatch, tolerance):
+    """Refused by the parser, before any check runs: with a NaN tolerance
+    every check would FAIL, with an infinite one every check would pass."""
+    monkeypatch.setattr("crossscene.cli.run_all_checks", None)  # never reached
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", f"--tolerance={tolerance}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("config error:") and "--tolerance" in err and "\n" not in err
+
+
+def test_gradcheck_exits_1_when_a_check_fails(capsys, monkeypatch):
+    from crossscene.engine.gradcheck import GradCheckReport
+
+    reports = [GradCheckReport("conv2d", 1e-9), GradCheckReport("gelu", 0.5)]
+    monkeypatch.setattr("crossscene.cli.run_all_checks", lambda seed, tolerance: (reports, False))
+    rc = main(["gradcheck", "--tolerance", "1e-4"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out[0].endswith("PASS") and out[1].endswith("FAIL")
+    assert out[-1] == "FAILURES PRESENT (tolerance 0.0001)"
+
+
 def test_ablate_variants_grid(synth_dir, capsys):
     # two epochs at lr0 0.1 on min-max input are enough for the block variants to part
     cfg_path = _cfg_file(synth_dir, lr0=0.1, normalization="minmax")

@@ -2,13 +2,15 @@
 
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from crossscene import engine as E
-from crossscene.engine import Parameter, Tensor, tensor
+from crossscene.engine import Parameter, Tensor, grad_check, tensor
+from crossscene.engine.gradcheck import primitive_checks
 
 
 def test_gelu_fixed_points():
@@ -257,6 +259,83 @@ def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
     for size in (1, 7):
         parts = [E.conv2d(Tensor(x[i : i + size]), w).data for i in range(0, 100, size)]
         assert np.array_equal(np.concatenate(parts), full), size
+
+
+# Past tensor.COL_BYTES, conv2d's backward builds its im2col columns in pieces:
+# kernel rows for gw, blocks of images for gx.  These are the preset shapes.
+@pytest.mark.parametrize("hw,c_in,c_out", [
+    ((15, 15), 48, 32), ((15, 15), 32, 64), ((15, 15), 64, 32),
+    ((7, 7), 176, 32), ((7, 7), 64, 32), ((7, 7), 32, 64),
+    ((5, 5), 16, 16), ((5, 5), 32, 16),
+])
+def test_conv2d_backward_in_pieces_matches_whole(rng, monkeypatch, hw, c_in, c_out):
+    """gx, gw and gb are bit for bit the one-piece results, with a third of the
+    batch per image block and with one image per block."""
+    n = 100
+    x = rng.normal(size=(n, *hw, c_in)).astype(np.float32)
+    w = rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32)
+    bias = rng.normal(size=c_out).astype(np.float32)
+    g = rng.normal(size=(n, *hw, c_out)).astype(np.float32)
+    cols = tensor._col_bytes(g, min(c_in, c_out))
+    im2col, images = tensor._im2col, []
+
+    def spy(xd):
+        images.append(xd.shape[0])
+        return im2col(xd)
+
+    monkeypatch.setattr(tensor, "_im2col", spy)
+
+    def grads(budget):
+        monkeypatch.setattr(tensor, "COL_BYTES", budget)
+        tx, tw, tb = Tensor(x, requires_grad=True), Parameter(w), Parameter(bias)
+        out = E.conv2d(tx, tw, tb)
+        images.clear()  # count the backward's column matrices only
+        out.backward(g)
+        return tx.grad, tw.grad, tb.grad
+
+    whole = grads(cols)
+    assert images and set(images) == {n}
+    for budget in (cols // 3, 1):
+        pieces = grads(budget)
+        assert all(k < n for k in images), budget
+        for a, b in zip(whole, pieces):
+            assert a.dtype == b.dtype and np.array_equal(a, b), budget
+
+
+def test_conv2d_gradcheck_with_the_columns_in_pieces(monkeypatch):
+    """The f64 finite-difference cases of both conv2d sides pass with every
+    column matrix of the backward built one kernel row or one image at a time."""
+    monkeypatch.setattr(tensor, "COL_BYTES", 1)
+    for seed in range(5):
+        for name, params, build in primitive_checks(seed):
+            if name.startswith("conv2d"):
+                rep = grad_check(build, params, name=name)
+                assert rep.passed(1e-4), f"{name} @ seed {seed}: {rep.max_rel_err:.3e}"
+
+
+# Peak of the arrays one conv2d backward at 100 x 15 x 15, 64 -> 32 allocates
+# (gx, gw, gb and the temporaries): 15.2 MiB with g's columns built in pieces
+# of at most COL_BYTES, 30.4 MiB with the whole (22500, 288) column matrix
+# (25.9 MB) built at once.
+CONV_VJP_PEAK_BOUND_MIB = 18.0
+
+
+def test_conv2d_backward_peak_memory_guard(rng):
+    x = Tensor(rng.normal(size=(100, 15, 15, 64)).astype(np.float32), requires_grad=True)
+    w = Parameter(rng.normal(size=(32, 64, 3, 3)).astype(np.float32))
+    b = Parameter(np.zeros(32, np.float32))
+    out = E.conv2d(x, w, b)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    vjp = out._vjp
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [x.shape, w.shape, b.shape]
+    assert peak / 2**20 < CONV_VJP_PEAK_BOUND_MIB
 
 
 @pytest.mark.parametrize("d", [16, 32, 64])
@@ -519,6 +598,34 @@ def test_tape_frees_an_output_no_vjp_reads(rng, build):
     assert ref() is None
     loss.backward()
     assert all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in leaves)
+
+
+def _vjp_arrays(t):
+    """The arrays the VJP closure of op output ``t`` keeps."""
+    cells = [c.cell_contents for c in t._vjp.__closure__ or ()]
+    return [v for v in cells if isinstance(v, np.ndarray)]
+
+
+def test_gelu_tape_keeps_one_array(rng):
+    """The backward's factor Phi(x) + x*phi(x), not x and Phi(x)."""
+    x = Parameter(rng.normal(size=(6, 5)))
+    out = E.gelu(x)
+    kept = _vjp_arrays(out)
+    assert len(kept) == 1 and kept[0].shape == x.shape
+    with E.no_grad():
+        assert not E.gelu(x).requires_grad  # nothing is computed for a tape not recorded
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm2d_tape_keeps_no_sign_mask(rng, training):
+    """The LeakyReLU epilogue reads its sign from its own output, which the
+    next conv keeps anyway, not from a stored bool mask."""
+    x = Tensor(rng.normal(size=(2, 5, 5, 4)).astype(np.float32), requires_grad=True)
+    gamma, beta = Parameter(np.ones(4, np.float32)), Parameter(np.zeros(4, np.float32))
+    out = E.batch_norm2d(x, gamma, beta, np.zeros(4), np.ones(4), training=training, slope=0.01)
+    kept = _vjp_arrays(out)
+    assert kept and not any(a.dtype == bool for a in kept)
+    assert any(np.shares_memory(a, out.data) for a in kept)
 
 
 def test_second_backward_over_a_consumed_graph_is_a_no_op(rng):

@@ -15,7 +15,7 @@ import pytest
 from crossscene import engine as E
 from crossscene.data import LabelMap, PatchBatch, PatchSource, labeled_pixels, normalize_scene
 from crossscene.engine import (NumericError, Tensor, lr_schedule, sgd_momentum_step,
-                               zero_grads)
+                               tensor, zero_grads)
 from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig
 from crossscene.discrepancy import lmmd, one_hot
 from crossscene.training import (Ablation, LossWeights, StepStats, TrainConfig, build_model,
@@ -336,9 +336,10 @@ def test_source_only_step_is_plain_supervised(tiny_pair, tiny_config):
 
 # Peak of the arrays numpy allocates in one source-only step at the houston
 # shape (patch 15, 48 bands, channels 32/64/32, 7 classes) with 10 patches:
-# 8.22 MiB when the tape keeps only what a VJP reads, 10.24 MiB when every op
-# output stays pinned by its consumers.  The bound is the former plus ~9.5%.
-STEP_PEAK_BOUND_MIB = 9.0
+# 7.47 MiB when GELU keeps one array and batch norm no sign mask, 8.22 MiB
+# when they keep x, Phi(x) and the mask, 10.24 MiB when every op output stays
+# pinned by its consumers.  The bound is the first plus ~9.8%.
+STEP_PEAK_BOUND_MIB = 8.2
 
 
 def test_train_step_peak_memory_guard(rng):
@@ -357,6 +358,31 @@ def test_train_step_peak_memory_guard(rng):
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < STEP_PEAK_BOUND_MIB
+
+
+def test_train_step_bits_do_not_depend_on_the_column_budget(monkeypatch):
+    """Two-stream steps at the houston shape (100 + 100 patches), where
+    conv2d's backward builds its column matrices in pieces, leave the
+    parameters, momenta and BN buffers of steps that build each one whole."""
+    rng = np.random.default_rng(0)
+    n, cfg = 100, TrainConfig(batch=100, patch_size=15, unit_channels=(32, 64, 32))
+    refs = np.zeros((n, 2), dtype=np.int64)
+    source = PatchBatch(Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)),
+                        np.arange(n) % 7 + 1, refs)
+    target = PatchBatch(Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)), None, refs)
+    assert tensor._col_bytes(source.patches.data, 32) > tensor.COL_BYTES  # the default splits
+
+    def state_after_two_steps(budget):
+        monkeypatch.setattr(tensor, "COL_BYTES", budget)
+        model = build_model(cfg, 7, 48)
+        for k in range(2):
+            train_step(model, source, target, cfg, progress=k / 2)
+        return _training_state(model)
+
+    whole = state_after_two_steps(1 << 40)
+    for budget in (tensor.COL_BYTES, 1):
+        pieces = state_after_two_steps(budget)
+        assert [k for k in whole if whole[k].tobytes() != pieces[k].tobytes()] == [], budget
 
 
 def test_loss_decreases_over_first_steps(tiny_pair, tiny_config):
