@@ -66,10 +66,10 @@ def full_model_case(seed=0):
 
     def build():
         z = model.features(x, training=True)
-        p = E.softmax(model.head_logits(z, "cls"))
+        p = E.softmax(model.head_cls(z))
         return E.tmean(E.gather_rows(E.transpose(p), np.array([0])))
 
-    return "full_model", model.named_parameters(), build, FULL_MODEL_ENTRIES
+    return "full_model", model.parameters(), build, FULL_MODEL_ENTRIES
 
 
 def standard_cases(seed=0):

@@ -91,11 +91,6 @@ def config_from_dict(data):
     return _build(ExperimentConfig, data)
 
 
-def config_to_dict(cfg):
-    """Nested plain data; tuples stay tuples (JSON writes them as lists)."""
-    return asdict(cfg)
-
-
 def load_config(path):
     p = Path(path)
     if not p.is_file():
@@ -108,7 +103,7 @@ def load_config(path):
 
 
 def save_config(cfg, path):
-    write_atomic(path, json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(asdict(cfg), indent=1, sort_keys=True) + "\n")
 
 
 def deep_merge(base, extra):

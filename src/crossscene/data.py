@@ -164,10 +164,13 @@ def load_scene(bundle_dir):
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise BundleError(f"unparseable {meta_path}: {e}") from e
-    try:
-        h, w, b = int(meta["height"]), int(meta["width"]), int(meta["bands"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise BundleError(f"bad metadata in {meta_path}: {e}") from e
+    if not isinstance(meta, dict):
+        raise BundleError(f"bad metadata in {meta_path}: not a JSON object")
+    for key in ("height", "width", "bands"):
+        if type(meta.get(key)) is not int or meta[key] < 1:  # a bool is no int
+            raise BundleError(f"bad metadata in {meta_path}: {key} must be an integer >= 1, "
+                              f"got {meta.get(key)!r}")
+    h, w, b = meta["height"], meta["width"], meta["bands"]
     if meta.get("dtype") != "f32":
         raise BundleError(f"unknown cube dtype {meta.get('dtype')!r} (only f32 supported)")
     if meta.get("layout") != "bsq":

@@ -1,0 +1,273 @@
+"""3x3 convolution kernels on channels-last arrays: stride 1, zero padding 1.
+
+Arrays in, arrays out: nothing here records on the tape.  ``tensor.conv2d``
+calls ``forward``, and its VJP calls ``backward``; scene inference calls
+``conv2d_windows``.  Maps are (n, h, w, c); kernels keep their
+(c_out, c_in, 3, 3) parameter layout.
+
+The forward (c_in -> c_out) and the input gradient (c_out -> c_in, against
+the flipped, channel-transposed kernel) are each an a -> b conv that expands
+only its narrower channel side, chosen from the channel counts alone (never
+h*w, the batch size or a timing):
+
+- a <= b: one unrolled GEMM with K = 9*a (im2col, Chellapilla, Puri &
+  Simard 2006), ``_conv_im2col``;
+- a > b: one GEMM per kernel tap, each shifted into the output (the kn2row
+  family, Vasudevan, Anderson & Gregg 2017), ``_conv_per_tap``.
+
+The weight gradient unrolls the narrower of x and g.  No expanded matrix is
+wider than 9*min(c_in, c_out).
+
+A column matrix (n*h*w rows) is built whole only while it fits in
+``COL_BYTES``.  Past that, the weight gradient takes the columns one kernel
+row (three taps) at a time, and a conv on the im2col side takes them a block
+of images at a time.  Each piece is a block of the one GEMM's rows or
+columns with K whole, so at the preset channel counts the bits do not change
+(at others, see the next paragraph).
+
+On OpenBLAS 0.3.31 an image's output bits do not depend on its batch at the
+preset channel counts (16, 32, 64).  When c_out mod 16 is 1..8 they can: a
+GEMM with N mod 16 in 1..8 rounds a 25- or 49-row A differently from a
+4900-row one once K reaches 32 to 128 (the bound depends on N and M), e.g.
+for one 7x7 image at 64 -> 4, 176 -> 8 or 32 -> 24.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# A column matrix is built whole up to this many bytes, and in pieces past it.
+# At the houston shape (100 patches of 15x15, 9*32 columns) the matrix is
+# 25.9 MB, and the two training streams' column copies set a run's peak RSS.
+# Pieces cost time where g's columns feed both gw and gx (a 64 -> 32 VJP took
+# 1.12-1.15x as long at 7x7 and 15x15), so the hyrank and pavia shapes
+# (patch 7 and 9: 5.6 and 9.3 MB) stay whole.
+COL_BYTES = 12 << 20
+
+# OpenBLAS 0.3.31 rounds a K = 576 product with M*N*K <= 1e6 differently from
+# the same rows inside a larger product (its small-matrix kernel does not split
+# K), so one 7x7 image would get other bits alone than in a batch.  At
+# K <= 288 the two agree, so the column product takes K in slices of 288.
+_K_SLICE = 288
+
+# (output, input) slices along one spatial axis for a tap offset of 1, 0 or
+# -1 pixels from input to output
+_SHIFTS = {1: (slice(1, None), slice(None, -1)), 0: (slice(None), slice(None)),
+           -1: (slice(None, -1), slice(1, None))}
+
+
+def forward(xd, wd):
+    """The conv of ``xd`` (n, h, w, c_in) with ``wd`` (c_out, c_in, 3, 3),
+    no bias -> (n, h, w, c_out)."""
+    return _conv3x3(xd, _tap_kernels(wd))
+
+
+def backward(xd, wd, g, needs_gx):
+    """(gx, gw) of ``forward(xd, wd)`` for the output gradient ``g``; gx is
+    None unless ``needs_gx``."""
+    c, c_out = xd.shape[3], wd.shape[0]
+    gcols = None
+    if c > c_out:  # g is the narrower side: while its columns fit, one copy serves gw and gx
+        gcols = _im2col(g) if _col_bytes(g, c_out) <= COL_BYTES else _kernel_row_cols(g)
+    gw = _conv_weight_grad(xd, g, gcols)
+    if not needs_gx:
+        return None, gw
+    flipped = np.ascontiguousarray(_tap_kernels(wd)[::-1].transpose(0, 2, 1))  # c_out -> c_in
+    if isinstance(gcols, np.ndarray):
+        return _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape), gw
+    return _conv3x3(g, flipped), gw
+
+
+def padded_rows(xd, extra=0):
+    """(rows, offs): the map zero-padded by one pixel and flattened to
+    (n*(h+2)*(w+2) + extra, c) rows, the last ``extra`` rows zero, and the
+    row offset of each 3x3 tap (ki, kj) in raster order."""
+    n, h, w, c = xd.shape
+    count = n * (h + 2) * (w + 2)
+    rows = np.zeros((count + extra, c), dtype=xd.dtype)
+    rows[:count].reshape(n, h + 2, w + 2, c)[:, 1:-1, 1:-1] = xd
+    return rows, [ki * (w + 2) + kj for ki in range(3) for kj in range(3)]
+
+
+def _tap_kernels(wd):
+    """(c_out, c_in, 3, 3) -> (9, c_in, c_out) per-tap kernels, taps in raster
+    order.  Contiguous: with a strided view OpenBLAS rounded one 5x5 image at
+    32 -> 16 differently alone than in a batch."""
+    c_out, c = wd.shape[:2]
+    return np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(9, c, c_out)
+
+
+def _conv3x3(xd, taps):
+    """The conv of (n, h, w, a) ``xd`` with per-tap kernels ``taps`` (9, a, b),
+    expanding the narrower channel side."""
+    a, b = taps.shape[1:]
+    return _conv_im2col(xd, taps) if a <= b else _conv_per_tap(xd, taps)
+
+
+def _col_bytes(xd, c):
+    """The bytes of the (n*h*w, 9*c) columns of a map shaped like ``xd``."""
+    return xd.shape[0] * xd.shape[1] * xd.shape[2] * 9 * c * xd.itemsize
+
+
+def _windows(xd):
+    """(n, h, w, 3, 3, c) view: [..., ki, kj, :] is the zero-padded input
+    pixel that tap (ki, kj) reads for each output pixel."""
+    n, h, w, c = xd.shape
+    padded = padded_rows(xd)[0].reshape(n, h + 2, w + 2, c)
+    return sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+
+
+def _im2col(xd):
+    """(n*h*w, 9*c) columns: row p holds the zero-padded 3x3 neighbourhood of
+    output pixel p, taps in raster order, channels innermost."""
+    n, h, w, c = xd.shape
+    return _windows(xd).reshape(n * h * w, 9 * c)  # the one copy
+
+
+def _kernel_row_cols(xd):
+    """The three (n*h*w, 3*c) column blocks of ``_im2col(xd)``, one kernel
+    row each, built one at a time."""
+    windows = _windows(xd)
+    n, h, w, _, _, c = windows.shape
+    for ki in range(3):
+        yield windows[:, :, :, ki].reshape(n * h * w, 3 * c)
+
+
+def _cols_matmul(cols, kernel, out=None):
+    """``cols @ kernel`` (into ``out`` if given), K taken in slices of ``_K_SLICE``."""
+    out = np.matmul(cols[:, :_K_SLICE], kernel[:_K_SLICE], out=out)
+    for k in range(_K_SLICE, cols.shape[1], _K_SLICE):
+        out += cols[:, k : k + _K_SLICE] @ kernel[k : k + _K_SLICE]
+    return out
+
+
+def _conv_im2col(xd, taps):
+    """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a.
+
+    With columns larger than ``COL_BYTES``, the columns are built for blocks
+    of images of equal size (at least one image each), each block's rows
+    multiplied into its rows of the output.
+    """
+    n, h, w, a = xd.shape
+    kernel = taps.reshape(9 * a, -1)
+    blocks = min(n, -(-_col_bytes(xd, a) // COL_BYTES))
+    if blocks <= 1:
+        return _cols_matmul(_im2col(xd), kernel).reshape(n, h, w, -1)
+    step, b = -(-n // blocks), kernel.shape[1]
+    out = np.empty((n, h, w, b), dtype=xd.dtype)
+    for i in range(0, n, step):
+        _cols_matmul(_im2col(xd[i : i + step]), kernel, out=out[i : i + step].reshape(-1, b))
+    return out
+
+
+def _conv_per_tap(xd, taps):
+    """Nine (n*h*w, a) @ (a, b) GEMMs into one reused buffer.  Tap (ki, kj)
+    carries input pixel (i, j) to output (i+1-ki, j+1-kj), so each product is
+    added into the output at that shift; what shifts off the map is dropped,
+    as the zero padding would have it."""
+    n, h, w, a = xd.shape
+    b = taps.shape[2]
+    rows = xd.reshape(-1, a)
+    out = np.zeros((n, h, w, b), dtype=xd.dtype)
+    part = np.empty_like(out)
+    for k in range(9):
+        (oi, ii), (oj, ij) = _SHIFTS[1 - k // 3], _SHIFTS[1 - k % 3]
+        np.matmul(rows, taps[k], out=part.reshape(-1, b))
+        out[:, oi, oj] += part[:, ii, ij]
+    return out
+
+
+def _conv_weight_grad(xd, g, gcols=None):
+    """The (c_out, c_in, 3, 3) kernel gradient.
+
+    Given g's columns ``gcols``, whole or as ``_kernel_row_cols(g)``'s three
+    blocks: ``x.T @ gcols``, where tap t is g's tap 8 - t, a block of the
+    product's columns per kernel row.  Else ``im2col(x).T @ g``: whole while
+    x's columns fit in ``COL_BYTES``, else one block of the product's rows
+    per kernel row.  K = n*h*w is never split, so both ways give the same
+    bits.
+    """
+    c, c_out = xd.shape[3], g.shape[3]
+    # map, unlike a loop variable, drops each column block before building the next
+    if gcols is None:
+        g = g.reshape(-1, c_out)
+        cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _kernel_row_cols(xd)
+        gtaps = np.concatenate(list(map(lambda part: part.T @ g, cols))).reshape(9, c, c_out)
+    else:
+        xt = xd.reshape(-1, c).T
+        cols = [gcols] if isinstance(gcols, np.ndarray) else gcols
+        gtaps = np.concatenate(list(map(lambda part: xt @ part, cols)), axis=1)
+        gtaps = gtaps.reshape(c, 9, c_out)[:, ::-1].transpose(1, 0, 2)
+    return gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
+
+
+# -- every window of one map at once (scene inference) ----------------------
+
+
+def _border_classes(h, ps):
+    """Per border class along one axis of ps-wide windows over h map rows:
+    its first and last window position, the taps it keeps, and the count of
+    map rows where it occurs in some window (one class at ps = 1)."""
+    axis = [(0, 0, (1,))] if ps == 1 else [(0, 0, (1, 2)), (1, ps - 2, (0, 1, 2)),
+                                          (ps - 1, ps - 1, (0, 1))]
+    return [(first, last, keep, h - ps + 1 + last - first) for first, last, keep in axis]
+
+
+def class_rows(h, ps):
+    """The rows, each as wide as the map, of ``conv2d_windows``'s output for
+    an h-row map and ps x ps windows."""
+    axis = _border_classes(h, ps)
+    return len(axis) * sum(count for *_, count in axis)
+
+
+def conv2d_windows(xd, wd, bd, ps):
+    """Forward-only ``conv2d`` with bias of every ps x ps window of one
+    (h, w, c_in) map, each window zero-padded on its own, as if the windows
+    were cut out and batched.
+
+    A window position's output depends on the window only through which taps
+    stay inside it: all nine in the interior, a subset on the window's top,
+    bottom, left or right edge, the centre tap alone at ps = 1.  So the map
+    is convolved once per border class (top, middle or bottom row x left,
+    middle or right column; one class at ps = 1), each class only over the
+    map rows where it occurs in some window.  A class adds its taps in order
+    0..8 onto zeros, the subset of what ``_conv_per_tap`` adds.  So on the
+    per-tap side (c_in > c_out) a window cut from the classes is bit for bit
+    its batched conv wherever a per-tap GEMM gives a row the same bits at any
+    row count.
+
+    Returns (out, index): ``out`` (``class_rows(h, ps)`` * w, c_out) holds
+    the class maps, w pixels wide, one after the other; ``index`` (ps, ps)
+    holds the row of ``out`` for each position of the window at (0, 0).  The
+    window whose top-left map pixel is (t, s) reads rows ``index + t*w + s``.
+    """
+    h, w, c = xd.shape
+    if h < ps or w < ps:
+        raise ValueError(f"conv2d_windows needs a map of at least {ps}x{ps}, got {h}x{w}")
+    taps = _tap_kernels(wd)
+    b = taps.shape[2]
+    axis = _border_classes(h, ps)
+    n = len(axis)
+    counts = [count for *_, count in axis]  # map rows per row class
+    starts = np.cumsum([0] + [counts[r] * w for r in range(n) for _ in range(n)])
+    out = np.zeros((starts[-1], b), dtype=xd.dtype)
+    maps = [out[starts[i] : starts[i + 1]].reshape(-1, w, b) for i in range(n * n)]
+    rows = xd.reshape(-1, c)
+    part = np.empty((h, w, b), dtype=xd.dtype)
+    for k in range(9):
+        ki, kj = divmod(k, 3)
+        users = [(r, s) for r in range(n) for s in range(n)
+                 if ki in axis[r][2] and kj in axis[s][2]]
+        if not users:
+            continue
+        np.matmul(rows, taps[k], out=part.reshape(-1, b))
+        oj, ij = _SHIFTS[1 - kj]
+        for r, s in users:
+            top = axis[r][0] + ki - 1  # the part row read by the class map's first row
+            maps[n * r + s][:, oj] += part[top : top + counts[r], ij]
+    out += bd
+    cls = [0] if ps == 1 else [0] + [1] * (ps - 2) + [2]
+    index = np.array([[starts[n * cls[i] + cls[j]] + (i - axis[cls[i]][0]) * w + j
+                       for j in range(ps)] for i in range(ps)], dtype=np.int64)
+    return out, index

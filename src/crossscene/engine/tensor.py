@@ -32,8 +32,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf as _erf
+
+from . import conv
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -96,10 +97,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -122,11 +119,6 @@ class Tensor:
         return self._leaf_grad if node is None else node.requires_grad
 
     @property
-    def _parents(self):
-        node = self._node
-        return () if node is None else node._parents
-
-    @property
     def _vjp(self):
         """The VJP the walk calls for this output; settable, so that a
         profiler can wrap it after the op."""
@@ -136,10 +128,6 @@ class Tensor:
     @_vjp.setter
     def _vjp(self, vjp):
         self._node._vjp = vjp
-
-    def detach(self):
-        """A view of the same data with no tape edge."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
@@ -285,7 +273,7 @@ def _topo_order(root):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node._parents if isinstance(node, _Node) else ():  # a leaf has none
             if p is not None and p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     return order
@@ -611,52 +599,15 @@ def log_softmax(x, axis=-1):
 
 
 # -- spatial ops (NHWC, 3x3, stride 1, zero pad 1) --------------------------
-#
-# Every spatial map is (n, h, w, c): channels last, the layout patches are cut
-# in.  Kernels keep their (c_out, c_in, 3, 3) and (c, 3, 3) parameter layouts.
-
-
-def _padded_rows(xd, extra=0):
-    """(rows, offs): the map zero-padded by one pixel and flattened to
-    (n*(h+2)*(w+2) + extra, c) rows, the last ``extra`` rows zero, and the
-    row offset of each 3x3 tap (ki, kj) in raster order."""
-    n, h, w, c = xd.shape
-    count = n * (h + 2) * (w + 2)
-    rows = np.zeros((count + extra, c), dtype=xd.dtype)
-    rows[:count].reshape(n, h + 2, w + 2, c)[:, 1:-1, 1:-1] = xd
-    return rows, [ki * (w + 2) + kj for ki in range(3) for kj in range(3)]
 
 
 def conv2d(x, w, b=None):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
-    x: (n, h, w, c_in), w: (c_out, c_in, 3, 3), b: (c_out,) or None.
-    The forward (c_in -> c_out) and the input gradient (c_out -> c_in, against
-    the flipped, channel-transposed kernel) are each an a -> b conv that
-    expands only its narrower channel side, chosen from the channel counts
-    alone (never h*w, the batch size or a timing):
-
-    - a <= b: one unrolled GEMM with K = 9*a (im2col, Chellapilla, Puri &
-      Simard 2006), ``_conv_im2col``;
-    - a > b: one GEMM per kernel tap, each shifted into the output (the
-      kn2row family, Vasudevan, Anderson & Gregg 2017), ``_conv_per_tap``.
-
-    The weight gradient unrolls the narrower of x and g.  No expanded matrix
-    is wider than 9*min(c_in, c_out), and the tape keeps only x.  The input
-    gradient is skipped when x needs none.
-
-    The backward builds its column matrix whole only while it fits in
-    ``COL_BYTES``.  Past that, the weight gradient takes the columns one
-    kernel row (three taps) at a time, and the input gradient takes g's
-    columns a block of images at a time.  Each piece is a block of the one
-    GEMM's rows or columns with K whole, so at the preset channel counts the
-    bits do not change (at others, see the next paragraph).
-
-    On OpenBLAS 0.3.31 an image's output bits do not depend on its batch at
-    the preset channel counts (16, 32, 64).  When c_out mod 16 is 1..8 they
-    can: a GEMM with N mod 16 in 1..8 rounds a 25- or 49-row A differently
-    from a 4900-row one once K reaches 32 to 128 (the bound depends on N and
-    M), e.g. for one 7x7 image at 64 -> 4, 176 -> 8 or 32 -> 24.
+    x: (n, h, w, c_in), w: (c_out, c_in, 3, 3), b: (c_out,) or None.  The
+    kernels, and every choice they make, are in :mod:`crossscene.engine.conv`.
+    The tape keeps x and w's array; the input gradient is skipped when x
+    needs none.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
         raise ValueError("conv2d expects NHWC input and a (c_out, c_in, 3, 3) kernel")
@@ -664,230 +615,27 @@ def conv2d(x, w, b=None):
         raise ValueError(
             f"conv2d channel mismatch: input has {x.data.shape[3]}, kernel expects {w.data.shape[1]}"
         )
-    xd = x.data
-    c, c_out = xd.shape[3], w.data.shape[0]
-    taps = _tap_kernels(w.data)
-    out = _conv3x3(xd, taps)
+    xd, wd = x.data, w.data
+    out = conv.forward(xd, wd)
     if b is not None:
         out += b.data
     needs_gx, has_bias = x.requires_grad, b is not None
 
     def vjp(g):
-        gcols = None
-        if c > c_out:  # g is the narrower side: while its columns fit, one copy serves gw and gx
-            gcols = _im2col(g) if _col_bytes(g, c_out) <= COL_BYTES else _kernel_row_cols(g)
-        gw = _conv_weight_grad(xd, g, gcols)
-        gx = None
-        if needs_gx:
-            flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))  # the c_out -> c_in conv
-            if isinstance(gcols, np.ndarray):
-                gx = _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape)
-            else:
-                gx = _conv3x3(g, flipped, COL_BYTES)
-        if not has_bias:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 1, 2))
+        gx, gw = conv.backward(xd, wd, g, needs_gx)
+        return (gx, gw, g.sum(axis=(0, 1, 2))) if has_bias else (gx, gw)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, vjp)
-
-
-def _tap_kernels(wd):
-    """(c_out, c_in, 3, 3) -> (9, c_in, c_out) per-tap kernels, taps in raster
-    order.  Contiguous: with a strided view OpenBLAS rounded one 5x5 image at
-    32 -> 16 differently alone than in a batch."""
-    c_out, c = wd.shape[:2]
-    return np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(9, c, c_out)
-
-
-def _conv3x3(xd, taps, col_bytes=None):
-    """The conv of (n, h, w, a) ``xd`` with per-tap kernels ``taps`` (9, a, b),
-    expanding the narrower channel side (``col_bytes``: see ``_conv_im2col``)."""
-    a, b = taps.shape[1:]
-    return _conv_im2col(xd, taps, col_bytes) if a <= b else _conv_per_tap(xd, taps)
-
-
-# The conv backward builds an im2col column matrix whole up to this many
-# bytes, and in pieces past it (see ``conv2d``).  At the houston shape (100
-# patches of 15x15, 9*32 columns) the matrix is 25.9 MB, and the two streams'
-# walks, each at its first conv with most of its tape alive, set a training
-# run's peak RSS.  Pieces cost time where g's columns feed both gw and gx
-# (a 64 -> 32 VJP took 1.12-1.15x as long at 7x7 and 15x15), so the hyrank
-# and pavia shapes (patch 7 and 9: 5.6 and 9.3 MB) stay whole.
-COL_BYTES = 12 << 20
-
-
-def _col_bytes(xd, c):
-    """The bytes of the (n*h*w, 9*c) columns of a map shaped like ``xd``."""
-    return xd.shape[0] * xd.shape[1] * xd.shape[2] * 9 * c * xd.itemsize
-
-
-def _windows(xd):
-    """(n, h, w, 3, 3, c) view: [..., ki, kj, :] is the zero-padded input
-    pixel that tap (ki, kj) reads for each output pixel."""
-    n, h, w, c = xd.shape
-    padded = _padded_rows(xd)[0].reshape(n, h + 2, w + 2, c)
-    return sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-
-
-def _im2col(xd):
-    """(n*h*w, 9*c) columns: row p holds the zero-padded 3x3 neighbourhood of
-    output pixel p, taps in raster order, channels innermost."""
-    n, h, w, c = xd.shape
-    return _windows(xd).reshape(n * h * w, 9 * c)  # the one copy
-
-
-def _kernel_row_cols(xd):
-    """The three (n*h*w, 3*c) column blocks of ``_im2col(xd)``, one kernel
-    row each, built one at a time."""
-    windows = _windows(xd)
-    n, h, w, _, _, c = windows.shape
-    for ki in range(3):
-        yield windows[:, :, :, ki].reshape(n * h * w, 3 * c)
-
-
-# OpenBLAS 0.3.31 rounds a K = 576 product with M*N*K <= 1e6 differently from
-# the same rows inside a larger product (its small-matrix kernel does not split
-# K), so one 7x7 image would get other bits alone than in a batch.  At
-# K <= 288 the two agree, so the column product takes K in slices of 288.
-_K_SLICE = 288
-
-
-def _cols_matmul(cols, kernel, out=None):
-    """``cols @ kernel`` (into ``out`` if given), K taken in slices of ``_K_SLICE``."""
-    out = np.matmul(cols[:, :_K_SLICE], kernel[:_K_SLICE], out=out)
-    for k in range(_K_SLICE, cols.shape[1], _K_SLICE):
-        out += cols[:, k : k + _K_SLICE] @ kernel[k : k + _K_SLICE]
-    return out
-
-
-def _conv_im2col(xd, taps, col_bytes=None):
-    """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a.
-
-    With ``col_bytes`` and columns larger than that, the columns are built
-    for blocks of images of equal size (at least one image each), each
-    block's rows multiplied into its rows of the output.
-    """
-    n, h, w, a = xd.shape
-    kernel = taps.reshape(9 * a, -1)
-    blocks = 1 if col_bytes is None else min(n, -(-_col_bytes(xd, a) // col_bytes))
-    if blocks <= 1:
-        return _cols_matmul(_im2col(xd), kernel).reshape(n, h, w, -1)
-    step, b = -(-n // blocks), kernel.shape[1]
-    out = np.empty((n, h, w, b), dtype=xd.dtype)
-    for i in range(0, n, step):
-        _cols_matmul(_im2col(xd[i : i + step]), kernel, out=out[i : i + step].reshape(-1, b))
-    return out
-
-
-# (output, input) slices along one spatial axis for a tap offset of 1, 0 or
-# -1 pixels from input to output
-_SHIFTS = {1: (slice(1, None), slice(None, -1)), 0: (slice(None), slice(None)),
-           -1: (slice(None, -1), slice(1, None))}
-
-
-def _conv_per_tap(xd, taps):
-    """Nine (n*h*w, a) @ (a, b) GEMMs into one reused buffer.  Tap (ki, kj)
-    carries input pixel (i, j) to output (i+1-ki, j+1-kj), so each product is
-    added into the output at that shift; what shifts off the map is dropped,
-    as the zero padding would have it."""
-    n, h, w, a = xd.shape
-    b = taps.shape[2]
-    rows = xd.reshape(-1, a)
-    out = np.zeros((n, h, w, b), dtype=xd.dtype)
-    part = np.empty_like(out)
-    for k in range(9):
-        (oi, ii), (oj, ij) = _SHIFTS[1 - k // 3], _SHIFTS[1 - k % 3]
-        np.matmul(rows, taps[k], out=part.reshape(-1, b))
-        out[:, oi, oj] += part[:, ii, ij]
-    return out
-
-
-def conv2d_windows(xd, wd, bd, ps):
-    """Forward-only ``conv2d`` with bias of every ps x ps window of one
-    (h, w, c_in) map, each window zero-padded on its own, as if the windows
-    were cut out and batched.
-
-    A window position's output depends on the window only through which taps
-    stay inside it: all nine in the interior, a subset on the window's top,
-    bottom, left or right edge, the centre tap alone at ps = 1.  So the map
-    is convolved once per border class (top, middle or bottom row x left,
-    middle or right column; one class at ps = 1), each class only over the
-    map rows where it occurs in some window.  A class adds its taps in order
-    0..8 onto zeros, the subset of what ``_conv_per_tap`` adds.  So on the
-    per-tap side (c_in > c_out) a window cut from the classes is bit for bit
-    its batched conv wherever a per-tap GEMM gives a row the same bits at any
-    row count.
-
-    Returns (out, index): ``out`` (m, c_out) holds the class maps, w pixels
-    wide, one after the other; ``index`` (ps, ps) holds the row of ``out``
-    for each position of the window at (0, 0).  The window whose top-left
-    map pixel is (t, s) reads rows ``index + t*w + s``.
-    """
-    h, w, c = xd.shape
-    if h < ps or w < ps:
-        raise ValueError(f"conv2d_windows needs a map of at least {ps}x{ps}, got {h}x{w}")
-    taps = _tap_kernels(wd)
-    b = taps.shape[2]
-    # per class along one axis: its first and last window position, the taps it keeps
-    axis = [(0, 0, (1,))] if ps == 1 else [(0, 0, (1, 2)), (1, ps - 2, (0, 1, 2)),
-                                          (ps - 1, ps - 1, (0, 1))]
-    n = len(axis)
-    counts = [h - ps + 1 + last - first for first, last, _ in axis]  # map rows per row class
-    starts = np.cumsum([0] + [counts[r] * w for r in range(n) for _ in range(n)])
-    out = np.zeros((starts[-1], b), dtype=xd.dtype)
-    maps = [out[starts[i] : starts[i + 1]].reshape(-1, w, b) for i in range(n * n)]
-    rows = xd.reshape(-1, c)
-    part = np.empty((h, w, b), dtype=xd.dtype)
-    for k in range(9):
-        ki, kj = divmod(k, 3)
-        users = [(r, s) for r in range(n) for s in range(n)
-                 if ki in axis[r][2] and kj in axis[s][2]]
-        if not users:
-            continue
-        np.matmul(rows, taps[k], out=part.reshape(-1, b))
-        oj, ij = _SHIFTS[1 - kj]
-        for r, s in users:
-            top = axis[r][0] + ki - 1  # the part row read by the class map's first row
-            maps[n * r + s][:, oj] += part[top : top + counts[r], ij]
-    out += bd
-    cls = [0] if ps == 1 else [0] + [1] * (ps - 2) + [2]
-    index = np.array([[starts[n * cls[i] + cls[j]] + (i - axis[cls[i]][0]) * w + j
-                       for j in range(ps)] for i in range(ps)], dtype=np.int64)
-    return out, index
-
-
-def _conv_weight_grad(xd, g, gcols=None):
-    """The (c_out, c_in, 3, 3) kernel gradient.
-
-    Given g's columns ``gcols``, whole or as ``_kernel_row_cols(g)``'s three
-    blocks: ``x.T @ gcols``, where tap t is g's tap 8 - t, a block of the
-    product's columns per kernel row.  Else ``im2col(x).T @ g``: whole while
-    x's columns fit in ``COL_BYTES``, else one block of the product's rows
-    per kernel row.  K = n*h*w is never split, so both ways give the same
-    bits.
-    """
-    c, c_out = xd.shape[3], g.shape[3]
-    # map, unlike a loop variable, drops each column block before building the next
-    if gcols is None:
-        g = g.reshape(-1, c_out)
-        cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _kernel_row_cols(xd)
-        gtaps = np.concatenate(list(map(lambda part: part.T @ g, cols))).reshape(9, c, c_out)
-    else:
-        xt = xd.reshape(-1, c).T
-        cols = [gcols] if isinstance(gcols, np.ndarray) else gcols
-        gtaps = np.concatenate(list(map(lambda part: xt @ part, cols)), axis=1)
-        gtaps = gtaps.reshape(c, 9, c_out)[:, ::-1].transpose(1, 0, 2)
-    return gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
 
 
 def depthwise_conv2d(x, w):
     """Per-channel 3x3 convolution, stride 1, zero pad 1, no bias.
 
     x: (n, h, w, c), w: (c, 3, 3) — one kernel per channel, no cross-channel mixing.
-    Works on the flattened, zero-padded rows of ``_padded_rows``, so each tap
-    is one elementwise product of a shifted row range, written into a reused
-    buffer.
+    Works on the flattened, zero-padded rows of ``conv.padded_rows``, so each
+    tap is one elementwise product of a shifted row range, written into a
+    reused buffer.
     The ranges are taken (w+2) pixels to an array row, with each tap tiled to
     match: a (c,)-wide broadcast would run numpy's inner loop c elements at a
     time.  Two zero rows after the map let every range span whole image rows.
@@ -903,7 +651,7 @@ def depthwise_conv2d(x, w):
     n, h, wd_, c = xd.shape
     wp = wd_ + 2
     rows = n * (h + 2) * wp
-    xrows, offs = _padded_rows(xd, extra=2)
+    xrows, offs = conv.padded_rows(xd, extra=2)
     length = rows - 2 * wp  # covers every output row; offs[-1] + length == rows + 2
     taps = np.tile(w.data.transpose(1, 2, 0).reshape(9, c), wp)  # taps[k]: (wp*c,)
 
@@ -920,7 +668,7 @@ def depthwise_conv2d(x, w):
     out = yrows.reshape(n, h + 2, wp, c)[:, :h, :wd_].copy()
 
     def vjp(g):
-        xrows = _padded_rows(xd, extra=2)[0]  # rebuilt, so the tape keeps only x
+        xrows = conv.padded_rows(xd, extra=2)[0]  # rebuilt, so the tape keeps only x
         grows = np.zeros((rows, c), dtype=g.dtype)
         grows.reshape(n, h + 2, wp, c)[:, :h, :wd_] = g
         grows = grows[:length]

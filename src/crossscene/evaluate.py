@@ -10,6 +10,7 @@ import numpy as np
 
 from . import engine as E
 from .data import PatchSource, labeled_pixels, normalize_scene, write_atomic
+from .engine import conv
 
 
 def confusion(preds, truths, num_classes):
@@ -105,14 +106,10 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     extractor = model.extractor
     width = scene.width + ps - 1
 
-    def class_rows(h):
-        """Rows of the class maps for h pixel rows, each ``width`` long (see
-        ``engine.conv2d_windows``)."""
-        return 3 * (3 * h + ps - 3)
-
     maps = 1 if extractor.block is None else 3  # h, key, value
     row_bytes = width * maps * extractor.config.unit_channels[0] * model.dtype.itemsize
-    max_rows = max(1, (STRIP_BYTES // row_bytes - class_rows(0)) // 9)
+    # h pixel rows are h + ps - 1 map rows; each adds a row to the nine class maps
+    max_rows = max(1, (STRIP_BYTES // row_bytes - conv.class_rows(ps - 1, ps)) // 9)
 
     def score_strips(strips):
         for strip in strips:
@@ -121,7 +118,8 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
             # at the hyrank and houston shapes a class-map position costs
             # about half what a patch position does (measured)
             if (extractor.shares_stem and stop - top <= max_rows
-                    and 2 * sum(map(len, strip)) * ps * ps >= class_rows(stop - top) * width):
+                    and 2 * sum(map(len, strip)) * ps * ps
+                    >= conv.class_rows(stop - top + ps - 1, ps) * width):
                 stems = extractor.window_stems(src.rows(top, stop))
             for chunk in strip:
                 x = src.batch(chunk).patches if stems is None else stems.gather(chunk - (top, 0))
@@ -172,13 +170,6 @@ def aggregate_runs(reports):
         vals = np.array([getattr(r, key) for r in reports], dtype=np.float64)
         std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
         out[key] = (float(vals.mean()), std)
-    n_classes = len(reports[0].per_class)
-    per_class = []
-    for c in range(n_classes):
-        vals = np.array([r.per_class[c] for r in reports], dtype=np.float64)
-        std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        per_class.append((float(vals.mean()), std))
-    out["per_class"] = per_class
     return out
 
 

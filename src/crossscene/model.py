@@ -275,7 +275,7 @@ class FeatureExtractor:
         That needs conv1 on the per-tap side (bands > w1), and its tap GEMMs
         and the key and value affines giving a row the same bits at any row
         count.  On OpenBLAS 0.3.31 they do when w1 is a multiple of 16 and
-        there are fewer than 576 bands (see ``engine.conv2d``), for row
+        there are fewer than 576 bands (see ``engine.conv``), for row
         counts from 9 up: one patch of 3x3 has nine.  At ps = 1 a one-patch
         batch has one row, which numpy runs as a GEMV with other bits, and
         no position is shared anyway.
@@ -325,13 +325,6 @@ class DualHeadClassifier:
     def features(self, patches, training, bn_updates=None):
         return self.extractor(patches, training, bn_updates)
 
-    def head_logits(self, z, head="cls"):
-        if head == "cls":
-            return self.head_cls(z)
-        if head == "psd":
-            return self.head_psd(z)
-        raise ValueError(f"unknown head {head!r}")
-
     def predict(self, patches):
         """Hard labels (1..C) via extractor + main head, eval-mode statistics.
 
@@ -340,7 +333,7 @@ class DualHeadClassifier:
         """
         with E.no_grad():
             z = self.features(patches, training=False)
-            logits = self.head_logits(z, "cls")
+            logits = self.head_cls(z)
         return np.argmax(logits.data, axis=1) + 1
 
     # -- parameter plumbing ----------------------------------------------
@@ -348,9 +341,6 @@ class DualHeadClassifier:
     def parameters(self):
         return (self.extractor.parameters()
                 + self.head_cls.parameters() + self.head_psd.parameters())
-
-    def named_parameters(self):
-        return OrderedDict((p.name, p) for p in self.parameters())
 
     def named_state(self):
         """Parameters plus BN running buffers, in a stable order."""

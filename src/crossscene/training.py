@@ -104,7 +104,7 @@ def cross_entropy(logits, labels, num_classes):
 
 def source_classification_loss(model, z_s, labels):
     """Supervised loss on the main head; no path touches the pseudo head."""
-    logits = model.head_logits(z_s, "cls")
+    logits = model.head_cls(z_s)
     return cross_entropy(logits, labels, num_classes=model.num_classes)
 
 
@@ -129,7 +129,7 @@ def self_training_loss(model, z_t, p_t, weights, use_pseudo_head=True):
         return Tensor(np.zeros((), dtype=z_t.dtype)), 0
     idx = np.nonzero(mask)[0]
     z_sel = E.gather_rows(z_t, idx)
-    logits = model.head_logits(z_sel, "psd" if use_pseudo_head else "cls")
+    logits = (model.head_psd if use_pseudo_head else model.head_cls)(z_sel)
     return cross_entropy(logits, hard[idx], num_classes=model.num_classes), int(mask.sum())
 
 
@@ -154,7 +154,6 @@ class StepStats:
     loss_lmmd: float
     loss_st: float
     pseudo_count: int
-    batch_size: int
 
 
 def train_step(model, source_batch, target_batch, config, progress):
@@ -195,7 +194,7 @@ def train_step(model, source_batch, target_batch, config, progress):
     pseudo_count = 0
     if z_t is not None:
         with E.no_grad():
-            p_t = E.softmax(model.head_logits(z_t, "cls"))
+            p_t = E.softmax(model.head_cls(z_t))
         if abl.use_lmmd:
             ys = one_hot(source_batch.labels, model.num_classes)
             l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
@@ -219,7 +218,6 @@ def train_step(model, source_batch, target_batch, config, progress):
         loss_lmmd=float(l_lmmd.item()) if l_lmmd is not None else 0.0,
         loss_st=float(l_st.item()) if l_st is not None else 0.0,
         pseudo_count=pseudo_count,
-        batch_size=len(source_batch.refs),
     )
 
 

@@ -28,5 +28,5 @@ def test_v1_checkpoint_logits_unchanged(mode):
     load_checkpoint(model, FIXTURE / mode / "checkpoint.bin")
     z = model.features(Tensor(np.load(FIXTURE / "patches.npy")), training=False)
     expected = np.load(FIXTURE / mode / "logits.npy")
-    np.testing.assert_allclose(model.head_logits(z, "cls").data, expected[0], rtol=0, atol=ATOL)
-    np.testing.assert_allclose(model.head_logits(z, "psd").data, expected[1], rtol=0, atol=ATOL)
+    np.testing.assert_allclose(model.head_cls(z).data, expected[0], rtol=0, atol=ATOL)
+    np.testing.assert_allclose(model.head_psd(z).data, expected[1], rtol=0, atol=ATOL)

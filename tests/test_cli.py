@@ -600,6 +600,21 @@ def test_exit_code_malformed_class_manifest(synth_dir, ckpt_dir, tmp_path, capsy
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("value", [-15, 0, "1e400", 15.7, '"15"', "true", "null"])
+@pytest.mark.parametrize("key", ["height", "width", "bands"])
+def test_exit_code_bad_bundle_dimension(synth_dir, ckpt_dir, tmp_path, capsys, key, value):
+    """Each dimension in meta.json is a JSON integer of at least 1."""
+    bundle = tmp_path / "target"
+    shutil.copytree(synth_dir / "data" / "target", bundle)
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta[key] = "@"
+    (bundle / "meta.json").write_text(json.dumps(meta).replace('"@"', str(value)))
+    assert main(["eval", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+                 str(ckpt_dir / "checkpoint.bin"), "--bundle", str(bundle)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error") and key in err and "\n" not in err
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
 def test_allocator_policy_applies_on_glibc():
     assert set_allocator_policy() is True

@@ -1,19 +1,19 @@
 """Config round-trip, presets, overrides, strict key checking."""
 
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
 
 from crossscene.config import (ConfigError, ExperimentConfig, apply_overrides, config_from_dict,
-                               config_to_dict, resolve_config, save_config)
+                               resolve_config, save_config)
 
 
 def test_defaults_round_trip(tmp_path):
     cfg = resolve_config()
     save_config(cfg, tmp_path / "c.json")
     again = resolve_config(config_path=tmp_path / "c.json")
-    assert config_to_dict(cfg) == config_to_dict(again)
+    assert asdict(cfg) == asdict(again)
 
 
 def test_unknown_keys_rejected():

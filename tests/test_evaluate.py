@@ -174,9 +174,9 @@ def per_tap_pair():
                              shift=ShiftSpec(1.3, 0.1), noise_sigma=0.05, seed=7)
 
 
-def _check_independent_of_batch(pair, config):
+def _check_independent_of_batch(pair, config, seed=0):
     (src_scene, src_labels), _ = pair
-    model = build_model(config, src_labels.num_classes, src_scene.bands)
+    model = build_model(config, src_labels.num_classes, src_scene.bands, seed=seed)
     full, _ = predict_scene(model, src_scene, src_labels, config, map_all=True, batch=500)
     raster_order = np.argwhere(np.ones(src_labels.labels.shape, dtype=bool))
     for batch in (1, 7, 100):  # two batches or strips at a time, on two threads
@@ -184,17 +184,29 @@ def _check_independent_of_batch(pair, config):
                                        batch=batch)
         assert np.array_equal(raster, full)
         assert np.array_equal(pixels, raster_order)
-    return model
+    return model, full
 
 
 def test_predict_scene_independent_of_batch(tiny_pair, tiny_config):
-    model = _check_independent_of_batch(tiny_pair, tiny_config)
+    model, _ = _check_independent_of_batch(tiny_pair, tiny_config)
     assert not model.extractor.shares_stem  # 8 -> 16: conv1 on the im2col side
 
 
 def test_predict_scene_independent_of_batch_per_tap_side(per_tap_pair, tiny_config):
-    model = _check_independent_of_batch(per_tap_pair, tiny_config)
+    model, _ = _check_independent_of_batch(per_tap_pair, tiny_config)
     assert model.extractor.shares_stem
+
+
+@pytest.mark.parametrize("classes,bands,patch", [(7, 48, 15), (12, 176, 7)],
+                         ids=["houston", "hyrank"])
+def test_predict_scene_independent_of_batch_at_preset_shapes(classes, bands, patch):
+    """At the houston and hyrank presets' class counts, bands, patch sizes
+    and widths, labels hold although the head's logits need not (README).
+    Model seed 5 gives three labels at both shapes; at seed 0 the
+    houston-shaped model labels every pixel alike, which would pin nothing."""
+    pair = synth_domain_pair(num_classes=classes, bands=bands, blob_grid=4, blob_size=9, seed=7)
+    model, labels = _check_independent_of_batch(pair, TrainConfig(patch_size=patch), seed=5)
+    assert model.extractor.shares_stem and len(np.unique(labels)) > 1
 
 
 def _trained(pair, config):

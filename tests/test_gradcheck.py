@@ -27,6 +27,23 @@ def test_opset_names_engine_functions_with_check_cases():
         assert op in cases, op
 
 
+# The engine's public surface, as ``crossscene.engine.__all__`` sorted.  A new
+# op or helper is added here in the same change, next to the model code or
+# test that needs it.
+PINNED_ENGINE = (
+    "BN_MOMENTUM", "GradCheckReport", "NumericError", "OPSET", "Parameter", "Tensor",
+    "add", "affine", "avg_pool2d", "backward_pair", "batch_norm2d", "center_pixel",
+    "concat_rows", "conv2d", "conv2d_windows", "depthwise_conv2d", "exp", "fork_join",
+    "gather_rows", "gelu", "grad_check", "leaky_relu", "log_softmax", "lr_schedule", "matmul",
+    "mul", "no_grad", "primitive_checks", "reshape", "scale", "sgd_momentum_step", "softmax",
+    "tmean", "transpose", "tsum", "zero_grads",
+)
+
+
+def test_engine_surface_is_pinned():
+    assert tuple(sorted(E.__all__)) == PINNED_ENGINE
+
+
 def test_affine_layer_near_exact(rng):
     x = Parameter(rng.standard_normal((4, 3)), name="x", dtype=np.float64)
     w = Parameter(rng.standard_normal((3, 2)), name="w", dtype=np.float64)

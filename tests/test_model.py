@@ -124,15 +124,15 @@ def test_zero_head_uniform_probabilities(rng):
     m.head_cls.weight.data[...] = 0.0
     m.head_cls.bias.data[...] = 0.0
     z = Tensor(rng.normal(size=(5, 32)).astype(np.float32))
-    p = E.softmax(m.head_logits(z, "cls")).data
+    p = E.softmax(m.head_cls(z)).data
     assert np.allclose(p, 0.25, atol=1e-7)
 
 
 def test_heads_are_independent(rng):
     m = _model()
     z = Tensor(rng.normal(size=(5, 32)).astype(np.float32))
-    p_cls = E.softmax(m.head_logits(z, "cls")).data
-    p_psd = E.softmax(m.head_logits(z, "psd")).data
+    p_cls = E.softmax(m.head_cls(z)).data
+    p_psd = E.softmax(m.head_psd(z)).data
     assert np.abs(p_cls.sum(1) - 1).max() < 1e-6
     assert not np.allclose(p_cls, p_psd)
     assert not np.shares_memory(m.head_cls.weight.data, m.head_psd.weight.data)

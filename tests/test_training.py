@@ -15,7 +15,7 @@ import pytest
 from crossscene import engine as E
 from crossscene.data import LabelMap, PatchBatch, PatchSource, labeled_pixels, normalize_scene
 from crossscene.engine import (NumericError, Tensor, lr_schedule, sgd_momentum_step,
-                               tensor, zero_grads)
+                               conv, zero_grads)
 from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig
 from crossscene.discrepancy import lmmd, one_hot
 from crossscene.training import (Ablation, LossWeights, StepStats, TrainConfig, build_model,
@@ -98,7 +98,8 @@ def test_st_loss_gradient_isolation_exact(rng):
     zero_grads(m.parameters())
     x = Tensor(rng.normal(size=(6, 5, 5, 8)).astype(np.float32))
     z = m.features(x, training=True)
-    p_t = E.softmax(m.head_logits(z, "cls")).detach()
+    with E.no_grad():
+        p_t = E.softmax(m.head_cls(z))
     p_t.data[0] = [0.99, 0.005, 0.005]  # force at least one confident row
     loss, count = self_training_loss(m, z, p_t, LossWeights(tau=0.95))
     assert count >= 1
@@ -222,7 +223,8 @@ def serial_train_step(model, source_batch, target_batch, config, progress):
     pseudo_count = 0
     if target_batch is not None and (abl.use_lmmd or abl.use_self_training):
         z_t = model.features(target_batch.patches, training=True)
-        p_t = E.softmax(model.head_logits(z_t, "cls")).detach()
+        with E.no_grad():
+            p_t = E.softmax(model.head_cls(z_t))
         if abl.use_lmmd:
             ys = one_hot(source_batch.labels, model.num_classes)
             l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
@@ -240,7 +242,6 @@ def serial_train_step(model, source_batch, target_batch, config, progress):
         loss_lmmd=float(l_lmmd.item()) if l_lmmd is not None else 0.0,
         loss_st=float(l_st.item()) if l_st is not None else 0.0,
         pseudo_count=pseudo_count,
-        batch_size=len(source_batch.refs),
     )
 
 
@@ -370,17 +371,17 @@ def test_train_step_bits_do_not_depend_on_the_column_budget(monkeypatch):
     source = PatchBatch(Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)),
                         np.arange(n) % 7 + 1, refs)
     target = PatchBatch(Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)), None, refs)
-    assert tensor._col_bytes(source.patches.data, 32) > tensor.COL_BYTES  # the default splits
+    assert conv._col_bytes(source.patches.data, 32) > conv.COL_BYTES  # the default splits
 
     def state_after_two_steps(budget):
-        monkeypatch.setattr(tensor, "COL_BYTES", budget)
+        monkeypatch.setattr(conv, "COL_BYTES", budget)
         model = build_model(cfg, 7, 48)
         for k in range(2):
             train_step(model, source, target, cfg, progress=k / 2)
         return _training_state(model)
 
     whole = state_after_two_steps(1 << 40)
-    for budget in (tensor.COL_BYTES, 1):
+    for budget in (conv.COL_BYTES, 1):
         pieces = state_after_two_steps(budget)
         assert [k for k in whole if whole[k].tobytes() != pieces[k].tobytes()] == [], budget
 
