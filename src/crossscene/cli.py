@@ -53,7 +53,7 @@ from .engine import NumericError
 from .evaluate import (default_palette, evaluate_scene, format_mean_std, format_report,
                        predict_scene, write_map)
 from .model import load_checkpoint
-from .training import build_model, run_grid
+from .training import ABLATION_GRIDS, build_model, run_grid
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
@@ -63,32 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"config error: {message}\n")
-
-# Ablation grids: named module combinations, the pseudo-head/alignment matrix,
-# and the four attention-block designs.  Each arm is (name, nested changes to
-# TrainConfig).
-ABLATION_GRIDS = {
-    "modules": [
-        (name, {"ablation": {"use_attention": attn, "use_lmmd": lmmd, "use_self_training": st}})
-        for name, attn, lmmd, st in [
-            ("baseline", False, False, False),
-            ("attn", True, False, False),
-            ("attn+lmmd", True, True, False),
-            ("attn+st", True, False, True),
-            ("full", True, True, True),
-        ]
-    ],
-    "heads": [
-        (name, {"ablation": {"use_self_training": True, "use_lmmd": lmmd, "use_pseudo_head": dual}})
-        for name, lmmd, dual in [
-            ("a:st,single-head", False, False),
-            ("b:st,dual-head", False, True),
-            ("c:st+lmmd,single-head", True, False),
-            ("d:st+lmmd,dual-head", True, True),
-        ]
-    ],
-    "variants": [(f"variant_{v}", {"attention": {"variant": v}}) for v in "abcd"],
-}
 
 
 def _positive_finite(text):

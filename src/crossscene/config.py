@@ -97,7 +97,7 @@ def load_config(path):
         raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8
         raise ConfigError(f"unparseable config {p}: {e}") from e
     return data
 

@@ -162,7 +162,7 @@ def load_scene(bundle_dir):
             raise BundleError(f"missing bundle file: {p}")
     try:
         meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8
         raise BundleError(f"unparseable {meta_path}: {e}") from e
     if not isinstance(meta, dict):
         raise BundleError(f"bad metadata in {meta_path}: not a JSON object")
@@ -176,25 +176,25 @@ def load_scene(bundle_dir):
     if meta.get("layout") != "bsq":
         raise BundleError(f"unknown cube layout {meta.get('layout')!r} (only bsq supported)")
 
-    raw = np.frombuffer(cube_path.read_bytes(), dtype="<f4")
-    if raw.size != h * w * b:
-        raise BundleError(
-            f"cube size mismatch in {cube_path}: metadata says {h}x{w}x{b}={h * w * b} "
-            f"values, file holds {raw.size}"
-        )
-    cube = raw.reshape(b, h, w).transpose(1, 2, 0).astype(np.float32)
+    # byte lengths are checked before decoding: a partial element cannot be decoded
+    raw = cube_path.read_bytes()
+    if len(raw) != h * w * b * 4:
+        raise BundleError(f"cube size mismatch in {cube_path}: metadata says {h}x{w}x{b} f32 "
+                          f"values ({h * w * b * 4} bytes), the file has {len(raw)} bytes")
+    cube = np.frombuffer(raw, dtype="<f4").reshape(b, h, w).transpose(1, 2, 0).astype(np.float32)
 
-    gt_raw = np.frombuffer(gt_path.read_bytes(), dtype="<u2")
-    if gt_raw.size != h * w:
-        raise BundleError(f"label raster size mismatch in {gt_path}")
-    labels = gt_raw.reshape(h, w).astype(np.int32)
+    gt_raw = gt_path.read_bytes()
+    if len(gt_raw) != h * w * 2:
+        raise BundleError(f"label raster size mismatch in {gt_path}: metadata says {h}x{w} u16 "
+                          f"labels ({h * w * 2} bytes), the file has {len(gt_raw)} bytes")
+    labels = np.frombuffer(gt_raw, dtype="<u2").reshape(h, w).astype(np.int32)
 
     class_names, counts = [], None
     classes_path = bundle / "classes.json"
     if classes_path.is_file():
         try:
             payload = json.loads(classes_path.read_text())
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not JSON, or not UTF-8
             raise BundleError(f"unparseable {classes_path}: {e}") from e
         if not (isinstance(payload, dict) and is_list_of(payload.get("names"), str)
                 and is_list_of(payload.get("counts", []), int)):

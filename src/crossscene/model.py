@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from .data import BundleError, write_atomic
+from .data import BundleError, is_list_of, write_atomic
 from .engine import Parameter, Tensor
 
 BLOCK_VARIANTS = ("a", "b", "c", "d")
@@ -389,7 +389,7 @@ def load_checkpoint(model, bin_path):
     index_file = bin_path.with_name("index.json")
     try:
         index = json.loads(index_file.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8
         raise BundleError(f"unparseable checkpoint index {index_file}: {e}") from e
     if not (isinstance(index, dict) and all(isinstance(e, dict) for e in index.values())):
         raise BundleError(f"checkpoint index {index_file} must map each tensor name to an object")
@@ -404,13 +404,14 @@ def load_checkpoint(model, bin_path):
     offset = 0
     for name, entry in index.items():
         arr = state[name]
-        if entry.get("dtype") not in _TAG_DTYPES:
-            raise BundleError(f"unknown dtype tag {entry.get('dtype')!r} for {name} in {index_file}")
-        dtype = np.dtype(_TAG_DTYPES[entry["dtype"]])
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or tuple(shape) != arr.shape:
+        tag = entry.get("dtype")
+        if type(tag) is not str or tag not in _TAG_DTYPES:
+            raise BundleError(f"unknown dtype tag {tag!r} for {name} in {index_file}")
+        dtype = np.dtype(_TAG_DTYPES[tag])
+        shape = entry.get("shape")  # JSON integers: a bool or a float is no int
+        if not is_list_of(shape, int) or tuple(shape) != arr.shape:
             raise BundleError(f"checkpoint shape mismatch for {name}: {shape} vs {arr.shape}")
-        if entry.get("offset") != offset:
+        if type(entry.get("offset")) is not int or entry["offset"] != offset:
             raise BundleError(f"checkpoint index {index_file} puts {name} at byte "
                               f"{entry.get('offset')!r}; the entries before it end at {offset}")
         ranges[name] = (offset, dtype)

@@ -10,8 +10,10 @@ The total loss is
 where the alignment term is the class-conditional kernel discrepancy between
 the two feature batches and the self-training term applies hard pseudo
 labels (main-head predictions above the confidence threshold) to the pseudo
-head only.  Pseudo labels and alignment weights are detached: bad target
-predictions can never push gradients into the main head.
+head only.  A term whose lambda is 0 is not computed, and a step whose two
+lambdas are 0 draws no target batch.  Pseudo labels and alignment weights
+are detached: bad target predictions can never push gradients into the main
+head.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ class LossWeights:
 @dataclass
 class Ablation:
     use_attention: bool = True
-    use_lmmd: bool = True
-    use_self_training: bool = True
     use_pseudo_head: bool = True
 
 
@@ -133,12 +133,12 @@ def self_training_loss(model, z_t, p_t, weights, use_pseudo_head=True):
     return cross_entropy(logits, hard[idx], num_classes=model.num_classes), int(mask.sum())
 
 
-def total_loss(l_cls, l_lmmd, l_st, weights, ablation):
-    """cls + lambda_lmmd * lmmd + lambda_st * st, honoring the ablation flags."""
+def total_loss(l_cls, l_lmmd, l_st, weights):
+    """cls + lambda_lmmd * lmmd + lambda_st * st, leaving out a term that is None."""
     total = l_cls
-    if ablation.use_lmmd and l_lmmd is not None:
+    if l_lmmd is not None:
         total = E.add(total, E.scale(l_lmmd, weights.lambda_lmmd))
-    if ablation.use_self_training and l_st is not None:
+    if l_st is not None:
         total = E.add(total, E.scale(l_st, weights.lambda_st))
     return total
 
@@ -159,25 +159,24 @@ class StepStats:
 def train_step(model, source_batch, target_batch, config, progress):
     """One optimization step; returns the step's loss components.
 
-    The target batch may be None when neither alignment nor self-training is
-    enabled (a source-only arm); then the step is plain supervised SGD on one
-    stream.  Otherwise the two extractor passes, which share nothing until the
-    loss, run as two streams (``E.fork_join``): the target's forward on the
-    engine's side thread, with its BN running-buffer updates deferred and
-    applied after the source's, as a serial forward orders them.  The heads
-    and losses run on leaf copies of the two feature batches; their gradients
-    then seed the two extractor walks, again run together
-    (``E.backward_pair``).  The step's bits are those of running both passes
-    one after the other on one thread.
+    Each loss term is computed when its lambda is above 0.  Without a target
+    batch (``fit`` draws none when both lambdas are 0) the step is plain
+    supervised SGD on one stream.  With one, the two extractor passes, which
+    share nothing until the loss, run as two streams (``E.fork_join``): the
+    target's forward on the engine's side thread, with its BN running-buffer
+    updates deferred and applied after the source's, as a serial forward
+    orders them.  The heads and losses run on leaf copies of the two feature
+    batches; their gradients then seed the two extractor walks, again run
+    together (``E.backward_pair``).  The step's bits are those of running both
+    passes one after the other on one thread.
     """
-    abl = config.ablation
     weights = config.loss_weights
     lr = lr_schedule(progress, config.lr0, config.alpha, config.beta)
     params = model.parameters()
     zero_grads(params)
 
     feat_t = z_t = None
-    if target_batch is not None and (abl.use_lmmd or abl.use_self_training):
+    if target_batch is not None:
         bn_updates = []
         feat_s, feat_t = E.fork_join(
             lambda: model.features(source_batch.patches, training=True),
@@ -195,14 +194,14 @@ def train_step(model, source_batch, target_batch, config, progress):
     if z_t is not None:
         with E.no_grad():
             p_t = E.softmax(model.head_cls(z_t))
-        if abl.use_lmmd:
+        if weights.lambda_lmmd > 0:
             ys = one_hot(source_batch.labels, model.num_classes)
             l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
-        if abl.use_self_training:
+        if weights.lambda_st > 0:
             l_st, pseudo_count = self_training_loss(
-                model, z_t, p_t, weights, use_pseudo_head=abl.use_pseudo_head)
+                model, z_t, p_t, weights, use_pseudo_head=config.ablation.use_pseudo_head)
 
-    total = total_loss(l_cls, l_lmmd, l_st, weights, abl)
+    total = total_loss(l_cls, l_lmmd, l_st, weights)
     if not np.isfinite(total.data):
         raise NumericError(
             f"non-finite loss (cls={l_cls.item():.6g}, "
@@ -273,7 +272,7 @@ def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
 
     src_patches = PatchSource(src_scene, config.patch_size)
     tgt_patches = PatchSource(tgt_scene, config.patch_size)
-    needs_target = config.ablation.use_lmmd or config.ablation.use_self_training
+    needs_target = config.loss_weights.lambda_lmmd > 0 or config.loss_weights.lambda_st > 0
     stream_seeds = np.random.SeedSequence(seed).generate_state(2).tolist()
     tgt_iter = cycled_batches(len(tgt_pixels), config.batch, stream_seeds[1])
 
@@ -330,6 +329,30 @@ def with_changes(obj, changes):
     return replace(obj, **{key: with_changes(getattr(obj, key), value)
                            if isinstance(value, dict) else value
                            for key, value in changes.items()})
+
+
+def _arms(rows, ablation_key):
+    """(name, changes) per row of (name, ablation value, terms whose lambda is 0)."""
+    return [(name, {"ablation": {ablation_key: flag},
+                    "loss_weights": {f"lambda_{term}": 0.0 for term in off}})
+            for name, flag, off in rows]
+
+
+# Named grids for ``run_grid``: the module ablation, the pseudo-head/alignment
+# matrix, and the four attention-block designs.  A term is turned off by its
+# lambda of 0.
+ABLATION_GRIDS = {
+    "modules": _arms([("baseline", False, ("lmmd", "st")),
+                      ("attn", True, ("lmmd", "st")),
+                      ("attn+lmmd", True, ("st",)),
+                      ("attn+st", True, ("lmmd",)),
+                      ("full", True, ())], "use_attention"),
+    "heads": _arms([("a:st,single-head", False, ("lmmd",)),
+                    ("b:st,dual-head", True, ("lmmd",)),
+                    ("c:st+lmmd,single-head", False, ()),
+                    ("d:st+lmmd,dual-head", True, ())], "use_pseudo_head"),
+    "variants": [(f"variant_{v}", {"attention": {"variant": v}}) for v in "abcd"],
+}
 
 
 def run_grid(train, seeds, arms, source, target, out_dir=None, deterministic=False):

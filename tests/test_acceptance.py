@@ -21,8 +21,8 @@ from crossscene.engine import Tensor, lr_schedule, zero_grads
 from crossscene.evaluate import evaluate_scene, metrics
 from crossscene.model import (CenterAttentionBlock, CenterAttentionConfig,
                               DualHeadClassifier, ExtractorConfig)
-from crossscene.training import (Ablation, LossWeights, TrainConfig, fit,
-                                 self_training_loss)
+from crossscene.training import (ABLATION_GRIDS, LossWeights, TrainConfig, fit,
+                                 self_training_loss, with_changes)
 
 # The controlled domain-adaptation experiment: values pinned by the criterion
 # (shift, noise, classes, bands, ~2000 px/domain, 30 epochs, 3 seeds) plus
@@ -34,14 +34,7 @@ SYNTH_TRAIN = dict(epochs=30, batch=100, patch_size=5, normalization="none",
                    unit_channels=(16, 32, 16),
                    loss_weights=LossWeights(lambda_lmmd=0.2, lambda_st=0.2))
 SEEDS = (0, 1, 2)
-
-ARMS = [
-    ("baseline", Ablation(False, False, False, True)),
-    ("attn", Ablation(True, False, False, True)),
-    ("attn+lmmd", Ablation(True, True, False, True)),
-    ("attn+st", Ablation(True, False, True, True)),
-    ("full", Ablation(True, True, True, True)),
-]
+ARMS = ABLATION_GRIDS["modules"]  # baseline, attn, attn+lmmd, attn+st, full
 
 
 def _line(name, ok, detail=""):
@@ -158,8 +151,8 @@ def test_criterion_5_synthetic_domain_adaptation():
     oa = {arm: [] for arm, _ in ARMS}
     for seed in SEEDS:
         source, target = synth_domain_pair(seed=seed, **SYNTH)
-        for arm, ablation in ARMS:
-            cfg = TrainConfig(ablation=ablation, **SYNTH_TRAIN)
+        for arm, changes in ARMS:
+            cfg = with_changes(TrainConfig(**SYNTH_TRAIN), changes)
             result = fit(cfg, source, target, seed=seed)
             report, _ = evaluate_scene(result.model, target[0], target[1], cfg)
             oa[arm].append(report.oa * 100)

@@ -291,8 +291,19 @@ def test_removed_grid_name_exits_2(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("key", ["use_lmmd", "use_self_training"])
+def test_removed_loss_term_flag_exits_2(synth_dir, tmp_path, capsys, key):
+    """A loss term is turned off by its lambda of 0; its old flag is an unknown key."""
+    rc = main(["train", "--config", str(_cfg_file(synth_dir)), "--set",
+               f"train.ablation.{key}=false", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        f"config error: unknown config keys at train.ablation.: {key}"
+    assert not (tmp_path / "x").exists()
+
+
 def test_modules_grid_arm_count():
-    from crossscene.cli import ABLATION_GRIDS
+    from crossscene.training import ABLATION_GRIDS
     assert len(ABLATION_GRIDS["modules"]) == 5
     assert [a for a, _ in ABLATION_GRIDS["modules"]] == \
         ["baseline", "attn", "attn+lmmd", "attn+st", "full"]
@@ -564,9 +575,15 @@ _CONV1 = "extractor.conv1.weight"
     (_edit_index(lambda ix: ix[_CONV1].update(shape=5)), [], "shape mismatch"),
     (_write_index("5"), [], "to an object"),
     (_write_index("null"), [], "to an object"),
+    (_edit_index(lambda ix: ix[_CONV1].update(dtype=["f32"])), [], "dtype tag"),
+    (_edit_index(lambda ix: ix[_CONV1].update(dtype={})), [], "dtype tag"),
+    (_edit_index(lambda ix: ix[_CONV1].update(offset=False)), [], "puts " + _CONV1),
+    (_edit_index(lambda ix: ix[_CONV1].update(offset=0.0)), [], "puts " + _CONV1),
+    (_edit_index(lambda ix: ix[_CONV1].update(shape=[16.0, 8, 3, 3])), [], "shape mismatch"),
 ], ids=["truncated", "other-width", "dtype-tag", "name-mismatch", "appended-bytes",
         "overlapping-offsets", "no-shape", "list-entry", "scalar-shape", "top-level-number",
-        "top-level-null"])
+        "top-level-null", "list-dtype", "object-dtype", "false-offset", "float-offset",
+        "float-dim"])
 def test_exit_code_bad_checkpoint(synth_dir, ckpt_dir, tmp_path, capsys, fault, extra, message):
     d = tmp_path / "ckpt"
     d.mkdir()

@@ -1,7 +1,10 @@
 """Config round-trip, presets, overrides, strict key checking."""
 
+import json
+import re
 import typing
 from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +27,10 @@ def test_unknown_keys_rejected():
 
 
 def test_overrides_dotted_paths():
-    data = apply_overrides({}, ["train.epochs=3", "train.ablation.use_lmmd=false",
+    data = apply_overrides({}, ["train.epochs=3", "train.ablation.use_pseudo_head=false",
                                 "seeds=[1,2]", "source_bundle=here"])
     assert data["train"]["epochs"] == 3
-    assert data["train"]["ablation"]["use_lmmd"] is False
+    assert data["train"]["ablation"]["use_pseudo_head"] is False
     assert data["seeds"] == [1, 2]
     assert data["source_bundle"] == "here"
 
@@ -83,10 +86,19 @@ def test_values_take_their_field_types():
     assert cfg.train.kernel.base_bandwidth == 2.0
     for bad, key in [({"train": {"epochs": "5"}}, "train.epochs"),
                      ({"train": {"epochs": 5.0}}, "train.epochs"),
-                     ({"train": {"ablation": {"use_lmmd": 1}}}, "train.ablation.use_lmmd"),
+                     ({"train": {"ablation": {"use_attention": 1}}}, "train.ablation.use_attention"),
                      ({"seeds": [True]}, "seeds")]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(bad)
+
+
+def test_readme_config_examples_resolve():
+    """Every ```json block in README.md is a config the loader accepts."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        config_from_dict(json.loads(block))
 
 
 def test_missing_config_file():
@@ -96,9 +108,10 @@ def test_missing_config_file():
 
 def test_unparseable_config_file(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    with pytest.raises(ConfigError, match="unparseable"):
-        resolve_config(config_path=p)
+    for payload in (b"{not json", b"\xff{}"):  # the second is no UTF-8
+        p.write_bytes(payload)
+        with pytest.raises(ConfigError, match="unparseable"):
+            resolve_config(config_path=p)
 
 
 def test_unknown_preset():
@@ -126,8 +139,7 @@ PINNED_LEAVES = (
     "train.epochs", "train.batch", "train.lr0", "train.alpha", "train.beta", "train.momentum",
     "train.weight_decay", "train.patch_size", "train.unit_channels",
     "train.normalization",
-    "train.ablation.use_attention", "train.ablation.use_lmmd", "train.ablation.use_self_training",
-    "train.ablation.use_pseudo_head",
+    "train.ablation.use_attention", "train.ablation.use_pseudo_head",
     "train.attention.variant",
     "train.kernel.num_kernels", "train.kernel.mul_factor", "train.kernel.base_bandwidth",
     "train.loss_weights.lambda_lmmd", "train.loss_weights.lambda_st", "train.loss_weights.tau",

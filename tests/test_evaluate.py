@@ -277,11 +277,11 @@ def test_predict_scene_falls_back_to_patches(bands, w1, monkeypatch):
 def test_overfit_source_scores_high(tiny_pair):
     from dataclasses import replace
 
-    from crossscene.training import Ablation, TrainConfig, fit
+    from crossscene.training import LossWeights, TrainConfig, fit
 
     cfg = TrainConfig(epochs=125, batch=50, patch_size=5, normalization="none",
                       unit_channels=(16, 32, 16),
-                      ablation=Ablation(True, False, False, True))  # supervised only
+                      loss_weights=LossWeights(lambda_lmmd=0.0, lambda_st=0.0))  # supervised only
     res = fit(cfg, tiny_pair[0], tiny_pair[1])  # 500 steps on 225 px: overfit
     rep, _ = evaluate_scene(res.model, tiny_pair[0][0], tiny_pair[0][1], cfg)
     assert rep.oa > 0.95

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from crossscene import engine as E
+from crossscene import training
 from crossscene.data import LabelMap, PatchBatch, PatchSource, labeled_pixels, normalize_scene
 from crossscene.engine import (NumericError, Tensor, lr_schedule, sgd_momentum_step,
                                conv, zero_grads)
 from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig
 from crossscene.discrepancy import lmmd, one_hot
-from crossscene.training import (Ablation, LossWeights, StepStats, TrainConfig, build_model,
+from crossscene.training import (LossWeights, StepStats, TrainConfig, build_model,
                                  cross_entropy, fit, select_pseudo,
                                  self_training_loss, source_classification_loss,
                                  total_loss, train_step, with_changes, write_history)
@@ -163,7 +164,7 @@ def test_total_loss_degenerates_to_cls():
     l_lmmd = Tensor(np.asarray(0.3))
     l_st = Tensor(np.asarray(0.2))
     w = LossWeights(lambda_lmmd=0.0, lambda_st=0.0)
-    total = total_loss(l_cls, l_lmmd, l_st, w, Ablation())
+    total = total_loss(l_cls, l_lmmd, l_st, w)
     assert total.item() == pytest.approx(1.5)
 
 
@@ -174,17 +175,52 @@ def test_total_loss_linear_in_lambdas():
     vals = []
     for lam in (0.5, 1.0, 2.0):
         w = LossWeights(lambda_lmmd=lam, lambda_st=lam)
-        vals.append(total_loss(l_cls, l_lmmd, l_st, w, Ablation()).item())
+        vals.append(total_loss(l_cls, l_lmmd, l_st, w).item())
     diffs = np.diff(vals)
     assert vals[0] == pytest.approx(1.0 + 0.5 * 0.65)
     assert diffs[1] == pytest.approx(2 * diffs[0])  # doubling lambda doubles the slope
 
 
-def test_total_loss_respects_ablation_flags():
-    l_cls, l_lmmd, l_st = Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0))
+def test_total_loss_leaves_out_a_none_term():
+    l_cls, l_term = Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0))
     w = LossWeights(lambda_lmmd=1.0, lambda_st=1.0)
-    abl = Ablation(use_lmmd=False, use_self_training=True)
-    assert total_loss(l_cls, l_lmmd, l_st, w, abl).item() == pytest.approx(2.0)
+    assert total_loss(l_cls, None, l_term, w).item() == pytest.approx(2.0)
+    assert total_loss(l_cls, l_term, None, w).item() == pytest.approx(2.0)
+    assert total_loss(l_cls, None, None, w) is l_cls
+
+
+def _uses_target(cfg):
+    return cfg.loss_weights.lambda_lmmd > 0 or cfg.loss_weights.lambda_st > 0
+
+
+def test_zero_lambda_never_computes_its_term(tiny_pair, tiny_config, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term with lambda 0 was computed")
+
+    monkeypatch.setattr(training, "lmmd", refuse)
+    cfg = with_changes(tiny_config, {"loss_weights": {"lambda_lmmd": 0.0, "tau": 0.4}})
+    assert fit(cfg, *tiny_pair).history[-1]["pseudo_count"] > 0  # self-training still ran
+    monkeypatch.undo()
+    monkeypatch.setattr(training, "self_training_loss", refuse)
+    cfg = with_changes(tiny_config, {"loss_weights": {"lambda_st": 0.0}})
+    assert fit(cfg, *tiny_pair).history[-1]["loss_lmmd"] > 0  # alignment still ran
+
+
+def test_fit_draws_a_target_batch_only_for_a_term(tiny_pair, tiny_config, monkeypatch):
+    targets = []
+    step = training.train_step
+
+    def recording_step(model, source_batch, target_batch, config, progress):
+        targets.append(target_batch is not None)
+        return step(model, source_batch, target_batch, config, progress)
+
+    monkeypatch.setattr(training, "train_step", recording_step)
+    for lmmd_weight, st_weight in [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0)]:
+        cfg = with_changes(tiny_config, {"loss_weights": {"lambda_lmmd": lmmd_weight,
+                                                          "lambda_st": st_weight}})
+        targets.clear()
+        fit(cfg, *tiny_pair)
+        assert targets and set(targets) == {_uses_target(cfg)}, (lmmd_weight, st_weight)
 
 
 # -- the step and the loop -----------------------------------------------------
@@ -201,7 +237,7 @@ def _step_once(pair, cfg, steps=1):
     for k in range(steps):
         chunk = spix[k * cfg.batch : (k + 1) * cfg.batch]
         sb = sp.batch(chunk, src_labels.labels[chunk[:, 0], chunk[:, 1]])
-        tb = tp.batch(tpix[k * cfg.batch : (k + 1) * cfg.batch])
+        tb = tp.batch(tpix[k * cfg.batch : (k + 1) * cfg.batch]) if _uses_target(cfg) else None
         out.append(train_step(model, sb, tb, cfg, progress=0.0))
     return model, out
 
@@ -209,7 +245,6 @@ def _step_once(pair, cfg, steps=1):
 def serial_train_step(model, source_batch, target_batch, config, progress):
     """The oracle for ``train_step``: both extractor passes and one backward
     walk over the whole step, one after the other on the calling thread."""
-    abl = config.ablation
     weights = config.loss_weights
     lr = lr_schedule(progress, config.lr0, config.alpha, config.beta)
     params = model.parameters()
@@ -221,18 +256,18 @@ def serial_train_step(model, source_batch, target_batch, config, progress):
     l_lmmd = None
     l_st = None
     pseudo_count = 0
-    if target_batch is not None and (abl.use_lmmd or abl.use_self_training):
+    if target_batch is not None:
         z_t = model.features(target_batch.patches, training=True)
         with E.no_grad():
             p_t = E.softmax(model.head_cls(z_t))
-        if abl.use_lmmd:
+        if weights.lambda_lmmd > 0:
             ys = one_hot(source_batch.labels, model.num_classes)
             l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
-        if abl.use_self_training:
+        if weights.lambda_st > 0:
             l_st, pseudo_count = self_training_loss(
-                model, z_t, p_t, weights, use_pseudo_head=abl.use_pseudo_head)
+                model, z_t, p_t, weights, use_pseudo_head=config.ablation.use_pseudo_head)
 
-    total = total_loss(l_cls, l_lmmd, l_st, weights, abl)
+    total = total_loss(l_cls, l_lmmd, l_st, weights)
     total.backward()
     sgd_momentum_step(params, lr, config.momentum, config.weight_decay)
     return StepStats(
@@ -248,7 +283,7 @@ def serial_train_step(model, source_batch, target_batch, config, progress):
 STREAM_ARMS = {
     "full": {},
     "attention off": {"ablation": {"use_attention": False}},
-    "source only": {"ablation": {"use_lmmd": False, "use_self_training": False}},
+    "source only": {"loss_weights": {"lambda_lmmd": 0.0, "lambda_st": 0.0}},
 }
 
 
@@ -269,7 +304,7 @@ def compare_streamed_to_serial(steps=3):
     out = {}
     for arm, changes in STREAM_ARMS.items():
         cfg = with_changes(base, changes)
-        needs_target = cfg.ablation.use_lmmd or cfg.ablation.use_self_training
+        needs_target = _uses_target(cfg)
         streamed, serial = (build_model(cfg, src_labels.num_classes, src.bands) for _ in range(2))
         pseudo = 0
         for k in range(steps):
@@ -326,9 +361,7 @@ def test_train_step_determinism(tiny_pair, tiny_config):
 
 
 def test_source_only_step_is_plain_supervised(tiny_pair, tiny_config):
-    from dataclasses import replace
-
-    cfg = replace(tiny_config, ablation=Ablation(True, False, False, True))
+    cfg = with_changes(tiny_config, {"loss_weights": {"lambda_lmmd": 0.0, "lambda_st": 0.0}})
     _, stats = _step_once(tiny_pair, cfg)
     s = stats[0]
     assert s.loss_total == s.loss_cls
@@ -490,8 +523,8 @@ def test_run_grid_returns_mean_and_std(tiny_pair, tiny_config, tmp_path):
 def test_with_changes_edits_nested_fields(tiny_config):
     from crossscene.training import with_changes
 
-    cfg = with_changes(tiny_config, {"epochs": 3, "ablation": {"use_lmmd": False},
+    cfg = with_changes(tiny_config, {"epochs": 3, "ablation": {"use_pseudo_head": False},
                                      "attention": {"variant": "b"}})
-    assert (cfg.epochs, cfg.ablation.use_lmmd, cfg.attention.variant) == (3, False, "b")
+    assert (cfg.epochs, cfg.ablation.use_pseudo_head, cfg.attention.variant) == (3, False, "b")
     assert cfg.ablation.use_attention and cfg.batch == tiny_config.batch
-    assert tiny_config.ablation.use_lmmd and tiny_config.attention.variant == "d"
+    assert tiny_config.ablation.use_pseudo_head and tiny_config.attention.variant == "d"
