@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine as E
-from .discrepancy import KernelSpec, lmmd, one_hot
+from .discrepancy import lmmd, one_hot
 from .engine import Parameter, Tensor, grad_check
 from .engine.gradcheck import primitive_checks
 from .model import CenterAttentionBlock, CenterAttentionConfig, DualHeadClassifier, ExtractorConfig
@@ -48,10 +48,9 @@ def lmmd_case(seed=0):
     zt = Parameter(rng.standard_normal((6, 5)), name="zt", dtype=np.float64)
     ys = one_hot(rng.integers(1, 4, size=6), 3)
     pt = rng.dirichlet(np.ones(3), size=6)
-    spec = KernelSpec(base_bandwidth=2.0)
 
     def build():
-        return lmmd(zs, ys, zt, pt, spec)
+        return lmmd(zs, ys, zt, pt, bandwidth=2.0)
 
     return "lmmd", {"zs": zs, "zt": zt}, build, None
 

@@ -23,8 +23,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not self.seeds or min(self.seeds) < 0:
-            raise ValueError(f"seeds must list at least one seed, each >= 0, got {self.seeds}")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be a nonempty list of distinct seeds >= 0, got {self.seeds}")
 
 
 _MISMATCH = object()
@@ -143,10 +143,9 @@ def apply_overrides(data, overrides):
 
 
 # Named presets carrying the per-dataset defaults: patch size and loss-weight
-# pairs per scene family, the shared optimizer settings, and a synthetic
-# configuration sized for desk-scale runs.  For the pavia preset the patch
-# size ships as 9; the sensitivity sweep favored 11, one
-# ``--set train.patch_size=11`` away.
+# pairs per scene family, and a synthetic configuration sized for desk-scale
+# runs.  For the pavia preset the patch size ships as 9; the sensitivity
+# sweep favored 11, one ``--set train.patch_size=11`` away.
 PRESETS = {
     "houston": {
         "train": {

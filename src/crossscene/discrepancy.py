@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,48 +24,11 @@ from .engine import Tensor
 
 log = logging.getLogger(__name__)
 
-# Every bandwidth of a family, and every factor mul_factor**e in it, lies in
-# [1e-300, 1e300], so neither a member nor its inverse can overflow or round to 0.
-_LOG_LIMIT = math.log(1e300)
-
-
-@dataclass
-class KernelSpec:
-    """Family of Gaussian kernels around a base bandwidth (sigma^2).
-
-    ``base_bandwidth`` is a fixed positive sigma^2, or "median" for the
-    median of the pooled pairwise squared distances of the current batch.
-    Member k of the family uses sigma_k^2 = base * mul_factor**(k - num//2).
-    """
-
-    num_kernels: int = 5
-    mul_factor: float = 2.0
-    base_bandwidth: float | str = "median"
-
-    def __post_init__(self):
-        if self.num_kernels < 1:
-            raise ValueError(f"num_kernels must be >= 1, got {self.num_kernels}")
-        if self.mul_factor <= 0:
-            raise ValueError(f"mul_factor must be > 0, got {self.mul_factor}")
-        if (self.base_bandwidth != "median" if isinstance(self.base_bandwidth, str)
-                else self.base_bandwidth <= 0):
-            raise ValueError(f"base_bandwidth must be 'median' or > 0, got {self.base_bandwidth!r}")
-        # bounded in logs, without building the family
-        log_mul = abs(math.log(self.mul_factor))
-        if not log_mul <= _LOG_LIMIT:
-            raise ValueError(f"mul_factor must lie in [1e-300, 1e300], got {self.mul_factor}")
-        spread = (self.num_kernels // 2) * log_mul
-        if spread > _LOG_LIMIT:
-            raise ValueError(f"num_kernels must be <= {2 * int(_LOG_LIMIT / log_mul) + 1} at "
-                             f"mul_factor {self.mul_factor}, got {self.num_kernels}")
-        if (self.base_bandwidth != "median"
-                and not abs(math.log(self.base_bandwidth)) + spread <= _LOG_LIMIT):
-            raise ValueError(f"base_bandwidth must keep the family in [1e-300, 1e300], "
-                             f"got {self.base_bandwidth!r}")
-
-    def bandwidths(self, base):
-        half = self.num_kernels // 2
-        return [base * self.mul_factor ** (k - half) for k in range(self.num_kernels)]
+# The kernel family: for k = 0 .. NUM_KERNELS - 1, a Gaussian of sigma^2 =
+# base * KERNEL_MUL**(k - NUM_KERNELS//2), so base/4 .. 4*base (multi-kernel
+# MMD, Long et al. 2015).
+NUM_KERNELS = 5
+KERNEL_MUL = 2.0
 
 
 def _as_tensor(x):
@@ -105,24 +67,25 @@ def median_bandwidth(z):
     return med if med > 0 else 1.0
 
 
-def gaussian_kernel(z, spec=None):
+def gaussian_kernel(z, bandwidth=None):
     """Mean of exp(-D / sigma_k^2) over the family, D the pairwise squared
-    distances of z's rows, so k(x, x) = 1 exactly.  A "median" base comes
-    from z's values (no gradient flows through it)."""
-    spec = spec or KernelSpec()
+    distances of z's rows, so k(x, x) = 1 exactly.  The base ``bandwidth``
+    (sigma^2) is fixed when given, else the median heuristic on z's values
+    (no gradient flows through it)."""
     z = _as_tensor(z)
-    base = median_bandwidth(z.data) if spec.base_bandwidth == "median" else float(spec.base_bandwidth)
+    base = median_bandwidth(z.data) if bandwidth is None else float(bandwidth)
     dists = pairwise_sq_dists(z)
-    family = (E.exp(E.scale(dists, -1.0 / bw)) for bw in spec.bandwidths(base))
-    return E.scale(functools.reduce(E.add, family), 1.0 / spec.num_kernels)
+    family = (E.exp(E.scale(dists, -1.0 / (base * KERNEL_MUL ** (k - NUM_KERNELS // 2))))
+              for k in range(NUM_KERNELS))
+    return E.scale(functools.reduce(E.add, family), 1.0 / NUM_KERNELS)
 
 
-def mmd_biased(zs, zt, spec=None):
+def mmd_biased(zs, zt, bandwidth=None):
     """Biased empirical MMD^2, mean(K_ss) + mean(K_tt) - 2 mean(K_st): one-class ``lmmd``."""
     zs, zt = _as_tensor(zs), _as_tensor(zt)
     if zs.shape[0] == 0 or zt.shape[0] == 0:
         raise ValueError("empty sample set")
-    return lmmd(zs, np.ones((zs.shape[0], 1)), zt, np.ones((zt.shape[0], 1)), spec)
+    return lmmd(zs, np.ones((zs.shape[0], 1)), zt, np.ones((zt.shape[0], 1)), bandwidth)
 
 
 def class_weights(assignments):
@@ -153,7 +116,7 @@ def one_hot(labels, num_classes):
     return out
 
 
-def lmmd(zs, ys_onehot, zt, pt_probs, spec=None):
+def lmmd(zs, ys_onehot, zt, pt_probs, bandwidth=None):
     """Class-conditional MMD between weighted source/target feature means.
 
     Per class c, ss + tt - 2 st is w_c^T K w_c, with K the kernel over the
@@ -163,9 +126,9 @@ def lmmd(zs, ys_onehot, zt, pt_probs, spec=None):
     ``ys_onehot`` and ``pt_probs`` are data (no gradient flows through the
     weights); gradients reach the feature matrices only.  Classes absent on
     either side are excluded and the average runs over the valid classes.
-    Returns a zero-expression when no class is valid.
+    Returns a zero-expression when no class is valid.  ``bandwidth`` is
+    ``gaussian_kernel``'s.
     """
-    spec = spec or KernelSpec()
     zs, zt = _as_tensor(zs), _as_tensor(zt)
     ws, valid_s = class_weights(ys_onehot)
     wt, valid_t = class_weights(pt_probs)
@@ -178,18 +141,17 @@ def lmmd(zs, ys_onehot, zt, pt_probs, spec=None):
 
     z = E.concat_rows(zs, zt)
     w = Tensor(np.concatenate([ws[:, valid], -wt[:, valid]]).astype(z.dtype))
-    k = gaussian_kernel(z, spec)
+    k = gaussian_kernel(z, bandwidth)
     return E.scale(E.tsum(E.mul(w, E.matmul(k, w))), 1.0 / int(valid.sum()))
 
 
-def lmmd_oracle(zs, ys_onehot, zt, pt_probs, spec=None):
+def lmmd_oracle(zs, ys_onehot, zt, pt_probs, bandwidth=None):
     """Literal triple-loop expansion of the class-conditional MMD.
 
     No vectorization, no algebraic simplification: weights per Eq.-style
     column normalization, then sums of w_i w_j k(x_i, x_j) over every pair,
     averaged over valid classes.  The trusted reference for ``lmmd``.
     """
-    spec = spec or KernelSpec()
     zs = np.asarray(zs.data if isinstance(zs, Tensor) else zs, dtype=np.float64)
     zt = np.asarray(zt.data if isinstance(zt, Tensor) else zt, dtype=np.float64)
     ys = np.asarray(ys_onehot, dtype=np.float64)
@@ -197,7 +159,7 @@ def lmmd_oracle(zs, ys_onehot, zt, pt_probs, spec=None):
     n_s, n_t = zs.shape[0], zt.shape[0]
     num_classes = ys.shape[1]
 
-    if spec.base_bandwidth == "median":
+    if bandwidth is None:
         pooled = [zs[i] for i in range(n_s)] + [zt[j] for j in range(n_t)]
         dists = []
         for i in range(len(pooled)):
@@ -213,8 +175,8 @@ def lmmd_oracle(zs, ys_onehot, zt, pt_probs, spec=None):
             if base <= 0:
                 base = 1.0
     else:
-        base = float(spec.base_bandwidth)
-    bandwidths = spec.bandwidths(base)
+        base = float(bandwidth)
+    bandwidths = [base * KERNEL_MUL ** (k - NUM_KERNELS // 2) for k in range(NUM_KERNELS)]
 
     def kern(a, b):
         diff = a - b

@@ -1,4 +1,8 @@
-"""SGD with momentum and the inverse-decay learning-rate schedule."""
+"""SGD with momentum and the inverse-decay learning-rate schedule.
+
+The defaults are the settings every preset trains with: lr(w) =
+lr0 / (1 + 10 w)^0.75, momentum 0.9 and weight decay 1e-4.
+"""
 
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ def zero_grads(params):
         p.zero_grad()
 
 
-def sgd_momentum_step(params, lr, momentum=0.9, weight_decay=0.0):
+def sgd_momentum_step(params, lr, momentum=0.9, weight_decay=1e-4):
     """One classic SGD step: g' = g + wd*v; buf = mu*buf + g'; v -= lr*buf.
 
     ``params`` are ``Parameter``s.  Weight decay enters the raw gradient

@@ -318,9 +318,17 @@ def fork_join(first, second):
 
     An exception from ``first`` is raised only after ``second`` has finished,
     so nothing is left running on the side thread.  ``second`` must not call
-    ``fork_join`` itself: it would wait on its own thread.
+    ``fork_join`` itself: it would wait on its own thread.  ``second`` runs
+    under the caller's floating-point error state (``np.errstate``), which
+    the side thread would not otherwise share.
     """
-    future = _side.submit(second)
+    err = np.geterr()
+
+    def side():
+        with np.errstate(**err):
+            return second()
+
+    future = _side.submit(side)
     try:
         out = first()
     except BaseException:

@@ -28,7 +28,7 @@ import numpy as np
 from . import engine as E
 from .data import (NORMALIZATIONS, BundleError, PatchSource, batch_stream, cycled_batches,
                    labeled_pixels, normalize_scene, write_atomic)
-from .discrepancy import KernelSpec, lmmd, one_hot
+from .discrepancy import lmmd, one_hot
 from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_grads
 from .evaluate import aggregate_runs, evaluate_scene, format_report
 from .model import (CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, apply_bn_updates,
@@ -64,22 +64,16 @@ class TrainConfig:
     epochs: int = 200
     batch: int = 100
     lr0: float = 0.01
-    alpha: float = 10.0
-    beta: float = 0.75
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     patch_size: int = 9
     unit_channels: tuple[int, int, int] = (32, 64, 32)
     normalization: str = "minmax"
     ablation: Ablation = field(default_factory=Ablation)
     attention: CenterAttentionConfig = field(default_factory=CenterAttentionConfig)
-    kernel: KernelSpec = field(default_factory=KernelSpec)
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        for name in ("epochs", "alpha", "beta", "momentum", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.lr0 <= 0:
@@ -168,10 +162,11 @@ def train_step(model, source_batch, target_batch, config, progress):
     orders them.  The heads and losses run on leaf copies of the two feature
     batches; their gradients then seed the two extractor walks, again run
     together (``E.backward_pair``).  The step's bits are those of running both
-    passes one after the other on one thread.
+    passes one after the other on one thread.  The schedule and the SGD step
+    use the paper's settings, which are their functions' defaults.
     """
     weights = config.loss_weights
-    lr = lr_schedule(progress, config.lr0, config.alpha, config.beta)
+    lr = lr_schedule(progress, config.lr0)
     params = model.parameters()
     zero_grads(params)
 
@@ -196,7 +191,7 @@ def train_step(model, source_batch, target_batch, config, progress):
             p_t = E.softmax(model.head_cls(z_t))
         if weights.lambda_lmmd > 0:
             ys = one_hot(source_batch.labels, model.num_classes)
-            l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
+            l_lmmd = lmmd(z_s, ys, z_t, p_t.data)
         if weights.lambda_st > 0:
             l_st, pseudo_count = self_training_loss(
                 model, z_t, p_t, weights, use_pseudo_head=config.ablation.use_pseudo_head)
@@ -209,7 +204,7 @@ def train_step(model, source_batch, target_batch, config, progress):
             f"st={l_st.item() if l_st is not None else 0:.6g})")
     total.backward()
     E.backward_pair(feat_s, z_s.grad, feat_t, z_t.grad if z_t is not None else None)
-    sgd_momentum_step(params, lr, config.momentum, config.weight_decay)
+    sgd_momentum_step(params, lr)
     return StepStats(
         lr=lr,
         loss_total=float(total.item()),

@@ -16,7 +16,7 @@ import pytest
 from crossscene import engine as E
 from crossscene.checks import run_all_checks
 from crossscene.data import ShiftSpec, load_scene, synth_domain_pair
-from crossscene.discrepancy import KernelSpec, lmmd, lmmd_oracle, mmd_biased, one_hot
+from crossscene.discrepancy import lmmd, lmmd_oracle, mmd_biased, one_hot
 from crossscene.engine import Tensor, lr_schedule, zero_grads
 from crossscene.evaluate import evaluate_scene, metrics
 from crossscene.model import (CenterAttentionBlock, CenterAttentionConfig,
@@ -58,7 +58,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_lmmd_oracle_equivalence():
     rng = np.random.default_rng(42)
-    spec = KernelSpec(base_bandwidth=1.3)
+    bw = 1.3
     worst = 0.0
     for _ in range(50):
         n_s, n_t = rng.integers(2, 9), rng.integers(2, 9)
@@ -66,11 +66,11 @@ def test_criterion_2_lmmd_oracle_equivalence():
         zs, zt = rng.normal(size=(n_s, d)), rng.normal(size=(n_t, d))
         ys = one_hot(rng.integers(1, c + 1, size=n_s), c)
         pt = rng.dirichlet(np.ones(c), size=n_t)
-        worst = max(worst, abs(lmmd(Tensor(zs), ys, Tensor(zt), pt, spec).item()
-                               - lmmd_oracle(zs, ys, zt, pt, spec)))
+        worst = max(worst, abs(lmmd(Tensor(zs), ys, Tensor(zt), pt, bw).item()
+                               - lmmd_oracle(zs, ys, zt, pt, bw)))
     zs, zt = rng.normal(size=(6, 3)), rng.normal(size=(8, 3))
-    uni = abs(lmmd(Tensor(zs), np.ones((6, 1)), Tensor(zt), np.ones((8, 1)), spec).item()
-              - mmd_biased(zs, zt, spec).item())
+    uni = abs(lmmd(Tensor(zs), np.ones((6, 1)), Tensor(zt), np.ones((8, 1)), bw).item()
+              - mmd_biased(zs, zt, bw).item())
     ok = worst < 1e-10 and uni < 1e-10
     assert _line("2 lmmd-oracle-equivalence", ok,
                  f"50 instances, worst |diff| {worst:.2e}; C=1 vs mmd {uni:.2e}")

@@ -243,14 +243,19 @@ def test_resolved_config_with_removed_keys_exits_2(synth_dir, tmp_path, capsys):
     cfg = tmp_path / "resolved.cfg"
     save_config(resolve_config(config_path=_cfg_file(synth_dir)), cfg)
     old = json.loads(cfg.read_text())
-    old["train"].update(feature_mode="pool", st_warmup_epochs=0, seed=0)
+    removed = dict(feature_mode="pool", st_warmup_epochs=0, seed=0, alpha=10.0, beta=0.75,
+                   momentum=0.9, weight_decay=1e-4,
+                   kernel={"num_kernels": 5, "mul_factor": 2.0, "base_bandwidth": "median"})
+    old["train"].update(removed)
     old["train"]["attention"]["scale_divisor"] = "sqrt_patch"
     cfg.write_text(json.dumps(old))
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err.strip()
-    assert err == "config error: unknown config keys at train.: feature_mode, seed, st_warmup_epochs"
-    del old["train"]["feature_mode"], old["train"]["st_warmup_epochs"], old["train"]["seed"]
+    assert err == ("config error: unknown config keys at train.: alpha, beta, feature_mode, "
+                   "kernel, momentum, seed, st_warmup_epochs, weight_decay")
+    for key in removed:
+        del old["train"][key]
     cfg.write_text(json.dumps(old))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.strip()
@@ -267,8 +272,7 @@ PINNED_OPTIONS = {
             "--palette", "--all-pixels"),
     "gradcheck": ("--seed", "--tolerance"),
     "ablate": ("--config", "--preset", "--set", "--seed", "--grid", "--out"),
-    "synth": ("--out", "--classes", "--bands", "--grid", "--blob", "--gain", "--offset",
-              "--noise", "--class-sigma", "--proto-low", "--proto-high", "--seed"),
+    "synth": ("--out", "--classes", "--bands", "--grid", "--blob", "--seed"),
 }
 
 
@@ -291,14 +295,28 @@ def test_removed_grid_name_exits_2(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("key", ["use_lmmd", "use_self_training"])
+# (dotted key, the error's location and name): the two loss-term flags, now a
+# lambda of 0, and the seven optimizer and kernel-family leaves, now constants
+REMOVED_LEAVES = {
+    "use_lmmd": ("train.ablation.use_lmmd", "train.ablation.: use_lmmd"),
+    "use_self_training": ("train.ablation.use_self_training",
+                          "train.ablation.: use_self_training"),
+    **{key: (f"train.{key}", f"train.: {key}")
+       for key in ("alpha", "beta", "momentum", "weight_decay")},
+    **{key: (f"train.kernel.{key}", "train.: kernel")
+       for key in ("num_kernels", "mul_factor", "base_bandwidth")},
+}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_LEAVES))
 def test_removed_loss_term_flag_exits_2(synth_dir, tmp_path, capsys, key):
-    """A loss term is turned off by its lambda of 0; its old flag is an unknown key."""
-    rc = main(["train", "--config", str(_cfg_file(synth_dir)), "--set",
-               f"train.ablation.{key}=false", "--out", str(tmp_path / "x")])
+    """A loss term is turned off by its lambda of 0, and the optimizer and
+    kernel family are fixed; each removed leaf is an unknown key."""
+    dotted, where = REMOVED_LEAVES[key]
+    rc = main(["train", "--config", str(_cfg_file(synth_dir)), "--set", f"{dotted}=1",
+               "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert capsys.readouterr().err.strip() == \
-        f"config error: unknown config keys at train.ablation.: {key}"
+    assert capsys.readouterr().err.strip() == f"config error: unknown config keys at {where}"
     assert not (tmp_path / "x").exists()
 
 
@@ -343,13 +361,15 @@ def test_exit_code_invalid_config(synth_dir, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exit_code_numeric_failure(synth_dir, tmp_path, capsys):
     cfg = _cfg_file(synth_dir)
-    rc = main(["train", "--config", str(cfg), "--set", "train.lr0=1e20",
-               "--out", str(tmp_path / "x")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # numpy's overflow warnings, from either stream thread
+        rc = main(["train", "--config", str(cfg), "--set", "train.lr0=1e20",
+                   "--out", str(tmp_path / "x")])
     assert rc == 4
-    assert "numeric" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure: non-finite")
 
 
 @pytest.mark.parametrize("override", ["train.patch_size=4", "train.normalization=bogus",
@@ -363,13 +383,11 @@ def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("override", [
-    "train.alpha=-1", "train.beta=-1", "train.epochs=abc", "train.epochs=1.5",
+    "train.epochs=abc", "train.epochs=1.5",
     "train.unit_channels=5", "train.batch=x", 'seeds="x"', "seeds=5", "train.lr0=abc",
-    "train.momentum=abc", "train.loss_weights.tau=abc", "train.patch_size=-3",
-    "train.kernel.base_bandwidth=true", "train.weight_decay=-1",
-    "train.lr0=NaN", "train.momentum=NaN", "train.alpha=NaN", "train.kernel.base_bandwidth=NaN",
-    "train.loss_weights.lambda_lmmd=Infinity", "train.kernel.mul_factor=1e308",
-    "train.kernel.num_kernels=3000", "train.kernel.base_bandwidth=5e-324",
+    "train.loss_weights.tau=abc", "train.patch_size=-3",
+    "train.lr0=NaN", "train.loss_weights.lambda_lmmd=Infinity",
+    "seeds=[1,1]",  # each seed writes seed_<s>/, so a repeat would train over its own run
 ])
 def test_exit_code_bad_config_value(synth_dir, tmp_path, capsys, override):
     cfg = _cfg_file(synth_dir)
@@ -385,16 +403,24 @@ def test_exit_code_bad_config_value(synth_dir, tmp_path, capsys, override):
     "--classes 1", "--bands 1", "--gain 0", "--grid 0", "--blob 0",
     "--proto-low 0.9 --proto-high 0.1", "--gain nan", "--offset inf", "--noise -1",
     "--class-sigma -1",
-    # cubes past the float32 range
     "--gain 1e39", "--offset 1e39", "--proto-high 1e39", "--noise 1e39",
 ])
 def test_exit_code_bad_synth_argument(tmp_path, capsys, bad):
+    """--classes, --bands, --grid and --blob values that synth_domain_pair
+    refuses; the other flags are gone (the shift, noise and prototype range
+    are the generator's settings, checked in test_data.py), a usage error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflow warning would be a second line
-        rc = main(["synth", "--out", str(tmp_path / "x"), "--grid", "3", "--blob", "5"] + bad.split())
+        try:
+            rc = main(["synth", "--out", str(tmp_path / "x"), "--grid", "3", "--blob", "5"]
+                      + bad.split())
+        except SystemExit as e:
+            rc = e.code
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and "\n" not in err
+    if bad.split()[0] not in ("--classes", "--bands", "--grid", "--blob"):
+        assert err == f"config error: unrecognized arguments: {bad}"
     assert not (tmp_path / "x").exists()
 
 

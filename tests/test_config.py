@@ -1,5 +1,6 @@
 """Config round-trip, presets, overrides, strict key checking."""
 
+import inspect
 import json
 import re
 import typing
@@ -10,6 +11,7 @@ import pytest
 
 from crossscene.config import (ConfigError, ExperimentConfig, apply_overrides, config_from_dict,
                                resolve_config, save_config)
+from crossscene.engine import lr_schedule, sgd_momentum_step
 
 
 def test_defaults_round_trip(tmp_path):
@@ -59,8 +61,11 @@ def test_presets_carry_dataset_defaults():
 def test_shared_optimizer_defaults():
     cfg = resolve_config()
     t = cfg.train
-    assert (t.epochs, t.batch, t.lr0, t.alpha, t.beta) == (200, 100, 0.01, 10.0, 0.75)
-    assert (t.momentum, t.weight_decay) == (0.9, 1e-4)
+    assert (t.epochs, t.batch, t.lr0) == (200, 100, 0.01)
+    # the schedule's decay and the SGD settings are the functions' defaults
+    assert lr_schedule(1.0, 0.01) == 0.01 / 11 ** 0.75
+    sgd = inspect.signature(sgd_momentum_step).parameters
+    assert (sgd["momentum"].default, sgd["weight_decay"].default) == (0.9, 1e-4)
     assert t.loss_weights.tau == 0.95
     assert (t.loss_weights.lambda_lmmd, t.loss_weights.lambda_st) == (1.0, 1.0)
 
@@ -80,10 +85,8 @@ def test_validation_catches_bad_values():
 
 
 def test_values_take_their_field_types():
-    cfg = resolve_config(overrides=["train.lr0=1", "train.unit_channels=[16,32,16]",
-                                    "train.kernel.base_bandwidth=2"])
+    cfg = resolve_config(overrides=["train.lr0=1", "train.unit_channels=[16,32,16]"])
     assert type(cfg.train.lr0) is float and cfg.train.unit_channels == (16, 32, 16)
-    assert cfg.train.kernel.base_bandwidth == 2.0
     for bad, key in [({"train": {"epochs": "5"}}, "train.epochs"),
                      ({"train": {"epochs": 5.0}}, "train.epochs"),
                      ({"train": {"ablation": {"use_attention": 1}}}, "train.ablation.use_attention"),
@@ -136,12 +139,10 @@ LEAVES = _leaves(ExperimentConfig)
 # benchmark workload that sets it.
 PINNED_LEAVES = (
     "source_bundle", "target_bundle", "seeds",
-    "train.epochs", "train.batch", "train.lr0", "train.alpha", "train.beta", "train.momentum",
-    "train.weight_decay", "train.patch_size", "train.unit_channels",
+    "train.epochs", "train.batch", "train.lr0", "train.patch_size", "train.unit_channels",
     "train.normalization",
     "train.ablation.use_attention", "train.ablation.use_pseudo_head",
     "train.attention.variant",
-    "train.kernel.num_kernels", "train.kernel.mul_factor", "train.kernel.base_bandwidth",
     "train.loss_weights.lambda_lmmd", "train.loss_weights.lambda_st", "train.loss_weights.tau",
 )
 

@@ -3,6 +3,7 @@
 import errno
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,33 @@ def test_synth_seeds_change_values_not_layout():
 def test_synth_rejects_degenerate_shift():
     with pytest.raises(ValueError, match="gain"):
         synth_domain_pair(shift=ShiftSpec(0.0, 0.1))
+
+
+# Arguments the generator cannot build a scene from, each with the words its
+# message names: a zero or non-finite shift, a negative spread, a prototype
+# range out of order, and four that would take a cube past the float32 range.
+BAD_SYNTH_ARGUMENTS = {
+    "gain=0": (dict(gain=0.0), "gain"),
+    "gain=nan": (dict(gain=float("nan")), "gain"),
+    "offset=inf": (dict(offset=float("inf")), "offset"),
+    "noise=-1": (dict(noise_sigma=-1.0), "sigma"),
+    "class_sigma=-1": (dict(class_sigma=-1.0), "sigma"),
+    "proto_range=(0.9,0.1)": (dict(proto_range=(0.9, 0.1)), "prototype range"),
+    "gain=1e39": (dict(gain=1e39), "float32"),
+    "offset=1e39": (dict(offset=1e39), "float32"),
+    "proto_range=(0.2,1e39)": (dict(proto_range=(0.2, 1e39)), "float32"),
+    "noise=1e39": (dict(noise_sigma=1e39), "float32"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SYNTH_ARGUMENTS))
+def test_synth_rejects_bad_argument(case):
+    kwargs, message = BAD_SYNTH_ARGUMENTS[case]
+    shift = {k: kwargs.pop(k) for k in ("gain", "offset") if k in kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would be a second line
+        with pytest.raises(ValueError, match=message):
+            synth_domain_pair(blob_grid=3, blob_size=5, shift=ShiftSpec(**shift), **kwargs)
 
 
 def test_synth_determinism():

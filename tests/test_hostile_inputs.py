@@ -1,4 +1,4 @@
-"""Hostile bundle and checkpoint files through the command line.
+"""Hostile bundle files, checkpoint files and config values through the command line.
 
 Every bundle and checkpoint file is emptied, cut by one byte or cut to half
 its length; a JSON file also gets a byte that is not UTF-8, and each of its
@@ -7,15 +7,22 @@ fields is set to each JSON type in turn.  Each case runs in process through
 must end with exit 0, 2, 3 or 4 (3 for a cut raw file, which no reader can
 use) and at most one stderr line; an exception escaping ``main`` is what a
 user would see as a traceback and exit 1.
+
+Every hostile value that the config loader accepts for a leaf also trains
+one epoch through ``cli.main train``; it must end the same way, with no
+numpy warning on the way.
 """
 
 import json
 import sys
 import traceback
+import warnings
 
 import pytest
+from test_config import HOSTILE_VALUES, LEAVES
 
 from crossscene.cli import main
+from crossscene.config import ConfigError, resolve_config
 
 # JSON values that a metadata field might not expect
 HOSTILE_FIELD_VALUES = (None, True, -1, 0, 1.5, "x", [], {})
@@ -95,4 +102,27 @@ def test_hostile_file_exits_cleanly(tree, rel, tmp_path, capsys):
                     faults.append(f"{command} with {rel} {case}: exit {rc}, stderr {err[-300:]!r}")
     finally:
         path.write_bytes(raw)
+    assert faults == []
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_accepted_config_value_trains_cleanly(tree, leaf, tmp_path, capsys):
+    faults = []
+    for i, value in enumerate(HOSTILE_VALUES):
+        overrides = [f"source_bundle={tree / 'source'}", f"target_bundle={tree / 'target'}",
+                     "train.epochs=1", "seeds=[0]", f"{leaf}={value}"]
+        try:
+            resolve_config("synth", overrides=overrides)
+        except ConfigError:
+            continue
+        argv = ["train", "--preset", "synth", "--out", str(tmp_path / f"run{i}")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = _run(argv + [a for o in overrides for a in ("--set", o)], capsys)
+        last = (err.splitlines() or [""])[-1]
+        if (rc not in (0, 2, 3, 4) or "Traceback" in err or caught
+                or (rc != 0 and not last.startswith(("config error: ", "data error: ",
+                                                     "numeric failure: ")))):
+            faults.append(f"{leaf}={value}: exit {rc}, warnings {[str(w.message) for w in caught]}, "
+                          f"stderr {err[-300:]!r}")
     assert faults == []

@@ -246,7 +246,7 @@ def serial_train_step(model, source_batch, target_batch, config, progress):
     """The oracle for ``train_step``: both extractor passes and one backward
     walk over the whole step, one after the other on the calling thread."""
     weights = config.loss_weights
-    lr = lr_schedule(progress, config.lr0, config.alpha, config.beta)
+    lr = lr_schedule(progress, config.lr0)
     params = model.parameters()
     zero_grads(params)
 
@@ -262,14 +262,14 @@ def serial_train_step(model, source_batch, target_batch, config, progress):
             p_t = E.softmax(model.head_cls(z_t))
         if weights.lambda_lmmd > 0:
             ys = one_hot(source_batch.labels, model.num_classes)
-            l_lmmd = lmmd(z_s, ys, z_t, p_t.data, config.kernel)
+            l_lmmd = lmmd(z_s, ys, z_t, p_t.data)
         if weights.lambda_st > 0:
             l_st, pseudo_count = self_training_loss(
                 model, z_t, p_t, weights, use_pseudo_head=config.ablation.use_pseudo_head)
 
     total = total_loss(l_cls, l_lmmd, l_st, weights)
     total.backward()
-    sgd_momentum_step(params, lr, config.momentum, config.weight_decay)
+    sgd_momentum_step(params, lr)
     return StepStats(
         lr=lr,
         loss_total=float(total.item()),
@@ -468,12 +468,18 @@ def test_fit_history_and_lr_monotone(tiny_pair, tiny_config, tmp_path):
     assert len(lines) == 4
 
 
-def test_fit_ignores_target_label_values(tiny_pair, tiny_config, tmp_path):
+# the fixture's tau, at which tiny_pair takes no pseudo label, and one that
+# does take labels, so that the self-training loss runs on selected rows
+@pytest.mark.parametrize("tau", [0.95, 0.4])
+def test_fit_ignores_target_label_values(tiny_pair, tiny_config, tmp_path, tau):
     tgt_scene, tgt_labels = tiny_pair[1]
     relabeled = np.array([0, 3, 1, 2])[tgt_labels.labels]  # same labeled mask, classes permuted
     assert (relabeled != tgt_labels.labels).any()
-    fit(tiny_config, tiny_pair[0], tiny_pair[1], out_dir=tmp_path / "a", deterministic=True)
-    fit(tiny_config, tiny_pair[0], (tgt_scene, LabelMap(labels=relabeled)),
+    cfg = with_changes(tiny_config, {"loss_weights": {"tau": tau}})
+    res = fit(cfg, tiny_pair[0], tiny_pair[1], out_dir=tmp_path / "a", deterministic=True)
+    if tau == 0.4:
+        assert sum(rec["pseudo_count"] for rec in res.history) > 0
+    fit(cfg, tiny_pair[0], (tgt_scene, LabelMap(labels=relabeled)),
         out_dir=tmp_path / "b", deterministic=True)
     for name in ("checkpoint.bin", "history.log"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
