@@ -93,7 +93,8 @@ def class_weights(assignments):
 
     Returns (weights, valid) where weights[:, c] sums to 1 for every valid
     class; classes whose column sums to zero are flagged invalid instead of
-    dividing by zero.
+    dividing by zero.  A NaN column stays valid, as in ``lmmd_oracle``, so a
+    diverged batch gives a NaN loss, not a 0 for "no class present".
     """
     y = np.asarray(assignments, dtype=np.float64)
     if y.ndim != 2:
@@ -101,7 +102,7 @@ def class_weights(assignments):
     if (y < 0).any():
         raise ValueError("negative class assignment")
     colsum = y.sum(axis=0)
-    valid = colsum > 0
+    valid = ~(colsum <= 0)
     safe = np.where(valid, colsum, 1.0)
     return y / safe, valid
 

@@ -372,6 +372,29 @@ def test_exit_code_numeric_failure(synth_dir, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure: non-finite")
 
 
+def test_exit_code_diverged_alignment_loss(synth_dir, tmp_path, capsys):
+    """A step that overflows to NaN target probabilities reports the NaN
+    alignment loss in its one exit-4 line, not a 0 from 'no class present'."""
+    cfg = _cfg_file(synth_dir)
+    rc = main(["train", "--config", str(cfg), "--set", "train.lr0=1e308",
+               "--out", str(tmp_path / "x")])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: non-finite")
+    assert "lmmd=nan" in err[0]
+
+
+def test_import_loads_no_scipy():
+    """The package needs numpy only: importing the CLI loads no scipy module."""
+    code = ("import sys, crossscene.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(crossscene.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("override", ["train.patch_size=4", "train.normalization=bogus",
                                       "train.unit_channels=[16,16,16]"])
 def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):

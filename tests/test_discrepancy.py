@@ -1,5 +1,6 @@
 """Kernel statistics, class weights, and the alignment loss vs its oracle."""
 
+import logging
 import math
 
 import numpy as np
@@ -212,6 +213,18 @@ def test_lmmd_no_valid_class_returns_zero(rng):
     pt = np.array([[0.0, 1.0]] * 3)  # class 1 absent from target
     val = lmmd(Tensor(zs), ys, Tensor(zt), pt, bandwidth=1.0)
     assert val.item() == 0.0
+
+
+def test_lmmd_nan_probabilities_give_nan(rng, caplog):
+    """A NaN class column is not an absent class: the loss is NaN, as the
+    oracle's, and no 'no class present' warning is logged."""
+    zs, zt = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    ys = one_hot(np.array([1, 1, 2, 2]), 2)
+    pt = np.full((4, 2), np.nan)
+    with caplog.at_level(logging.DEBUG):
+        assert np.isnan(lmmd(Tensor(zs), ys, Tensor(zt), pt, bandwidth=1.0).item())
+        assert np.isnan(lmmd_oracle(zs, ys, zt, pt, bandwidth=1.0))
+    assert caplog.records == []
 
 
 def test_lmmd_zero_features(rng):

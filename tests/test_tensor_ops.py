@@ -22,6 +22,48 @@ def test_gelu_fixed_points():
     assert abs(y[2] - (-1.0 + g1)) < 1e-6  # x*Phi(x) at -1 = -(1 - Phi(1))
 
 
+def _erf_grid():
+    """Subnormals, both fit ranges, the z*z = 1 and |z| = 6 seams and the tail."""
+    seams = np.array([1.0, 6.0])
+    near = np.concatenate([seams + k * np.spacing(seams) for k in range(-3, 4)])
+    z = np.concatenate([
+        [5e-324, 1e-320, 2.2250738585072014e-308],
+        np.geomspace(1e-300, 1.0, 600),
+        np.linspace(0.0, 7.0, 7001),
+        np.linspace(0.99, 1.01, 401), np.linspace(5.99, 6.01, 401), near,
+        [26.0, 1e10, np.finfo(np.float64).max],
+    ])
+    return np.concatenate([z, -z])
+
+
+def test_erf_within_two_ulp_of_mpmath():
+    mp = pytest.importorskip("mpmath")
+    z = _erf_grid()
+    got = E.tensor._erf(z.copy())
+    with mp.workdps(40):
+        ref = np.array([float(mp.erf(mp.mpf(v))) for v in z])
+    assert (np.abs(got - ref) / np.spacing(np.abs(ref))).max() <= 2.0
+    fortran = np.asfortranarray(z.reshape(2, -1))  # not C-contiguous: erf of a copy
+    assert np.array_equal(E.tensor._erf(fortran), got.reshape(2, -1))
+    special = E.tensor._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert list(special[:4]) == [0.0, 0.0, 1.0, -1.0] and np.isnan(special[4])
+    assert list(np.signbit(special[:2])) == [False, True]
+
+
+def test_erf_float32_rounding_matches_scipy():
+    """Every 64th float32 bit pattern in (0, 6.5] and its negative (erf is
+    1 in float32 beyond): rounded to float32, the float64 erf gives
+    scipy.special.erf's bits."""
+    special = pytest.importorskip("scipy.special")
+    top = int(np.array(6.5, np.float32).view(np.uint32))
+    bits = np.arange(top, 0, -64, dtype=np.uint32)
+    for start in range(0, bits.size, 1 << 22):
+        z = bits[start:start + (1 << 22)].view(np.float32).astype(np.float64)
+        z = np.concatenate([z, -z])
+        want = special.erf(z).astype(np.float32)
+        assert np.array_equal(_bits(E.tensor._erf(z).astype(np.float32)), _bits(want))
+
+
 def test_leaky_relu_negative_branch():
     y = E.leaky_relu(Tensor(np.array([-1.0, 2.0])), 0.01).data
     assert y[0] == pytest.approx(-0.01)
