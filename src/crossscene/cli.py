@@ -5,12 +5,12 @@ from __future__ import annotations
 import ctypes
 import os
 
-# BLAS threads per stream, set before numpy spins up its BLAS pools.  Training
-# and scene inference run two streams (engine.fork_join), so one thread each
-# fills two cores; CROSSSCENE_THREADS overrides the default of 1.
-_threads = os.environ.get("CROSSSCENE_THREADS") or "1"
+# One BLAS thread per stream, set before numpy spins up its BLAS pools and
+# whatever the environment says: a GEMM's bits depend on how many threads
+# split it.  Training and scene inference run two streams (engine.fork_join),
+# so one thread each fills two cores.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, _threads)
+    os.environ[_var] = "1"
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -139,10 +139,15 @@ def build_parser():
 
 
 def _prepare_run(args):
-    """Resolve the config and load the bundle pair."""
+    """Resolve the config, check that --out can be a directory, and load the
+    bundle pair: a bad --out fails before the first fit, not after the last."""
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     if not cfg.source_bundle or not cfg.target_bundle:
         raise ConfigError("config must name source_bundle and target_bundle")
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
     pair = []
     for role, bundle in (("source", cfg.source_bundle), ("target", cfg.target_bundle)):
         scene, labels = load_scene(bundle)
@@ -300,7 +305,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BundleError, FileNotFoundError) as e:
+    except (BundleError, OSError) as e:  # a missing file or an --out that is a file
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

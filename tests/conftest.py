@@ -1,6 +1,5 @@
-# The CLI module sets the BLAS thread count (one per stream unless
-# CROSSSCENE_THREADS says otherwise), so it loads before numpy, as it does
-# under the installed script: the suite then runs at the shipped default.
+# The CLI module fixes one BLAS thread per stream, so it loads before numpy,
+# as it does under the installed script: the suite then runs at that count.
 import crossscene.cli  # noqa: F401  isort: skip
 
 import numpy as np

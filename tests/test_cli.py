@@ -395,6 +395,42 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_artifacts_do_not_depend_on_thread_variables(tmp_path):
+    """``train --deterministic`` and ``map --all-pixels``, each in a fresh
+    process, write the same bytes whatever the BLAS thread variables say.
+    At the houston shape (48 bands, patch 15, batch 100, widths 32/64/32)
+    conv2's weight gradient im2col(x)^T g has K = 100 * 15 * 15 = 22500, and
+    OpenBLAS splits that sum differently at two threads than at one."""
+    assert main(["synth", "--out", str(tmp_path / "data"), "--classes", "7", "--bands", "48",
+                 "--grid", "3", "--blob", "6", "--seed", "3"]) == 0
+    common = ["--preset", "houston", "--seed", "0", "--set", "train.epochs=1",
+              "--set", f"source_bundle={tmp_path / 'data' / 'source'}",
+              "--set", f"target_bundle={tmp_path / 'data' / 'target'}"]
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    base["PYTHONPATH"] = str(Path(crossscene.__file__).parents[1])
+    envs = {"unset": base,
+            "blas-2": dict(base, **{k: "2" for k in THREAD_VARIABLES}),
+            "crossscene-2": dict(base, CROSSSCENE_THREADS="2")}  # the CLI's former knob
+    files = ("train/seed_0/checkpoint.bin", "train/seed_0/history.log", "map/map.ppm")
+    artifacts = {}
+    for name, env in envs.items():
+        out = tmp_path / name
+        for argv in (["train", *common, "--out", str(out / "train"), "--deterministic"],
+                     ["map", *common, "--checkpoint", str(out / files[0]),
+                      "--bundle", str(tmp_path / "data" / "target"), "--out", str(out / "map"),
+                      "--all-pixels"]):
+            proc = subprocess.run([sys.executable, "-m", "crossscene", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, (name, proc.stderr[-2000:])
+        artifacts[name] = {f: (out / f).read_bytes() for f in files}
+    differ = {name: [f for f in files if artifacts[name][f] != artifacts["unset"][f]]
+              for name in envs}
+    assert differ == {name: [] for name in envs}
+
+
 @pytest.mark.parametrize("override", ["train.patch_size=4", "train.normalization=bogus",
                                       "train.unit_channels=[16,16,16]"])
 def test_exit_code_bad_train_setting(synth_dir, tmp_path, capsys, override):
@@ -567,6 +603,47 @@ def test_exit_code_batch_exceeds_labeled_pixels(synth_dir, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error") and "batch size 1000" in err and "\n" not in err
     assert not (tmp_path / "x").exists()
+
+
+def _bad_path_argv(command, synth_dir, ckpt, out):
+    run = ["--config", str(_cfg_file(synth_dir, epochs=1)), "--out", str(out)]
+    scored = ["--checkpoint", str(ckpt), "--bundle", str(synth_dir / "data" / "target")]
+    return {"train": ["train", *run],
+            "ablate": ["ablate", *run, "--grid", "heads"],
+            "eval": ["eval", *run, *scored],
+            "map": ["map", *run, *scored],
+            "synth": ["synth", "--out", str(out), "--classes", "2", "--bands", "4", "--grid", "2",
+                      "--blob", "3"]}[command]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "map", "synth"])
+def test_exit_code_out_is_a_file(synth_dir, ckpt_dir, tmp_path, capsys, monkeypatch, command,
+                                 under):
+    """An --out that is a file, or lies under one, exits 3 with one line;
+    train and ablate say so before their first training step."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran before --out was checked")
+
+    monkeypatch.setattr(training, "train_step", no_step)
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory")
+    out = blocker / "run" if under else blocker
+    rc = main(_bad_path_argv(command, synth_dir, ckpt_dir / "checkpoint.bin", out))
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and "\n" not in err
+    assert blocker.read_bytes() == b"not a directory"
+
+
+def test_exit_code_palette_is_a_directory(synth_dir, ckpt_dir, tmp_path, capsys):
+    rc = main(["map", "--config", str(_cfg_file(synth_dir)), "--checkpoint",
+               str(ckpt_dir / "checkpoint.bin"), "--bundle", str(synth_dir / "data" / "target"),
+               "--palette", str(tmp_path), "--out", str(tmp_path / "map")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and str(tmp_path) in err and "\n" not in err
+    assert not (tmp_path / "map").exists()
 
 
 @pytest.fixture(scope="module")

@@ -330,13 +330,10 @@ def _training_state(model):
 
 def test_streamed_train_step_matches_serial_oracle():
     """Parameters, momentum and BN running buffers are bit for bit those of
-    the serial step.  Run in a fresh process at one BLAS thread per stream,
-    so the thread count is pinned and the two streams overlap."""
+    the serial step.  Run in a fresh process, where importing the CLI first
+    fixes one BLAS thread per stream, so the two streams overlap."""
     here = Path(__file__).resolve().parent
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env.update(CROSSSCENE_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
     code = ("import crossscene.cli, json, test_training; "
             "print(json.dumps(test_training.compare_streamed_to_serial()))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
