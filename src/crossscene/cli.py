@@ -138,16 +138,21 @@ def build_parser():
     return parser
 
 
-def _prepare_run(args):
-    """Resolve the config, check that --out can be a directory, and load the
-    bundle pair: a bad --out fails before the first fit, not after the last."""
-    cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
-    if not cfg.source_bundle or not cfg.target_bundle:
-        raise ConfigError("config must name source_bundle and target_bundle")
-    out = Path(args.out)
+def _check_out(out):
+    """Raise unless the directory ``out`` exists or can be made: a bad --out
+    fails before any work, not after it."""
+    out = Path(out)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+
+
+def _prepare_run(args):
+    """Resolve the config, check --out, and load the bundle pair."""
+    cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
+    if not cfg.source_bundle or not cfg.target_bundle:
+        raise ConfigError("config must name source_bundle and target_bundle")
+    _check_out(args.out)
     pair = []
     for role, bundle in (("source", cfg.source_bundle), ("target", cfg.target_bundle)):
         scene, labels = load_scene(bundle)
@@ -207,6 +212,8 @@ def _restore_model(args, cfg, labeled=True):
 
 def cmd_eval(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
+    if args.out:
+        _check_out(args.out)
     model, scene, labels = _restore_model(args, cfg)
     report, _ = evaluate_scene(model, scene, labels, cfg.train)
     print(format_report(report, labels.class_names))
@@ -236,6 +243,7 @@ def _load_palette(path, num_classes):
 
 def cmd_map(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
+    _check_out(args.out)
     model, scene, labels = _restore_model(args, cfg, labeled=not args.all_pixels)
     palette = (_load_palette(args.palette, labels.num_classes) if args.palette
                else default_palette(labels.num_classes))

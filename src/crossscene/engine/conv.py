@@ -231,11 +231,13 @@ def conv2d_windows(xd, wd, bd, ps):
     bottom, left or right edge, the centre tap alone at ps = 1.  So the map
     is convolved once per border class (top, middle or bottom row x left,
     middle or right column; one class at ps = 1), each class only over the
-    map rows where it occurs in some window.  A class adds its taps in order
-    0..8 onto zeros, the subset of what ``_conv_per_tap`` adds.  So on the
-    per-tap side (c_in > c_out) a window cut from the classes is bit for bit
-    its batched conv wherever a per-tap GEMM gives a row the same bits at any
-    row count.
+    map rows where it occurs in some window.  Each class repeats the batched
+    conv's arithmetic on the same side of the channel rule.  On the per-tap
+    side (c_in > c_out) a class adds its taps in order 0..8 onto zeros, the
+    subset of what ``_conv_per_tap`` adds; on the im2col side each class row
+    is the cut-out window's im2col row (``_class_maps_im2col``).  So a window
+    cut from the classes is bit for bit its batched conv wherever the GEMM
+    gives a row the same bits at any row count.
 
     Returns (out, index): ``out`` (``class_rows(h, ps)`` * w, c_out) holds
     the class maps, w pixels wide, one after the other; ``index`` (ps, ps)
@@ -253,21 +255,46 @@ def conv2d_windows(xd, wd, bd, ps):
     starts = np.cumsum([0] + [counts[r] * w for r in range(n) for _ in range(n)])
     out = np.zeros((starts[-1], b), dtype=xd.dtype)
     maps = [out[starts[i] : starts[i + 1]].reshape(-1, w, b) for i in range(n * n)]
-    rows = xd.reshape(-1, c)
-    part = np.empty((h, w, b), dtype=xd.dtype)
-    for k in range(9):
-        ki, kj = divmod(k, 3)
-        users = [(r, s) for r in range(n) for s in range(n)
-                 if ki in axis[r][2] and kj in axis[s][2]]
-        if not users:
-            continue
-        np.matmul(rows, taps[k], out=part.reshape(-1, b))
-        oj, ij = _SHIFTS[1 - kj]
-        for r, s in users:
-            top = axis[r][0] + ki - 1  # the part row read by the class map's first row
-            maps[n * r + s][:, oj] += part[top : top + counts[r], ij]
+    if c <= b:
+        _class_maps_im2col(xd, taps, axis, maps)
+    else:  # each tap's GEMM over the whole map once, shifted into the classes that keep it
+        rows = xd.reshape(-1, c)
+        part = np.empty((h, w, b), dtype=xd.dtype)
+        for k in range(9):
+            ki, kj = divmod(k, 3)
+            users = [(r, s) for r in range(n) for s in range(n)
+                     if ki in axis[r][2] and kj in axis[s][2]]
+            if not users:
+                continue
+            np.matmul(rows, taps[k], out=part.reshape(-1, b))
+            oj, ij = _SHIFTS[1 - kj]
+            for r, s in users:
+                top = axis[r][0] + ki - 1  # the part row read by the class map's first row
+                maps[n * r + s][:, oj] += part[top : top + counts[r], ij]
     out += bd
     cls = [0] if ps == 1 else [0] + [1] * (ps - 2) + [2]
     index = np.array([[starts[n * cls[i] + cls[j]] + (i - axis[cls[i]][0]) * w + j
                        for j in range(ps)] for i in range(ps)], dtype=np.int64)
     return out, index
+
+
+def _class_maps_im2col(xd, taps, axis, maps):
+    """The class maps on the im2col side (c_in <= c_out): the map's im2col
+    columns, then per class its map rows with the column blocks of the taps
+    it drops zeroed, in one ``_cols_matmul`` against the stacked taps.  Each
+    row then holds the values, in the same K order, of the cut-out window's
+    im2col row at that position."""
+    h, w, c = xd.shape
+    kernel = taps.reshape(9 * c, -1)
+    cols = _im2col(xd[None]).reshape(h, w, 3, 3, c)
+    for r, (top, _, keep_i, count) in enumerate(axis):
+        for s, (_, _, keep_j, _) in enumerate(axis):
+            rows = cols[top : top + count]
+            dropped = ([(ki, slice(None)) for ki in range(3) if ki not in keep_i]
+                       + [(slice(None), kj) for kj in range(3) if kj not in keep_j])
+            if dropped:
+                rows = rows.copy()
+                for ki, kj in dropped:
+                    rows[:, :, ki, kj] = 0
+            _cols_matmul(rows.reshape(-1, 9 * c), kernel,
+                         out=maps[len(axis) * r + s].reshape(-1, kernel.shape[1]))

@@ -70,7 +70,9 @@ def metrics(cm):
 # The most stem-map bytes one row strip may hold in scene inference (a strip
 # holds at least one pixel row's maps, even where that is more).  Each of the
 # two streams holds one strip at a time; maps of the whole 80x80 hyrank-shape
-# scene raised the peak RSS of a map run by half.
+# scene raised the peak RSS of a map run by half.  It sets the strip height at
+# the hyrank and houston shapes; at the synth shape predict_scene's halo cap
+# is lower, and at patch 3, which has no halo, this bound alone decides.
 STRIP_BYTES = 4 << 20
 
 
@@ -87,11 +89,12 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
 
     When the extractor ``shares_stem``, overlapping patches share their
     position-wise layers (conv1, bn1 and the block's key and value maps).
-    A strip then spans a few pixel rows, and if its pixels are dense enough
-    to pay for it, it computes its stem maps once (at most ``STRIP_BYTES``
-    of them) and gathers each batch's stems from them, bit for bit the stems
-    of the batch's patches.  Otherwise batches are cut as patches, and each
-    strip is one batch.
+    A strip then spans a few pixel rows: at most twice the halo of class
+    rows every strip pays (``conv.class_rows(ps - 1, ps)``), and at most
+    ``STRIP_BYTES`` of maps.  If its pixels are dense enough to pay for it,
+    it computes its stem maps once and gathers each batch's stems from them,
+    bit for bit the stems of the batch's patches.  Otherwise batches are
+    cut as patches, and each strip is one batch.
     """
     scene = normalize_scene(scene, config.normalization)
     ps = config.patch_size
@@ -108,17 +111,27 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
 
     maps = 1 if extractor.block is None else 3  # h, key, value
     row_bytes = width * maps * extractor.config.unit_channels[0] * model.dtype.itemsize
-    # h pixel rows are h + ps - 1 map rows; each adds a row to the nine class maps
-    max_rows = max(1, (STRIP_BYTES // row_bytes - conv.class_rows(ps - 1, ps)) // 9)
+    # h pixel rows are h + ps - 1 map rows: 9h class rows plus a halo that
+    # every strip pays.  Past 2 * halo pixel rows a taller strip saves under
+    # 1/19 of its class rows but holds more maps.
+    halo = conv.class_rows(ps - 1, ps)
+    max_rows = max(1, (STRIP_BYTES // row_bytes - halo) // 9)
+    if halo:
+        max_rows = min(max_rows, 2 * halo)
+    # A patch position's stem costs about two class-map positions' with conv1
+    # on the per-tap side, whose tap GEMMs run once per map row for all nine
+    # classes, and about one on the im2col side, where each class row runs
+    # conv1's whole K = 9 * bands GEMM (measured on one stream: 0.49-0.56 of
+    # a patch position at the hyrank shape, 0.68-0.75 at houston's, 1.0-1.06
+    # at synth's).
+    patch_cost = 2 if extractor.config.input_bands > extractor.config.unit_channels[0] else 1
 
     def score_strips(strips):
         for strip in strips:
             top, stop = strip[0][0, 0], strip[-1][-1, 0] + 1
             stems = None
-            # at the hyrank and houston shapes a class-map position costs
-            # about half what a patch position does (measured)
             if (extractor.shares_stem and stop - top <= max_rows
-                    and 2 * sum(map(len, strip)) * ps * ps
+                    and patch_cost * sum(map(len, strip)) * ps * ps
                     >= conv.class_rows(stop - top + ps - 1, ps) * width):
                 stems = extractor.window_stems(src.rows(top, stop))
             for chunk in strip:

@@ -272,16 +272,16 @@ class FeatureExtractor:
         """Whether ``window_stems`` gives every window bit for bit the eval-mode
         stem of the patch cut out there.
 
-        That needs conv1 on the per-tap side (bands > w1), and its tap GEMMs
-        and the key and value affines giving a row the same bits at any row
+        That needs conv1's GEMMs (per tap, or im2col where bands <= w1) and
+        the key and value affines to give a row the same bits at any row
         count.  On OpenBLAS 0.3.31 they do when w1 is a multiple of 16 and
-        there are fewer than 576 bands (see ``engine.conv``), for row
-        counts from 9 up: one patch of 3x3 has nine.  At ps = 1 a one-patch
-        batch has one row, which numpy runs as a GEMV with other bits, and
-        no position is shared anyway.
+        there are fewer than 576 bands (see ``engine.conv``), for row counts
+        from 9 up: one patch of 3x3 has nine.  At ps = 1 a one-patch batch
+        has one row, which numpy runs as a GEMV with other bits, and no
+        position is shared anyway.
         """
         bands, w1 = self.config.input_bands, self.config.unit_channels[0]
-        return self.config.patch_size > 1 and w1 < bands < 576 and w1 % 16 == 0
+        return self.config.patch_size > 1 and w1 % 16 == 0 and bands < 576
 
     def window_stems(self, rows):
         """WindowStems of every patch-sized window of rows (h, w, bands), in

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import crossscene
-from crossscene import training
+from crossscene import cli, evaluate, training
 from crossscene.cli import build_parser, main, set_allocator_policy
 from crossscene.config import resolve_config, save_config
 from crossscene.data import load_scene
@@ -621,11 +621,17 @@ def _bad_path_argv(command, synth_dir, ckpt, out):
 def test_exit_code_out_is_a_file(synth_dir, ckpt_dir, tmp_path, capsys, monkeypatch, command,
                                  under):
     """An --out that is a file, or lies under one, exits 3 with one line;
-    train and ablate say so before their first training step."""
+    train and ablate say so before their first training step, eval and map
+    before they score a pixel."""
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran before --out was checked")
 
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("predict_scene ran before --out was checked")
+
     monkeypatch.setattr(training, "train_step", no_step)
+    monkeypatch.setattr(evaluate, "predict_scene", no_scoring)
+    monkeypatch.setattr(cli, "predict_scene", no_scoring)
     blocker = tmp_path / "taken"
     blocker.write_bytes(b"not a directory")
     out = blocker / "run" if under else blocker

@@ -1,5 +1,7 @@
 """Confusion-matrix metrics, aggregation, map rendering, scene evaluation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -189,7 +191,7 @@ def _check_independent_of_batch(pair, config, seed=0):
 
 def test_predict_scene_independent_of_batch(tiny_pair, tiny_config):
     model, _ = _check_independent_of_batch(tiny_pair, tiny_config)
-    assert not model.extractor.shares_stem  # 8 -> 16: conv1 on the im2col side
+    assert model.extractor.shares_stem  # 8 -> 16: conv1 on the im2col side
 
 
 def test_predict_scene_independent_of_batch_per_tap_side(per_tap_pair, tiny_config):
@@ -197,25 +199,44 @@ def test_predict_scene_independent_of_batch_per_tap_side(per_tap_pair, tiny_conf
     assert model.extractor.shares_stem
 
 
-@pytest.mark.parametrize("classes,bands,patch", [(7, 48, 15), (12, 176, 7)],
-                         ids=["houston", "hyrank"])
-def test_predict_scene_independent_of_batch_at_preset_shapes(classes, bands, patch):
-    """At the houston and hyrank presets' class counts, bands, patch sizes
-    and widths, labels hold although the head's logits need not (README).
-    Model seed 5 gives three labels at both shapes; at seed 0 the
-    houston-shaped model labels every pixel alike, which would pin nothing."""
+@pytest.mark.parametrize("classes,bands,patch,w1,seed", [(7, 48, 15, 32, 5), (12, 176, 7, 32, 5),
+                                                        (5, 16, 5, 16, 7)],
+                         ids=["houston", "hyrank", "synth"])
+def test_predict_scene_independent_of_batch_at_preset_shapes(classes, bands, patch, w1, seed):
+    """At the houston, hyrank and synth presets' class counts, bands, patch
+    sizes and widths, labels hold although the head's logits need not
+    (README).  The model seeds give three labels at each shape; at seed 0
+    the houston-shaped model labels every pixel alike, and at seed 5 the
+    synth-shaped one does, which would pin nothing."""
     pair = synth_domain_pair(num_classes=classes, bands=bands, blob_grid=4, blob_size=9, seed=7)
-    model, labels = _check_independent_of_batch(pair, TrainConfig(patch_size=patch), seed=5)
+    config = TrainConfig(patch_size=patch, unit_channels=(w1, 2 * w1, w1))
+    model, labels = _check_independent_of_batch(pair, config, seed=seed)
     assert model.extractor.shares_stem and len(np.unique(labels)) > 1
 
 
-def _trained(pair, config):
+def _trained(pair, config, seed=0):
     """A model with non-trivial batch-norm statistics, so its labels vary."""
     (scene, labels), _ = pair
-    model = build_model(config, labels.num_classes, scene.bands)
+    model = build_model(config, labels.num_classes, scene.bands, seed=seed)
     src = PatchSource(scene, config.patch_size)
     model.features(src.batch(labeled_pixels(labels)).patches, training=True)
     return model
+
+
+def _check_shared_matches_per_patch(pair, config, monkeypatch, strip_bytes, map_all, seed=0):
+    (scene, labels), _ = pair
+    model = _trained(pair, config, seed)
+    sparse = LabelMap(labels=np.where(np.arange(labels.labels.size).reshape(labels.labels.shape)
+                                      % 3 == 0, labels.labels, 0))
+    monkeypatch.setattr("crossscene.evaluate.STRIP_BYTES", strip_bytes)
+    assert model.extractor.shares_stem
+    shared = [predict_scene(model, scene, lm, config, map_all=map_all, batch=batch)[0]
+              for lm in (labels, sparse) for batch in (7, 100)]
+    monkeypatch.setattr(FeatureExtractor, "shares_stem", False)
+    for raster, (lm, batch) in zip(shared, [(lm, b) for lm in (labels, sparse) for b in (7, 100)]):
+        per_patch, _ = predict_scene(model, scene, lm, config, map_all=map_all, batch=batch)
+        assert np.array_equal(raster, per_patch)
+    assert len(np.unique(shared[0])) > 1
 
 
 @pytest.mark.parametrize("strip_bytes", [1, 100_000, STRIP_BYTES])
@@ -224,18 +245,71 @@ def test_predict_scene_shared_stem_matches_per_patch(per_tap_pair, tiny_config, 
                                                      strip_bytes, map_all):
     """Strips of every height (one pixel row at 1 byte) and both label
     densities give the raster the per-patch path gives."""
-    (scene, labels), _ = per_tap_pair
-    model = _trained(per_tap_pair, tiny_config)
+    _check_shared_matches_per_patch(per_tap_pair, tiny_config, monkeypatch, strip_bytes, map_all)
+
+
+@pytest.mark.parametrize("strip_bytes", [1, 100_000, STRIP_BYTES])
+@pytest.mark.parametrize("map_all", [True, False])
+def test_predict_scene_shared_stem_matches_per_patch_im2col_side(tiny_pair, tiny_config,
+                                                                 monkeypatch, strip_bytes,
+                                                                 map_all):
+    """The same with conv1 on the im2col side (8 bands -> 16).  Model seed 4
+    labels the tiny pair's pixels in two classes; seed 0 in one."""
+    _check_shared_matches_per_patch(tiny_pair, tiny_config, monkeypatch, strip_bytes, map_all,
+                                    seed=4)
+
+
+@pytest.mark.parametrize("classes,bands,patch,w1,side,heights", [
+    (5, 16, 5, 16, (5, 9), [12] * 4),  # synth-grid's 45x45 target: spans of 12
+    (7, 48, 15, 32, (3, 10), [14, 14, 4]),  # houston-train's 30x30 target: spans of 15
+    (12, 176, 7, 32, (10, 8), [10] * 8),  # hyrank-map's 80x80 target: spans of 10
+], ids=["synth", "houston", "hyrank"])
+def test_strip_plan_at_benchmark_shapes(monkeypatch, classes, bands, patch, w1, side, heights):
+    """The pixel rows each strip of a full map computes stem maps for.  The
+    rows are cut into spans of at most twice the halo every strip pays
+    (``conv.class_rows(ps - 1, ps)``: 6, 36 and 12 rows at patch 5, 15 and
+    7) and of at most ``STRIP_BYTES`` of maps; a batch of 100 pixels that
+    crosses a span's end opens the next strip."""
+    (scene, labels), _ = synth_domain_pair(num_classes=classes, bands=bands, blob_grid=side[0],
+                                           blob_size=side[1], seed=1)
+    config = TrainConfig(patch_size=patch, unit_channels=(w1, 2 * w1, w1))
+    model = build_model(config, labels.num_classes, scene.bands)
+    strips = []
+
+    def window_stems(self, rows):
+        strips.append(rows.shape[0] - (patch - 1))
+        return SimpleNamespace(gather=lambda tops: tops)
+
+    monkeypatch.setattr(FeatureExtractor, "window_stems", window_stems)
+    monkeypatch.setattr(DualHeadClassifier, "predict",
+                        lambda self, tops: np.ones(len(tops), dtype=np.int64))
+    predict_scene(model, scene, labels, config, map_all=True)
+    assert sorted(strips, reverse=True) == heights
+
+
+@pytest.mark.parametrize("bands,shared", [(16, False), (40, True)], ids=["im2col", "per-tap"])
+def test_sparse_strips_share_the_stem_only_where_it_pays(monkeypatch, bands, shared):
+    """With every third pixel labeled, a strip at patch 5 and width 16 holds
+    one batch: 100 patches over about 7 pixel rows, 2500 patch positions
+    against about 3400 class-map positions.  A patch position's stem costs
+    about two class-map positions with conv1 on the per-tap side, so the
+    strip shares it there, and about one on the im2col side, so it is cut
+    as patches there."""
+    (scene, labels), _ = synth_domain_pair(num_classes=5, bands=bands, blob_grid=5, blob_size=9,
+                                           seed=1)
     sparse = LabelMap(labels=np.where(np.arange(labels.labels.size).reshape(labels.labels.shape)
                                       % 3 == 0, labels.labels, 0))
-    monkeypatch.setattr("crossscene.evaluate.STRIP_BYTES", strip_bytes)
-    shared = [predict_scene(model, scene, lm, tiny_config, map_all=map_all, batch=batch)[0]
-              for lm in (labels, sparse) for batch in (7, 100)]
-    monkeypatch.setattr(FeatureExtractor, "shares_stem", False)
-    for raster, (lm, batch) in zip(shared, [(lm, b) for lm in (labels, sparse) for b in (7, 100)]):
-        per_patch, _ = predict_scene(model, scene, lm, tiny_config, map_all=map_all, batch=batch)
-        assert np.array_equal(raster, per_patch)
-    assert len(np.unique(shared[0])) > 1
+    config = TrainConfig(patch_size=5, unit_channels=(16, 32, 16))
+    model = build_model(config, labels.num_classes, scene.bands)
+    window_stems, calls = FeatureExtractor.window_stems, []
+
+    def spy(self, rows):
+        calls.append(rows.shape[0])
+        return window_stems(self, rows)
+
+    monkeypatch.setattr(FeatureExtractor, "window_stems", spy)
+    predict_scene(model, scene, sparse, config)
+    assert model.extractor.shares_stem and bool(calls) is shared
 
 
 def test_predict_scene_calls_predict_once_per_batch(per_tap_pair, tiny_config, monkeypatch):
@@ -257,7 +331,7 @@ def test_predict_scene_calls_predict_once_per_batch(per_tap_pair, tiny_config, m
         assert all(isinstance(x, Stem) for x in calls)
 
 
-@pytest.mark.parametrize("bands,w1", [(40, 16 + r) for r in range(1, 9)] + [(8, 16), (16, 16)])
+@pytest.mark.parametrize("bands,w1", [(40, 16 + r) for r in range(1, 9)])
 def test_predict_scene_falls_back_to_patches(bands, w1, monkeypatch):
     """Where the shared stem would not be exact, every batch is cut as patches."""
     (scene, labels), _ = synth_domain_pair(num_classes=3, bands=bands, blob_grid=2, blob_size=4,

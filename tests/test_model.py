@@ -218,39 +218,47 @@ def _scene_source(rng, bands, ps, hw=(6, 7)):
     return PatchSource(Scene(cube=rng.random((*hw, bands)).astype(np.float32)), ps)
 
 
+def _same_bits(a, b):
+    """Equal float32 arrays, bit for bit: -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 @pytest.mark.parametrize("variant", ["a", "b", "c", "d", None], ids=lambda v: v or "no-block")
 @pytest.mark.parametrize("ps", [3, 7])
 def test_window_stems_equal_the_per_patch_stem(rng, variant, ps):
     """Stems gathered from the shared maps are bit for bit the eval-mode stem
-    of each cut-out patch, and so are the features of the trunk on them."""
-    cfg = ExtractorConfig(input_bands=40, patch_size=ps, unit_channels=(32, 64, 32),
-                          use_attention=variant is not None)
-    m = DualHeadClassifier(cfg, CenterAttentionConfig(variant=variant or "d"), 3, seed=1)
-    src = _scene_source(rng, 40, ps)
-    pixels = np.argwhere(np.ones((6, 7), dtype=bool))
-    patches = src.batch(pixels).patches
-    m.features(patches, training=True)  # non-trivial running statistics
-    assert m.extractor.shares_stem
-    with E.no_grad():
-        per_patch = m.extractor.stem(patches, training=False)
-        stems = m.extractor.window_stems(src.rows(0, 6))
-        gathered = stems.gather(pixels)
-        assert len(stems.maps) == (3 if variant else 1)
-        assert np.array_equal(gathered.h.data, per_patch.h.data)
-        for name in ("key", "value"):
-            a, b = getattr(per_patch, name), getattr(gathered, name)
-            if variant is None:
-                assert a is None and b is None
-            else:
-                assert np.array_equal(b.data.reshape(a.shape), a.data), name
-        assert np.array_equal(m.features(gathered, training=False).data,
-                              m.features(patches, training=False).data)
+    of each cut-out patch, and so are the features of the trunk on them,
+    with conv1 on the per-tap side (40 bands -> 32) and on the im2col side
+    (16 bands -> 32)."""
+    for bands in (40, 16):
+        cfg = ExtractorConfig(input_bands=bands, patch_size=ps, unit_channels=(32, 64, 32),
+                              use_attention=variant is not None)
+        m = DualHeadClassifier(cfg, CenterAttentionConfig(variant=variant or "d"), 3, seed=1)
+        src = _scene_source(rng, bands, ps)
+        pixels = np.argwhere(np.ones((6, 7), dtype=bool))
+        patches = src.batch(pixels).patches
+        m.features(patches, training=True)  # non-trivial running statistics
+        assert m.extractor.shares_stem
+        with E.no_grad():
+            per_patch = m.extractor.stem(patches, training=False)
+            stems = m.extractor.window_stems(src.rows(0, 6))
+            gathered = stems.gather(pixels)
+            assert len(stems.maps) == (3 if variant else 1)
+            assert _same_bits(gathered.h.data, per_patch.h.data), bands
+            for name in ("key", "value"):
+                a, b = getattr(per_patch, name), getattr(gathered, name)
+                if variant is None:
+                    assert a is None and b is None
+                else:
+                    assert _same_bits(b.data.reshape(a.shape), a.data), (bands, name)
+            assert _same_bits(m.features(gathered, training=False).data,
+                              m.features(patches, training=False).data), bands
 
 
 @pytest.mark.parametrize("bands,w1,ps,shared", [
     (40, 16, 5, True), (176, 32, 7, True), (48, 32, 15, True), (575, 64, 3, True),
     *[(40, 16 + r, 5, False) for r in range(1, 9)],  # w1 % 16 in 1..8
-    (32, 32, 5, False), (16, 32, 5, False),  # bands <= w1: conv1 is im2col
+    (32, 32, 5, True), (16, 32, 5, True),  # bands <= w1: conv1 is im2col
     (576, 32, 5, False), (176, 32, 1, False),
 ])
 def test_shares_stem_only_where_exact(bands, w1, ps, shared):

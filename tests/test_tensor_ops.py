@@ -400,19 +400,23 @@ def test_affine_output_independent_of_batch(rng, d):
 def test_conv2d_windows_match_batched_conv2d(rng, ps, hw):
     """Every window cut from the border-class maps of a reflect-padded scene
     is bit for bit conv2d + bias of the patch cut out there, corners
-    included; at ps 7 and 15 the pad is wider than the scene."""
+    included, on the per-tap side (40 -> 32) and the im2col side; at ps 7
+    and 15 the pad is wider than the scene.  Bits are compared as uint32,
+    so -0.0 and 0.0 differ."""
     h, w = hw
     half = ps // 2
-    padded = np.pad(rng.normal(size=(h, w, 40)).astype(np.float32),
-                    ((half, half), (half, half), (0, 0)), mode="reflect")
-    kernel = Tensor(rng.normal(size=(32, 40, 3, 3)).astype(np.float32))
-    bias = Tensor(rng.normal(size=32).astype(np.float32))
-    out, index = E.conv2d_windows(padded, kernel.data, bias.data, ps)
     pixels = np.argwhere(np.ones((h, w), dtype=bool))
-    patches = np.stack([padded[r : r + ps, c : c + ps] for r, c in pixels])
-    windows = np.take(out, (pixels[:, 0] * padded.shape[1] + pixels[:, 1])[:, None, None] + index,
-                      axis=0)
-    assert np.array_equal(windows, E.conv2d(Tensor(patches), kernel, bias).data)
+    for c_in, c_out in [(40, 32), (8, 16), (16, 16), (16, 32), (32, 64)]:
+        padded = np.pad(rng.normal(size=(h, w, c_in)).astype(np.float32),
+                        ((half, half), (half, half), (0, 0)), mode="reflect")
+        kernel = Tensor(rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32))
+        bias = Tensor(rng.normal(size=c_out).astype(np.float32))
+        out, index = E.conv2d_windows(padded, kernel.data, bias.data, ps)
+        patches = np.stack([padded[r : r + ps, c : c + ps] for r, c in pixels])
+        rows = (pixels[:, 0] * padded.shape[1] + pixels[:, 1])[:, None, None] + index
+        windows = np.take(out, rows, axis=0)
+        batched = E.conv2d(Tensor(patches), kernel, bias).data
+        assert np.array_equal(windows.view(np.uint32), batched.view(np.uint32)), (c_in, c_out)
 
 
 def test_conv2d_windows_rejects_a_map_smaller_than_a_window():
