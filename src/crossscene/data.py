@@ -228,13 +228,13 @@ def normalize_scene(scene, mode="minmax"):
         return Scene(cube=scene.cube.copy(), name=scene.name)
     if mode != "minmax":
         raise ValueError(f"unknown normalization mode {mode!r}")
-    cube = scene.cube.astype(np.float32)
+    cube = scene.cube.astype(np.float32)  # the one copy, scaled in place
     lo = cube.min(axis=(0, 1), keepdims=True)
-    hi = cube.max(axis=(0, 1), keepdims=True)
-    span = hi - lo
-    span_safe = np.where(span > 0, span, 1.0)
-    out = np.where(span > 0, (cube - lo) / span_safe, 0.0)
-    return Scene(cube=out.astype(np.float32), name=scene.name)
+    span = cube.max(axis=(0, 1), keepdims=True) - lo
+    cube -= lo
+    cube /= np.where(span > 0, span, 1.0)
+    cube[:, :, ~(span[0, 0] > 0)] = 0.0
+    return Scene(cube=cube, name=scene.name)
 
 
 # -- patch extraction --------------------------------------------------------
@@ -246,7 +246,7 @@ class PatchSource:
     def __init__(self, scene, ps):
         if ps % 2 == 0:
             raise ValueError(f"patch size must be odd, got {ps}")
-        self.scene = scene
+        self.bands = scene.bands
         self.ps = ps
         half = ps // 2
         self._padded = np.pad(scene.cube, ((half, half), (half, half), (0, 0)), mode="reflect")
@@ -254,7 +254,7 @@ class PatchSource:
     def batch(self, pixels, labels=None):
         """A PatchBatch of the patches centered on the (n, 2) ``(row, col)`` pixels."""
         ps = self.ps
-        out = np.empty((len(pixels), ps, ps, self.scene.bands), dtype=np.float32)
+        out = np.empty((len(pixels), ps, ps, self.bands), dtype=np.float32)
         # one slice copy per pixel beats a fancy-index gather at the preset shapes
         for i, (r, c) in enumerate(pixels.tolist()):
             out[i] = self._padded[r : r + ps, c : c + ps]

@@ -19,11 +19,14 @@ The weight gradient unrolls the narrower of x and g.  No expanded matrix is
 wider than 9*min(c_in, c_out).
 
 A column matrix (n*h*w rows) is built whole only while it fits in
-``COL_BYTES``.  Past that, the weight gradient takes the columns one kernel
-row (three taps) at a time, and a conv on the im2col side takes them a block
-of images at a time.  Each piece is a block of the one GEMM's rows or
-columns with K whole, so at the preset channel counts the bits do not change
-(at others, see the next paragraph).
+``COL_BYTES``.  Past that, the forward on the im2col side takes the columns
+a block of images at a time, as few blocks as keep each within
+``COL_BYTES``.  The backward builds no block wider than one tap's columns:
+the weight gradient takes them one tap at a time (one kernel row where a
+tap's product would be small, see ``_SMALL_GEMM``), and the input gradient
+on the im2col side a ninth of the images at a time.  Each piece is a block
+of the one GEMM's rows or columns with K whole, so at the preset channel
+counts the bits do not change (at others, see the next paragraph).
 
 On OpenBLAS 0.3.31 an image's output bits do not depend on its batch at the
 preset channel counts (16, 32, 64).  When c_out mod 16 is 1..8 they can: a
@@ -45,10 +48,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 # (patch 7 and 9: 5.6 and 9.3 MB) stay whole.
 COL_BYTES = 12 << 20
 
-# OpenBLAS 0.3.31 rounds a K = 576 product with M*N*K <= 1e6 differently from
-# the same rows inside a larger product (its small-matrix kernel does not split
-# K), so one 7x7 image would get other bits alone than in a batch.  At
-# K <= 288 the two agree, so the column product takes K in slices of 288.
+# OpenBLAS 0.3.31 runs a product with M*N*K <= 1e6 through its small-matrix
+# kernel, which does not split K, so it rounds a long K differently from the
+# same rows or columns inside a larger product.  A K = 576 product of one 7x7
+# image would get other bits alone than in a batch; at K <= 288 the two agree,
+# so the column product takes K in slices of 288.  The weight gradient never
+# splits its K = n*h*w; where one tap's product would fall under the bound,
+# its columns come a kernel row (three taps) at a time instead of one tap.
+_SMALL_GEMM = 10**6
 _K_SLICE = 288
 
 # (output, input) slices along one spatial axis for a tap offset of 1, 0 or
@@ -67,15 +74,18 @@ def backward(xd, wd, g, needs_gx):
     """(gx, gw) of ``forward(xd, wd)`` for the output gradient ``g``; gx is
     None unless ``needs_gx``."""
     c, c_out = xd.shape[3], wd.shape[0]
+    whole = _col_bytes(g, min(c, c_out)) <= COL_BYTES
     gcols = None
     if c > c_out:  # g is the narrower side: while its columns fit, one copy serves gw and gx
-        gcols = _im2col(g) if _col_bytes(g, c_out) <= COL_BYTES else _kernel_row_cols(g)
+        gcols = _im2col(g) if whole else _tap_cols(g, c)
     gw = _conv_weight_grad(xd, g, gcols)
     if not needs_gx:
         return None, gw
     flipped = np.ascontiguousarray(_tap_kernels(wd)[::-1].transpose(0, 2, 1))  # c_out -> c_in
     if isinstance(gcols, np.ndarray):
         return _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape), gw
+    if c_out <= c and not whole:  # im2col side: a ninth of the images, one tap's worth of columns
+        return _conv_im2col(g, flipped, blocks=9), gw
     return _conv3x3(g, flipped), gw
 
 
@@ -125,13 +135,17 @@ def _im2col(xd):
     return _windows(xd).reshape(n * h * w, 9 * c)  # the one copy
 
 
-def _kernel_row_cols(xd):
-    """The three (n*h*w, 3*c) column blocks of ``_im2col(xd)``, one kernel
-    row each, built one at a time."""
+def _tap_cols(xd, c_other):
+    """The column blocks of ``_im2col(xd)`` for a weight gradient against
+    ``c_other`` channels, built one at a time: one tap, (n*h*w, c), each, or
+    one kernel row (three taps) each where a tap's product, M*N*K =
+    n*h*w * c * c_other, would be small (``_SMALL_GEMM``)."""
+    taps = 1 if xd.size * c_other > _SMALL_GEMM else 3
     windows = _windows(xd)
     n, h, w, _, _, c = windows.shape
-    for ki in range(3):
-        yield windows[:, :, :, ki].reshape(n * h * w, 3 * c)
+    for k in range(0, 9, taps):
+        block = windows[:, :, :, k // 3] if taps == 3 else windows[:, :, :, k // 3, k % 3]
+        yield block.reshape(n * h * w, taps * c)
 
 
 def _cols_matmul(cols, kernel, out=None):
@@ -142,16 +156,18 @@ def _cols_matmul(cols, kernel, out=None):
     return out
 
 
-def _conv_im2col(xd, taps):
+def _conv_im2col(xd, taps, blocks=None):
     """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a.
 
-    With columns larger than ``COL_BYTES``, the columns are built for blocks
-    of images of equal size (at least one image each), each block's rows
-    multiplied into its rows of the output.
+    The columns are built for ``blocks`` blocks of images of equal size (at
+    least one image each), each block's rows multiplied into its rows of the
+    output; by default as few blocks as keep each within ``COL_BYTES``.
     """
     n, h, w, a = xd.shape
     kernel = taps.reshape(9 * a, -1)
-    blocks = min(n, -(-_col_bytes(xd, a) // COL_BYTES))
+    if blocks is None:
+        blocks = -(-_col_bytes(xd, a) // COL_BYTES)
+    blocks = min(n, blocks)
     if blocks <= 1:
         return _cols_matmul(_im2col(xd), kernel).reshape(n, h, w, -1)
     step, b = -(-n // blocks), kernel.shape[1]
@@ -181,18 +197,18 @@ def _conv_per_tap(xd, taps):
 def _conv_weight_grad(xd, g, gcols=None):
     """The (c_out, c_in, 3, 3) kernel gradient.
 
-    Given g's columns ``gcols``, whole or as ``_kernel_row_cols(g)``'s three
+    Given g's columns ``gcols``, whole or as ``_tap_cols(g, c_in)``'s
     blocks: ``x.T @ gcols``, where tap t is g's tap 8 - t, a block of the
-    product's columns per kernel row.  Else ``im2col(x).T @ g``: whole while
-    x's columns fit in ``COL_BYTES``, else one block of the product's rows
-    per kernel row.  K = n*h*w is never split, so both ways give the same
-    bits.
+    product's columns per piece.  Else ``im2col(x).T @ g``: whole while x's
+    columns fit in ``COL_BYTES``, else one block of the product's rows per
+    piece of ``_tap_cols(x, c_out)``.  K = n*h*w is never split, so both
+    ways give the same bits.
     """
     c, c_out = xd.shape[3], g.shape[3]
     # map, unlike a loop variable, drops each column block before building the next
     if gcols is None:
         g = g.reshape(-1, c_out)
-        cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _kernel_row_cols(xd)
+        cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _tap_cols(xd, c_out)
         gtaps = np.concatenate(list(map(lambda part: part.T @ g, cols))).reshape(9, c, c_out)
     else:
         xt = xd.reshape(-1, c).T

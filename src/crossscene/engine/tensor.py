@@ -547,9 +547,19 @@ def leaky_relu(x, negative_slope=0.01):
     data = np.maximum(xd, negative_slope * xd)
 
     def vjp(g):
-        return (g * np.maximum((xd > 0).astype(g.dtype), g.dtype.type(negative_slope)),)
+        return (_leaky_factor(xd, negative_slope, g),)
 
     return _make(data, (x,), vjp)
+
+
+def _leaky_factor(xd, slope, g):
+    """``g`` times LeakyReLU's derivative at ``xd`` (1 where xd > 0, else
+    ``slope``), in one new array: the factor is built in it, then g is
+    multiplied in."""
+    factor = np.greater(xd, 0, out=np.empty(xd.shape, g.dtype))
+    np.maximum(factor, g.dtype.type(slope), out=factor)
+    factor *= g
+    return factor
 
 
 # erf in float64 from two polynomial fits, in the manner of Cody (1969).
@@ -591,22 +601,27 @@ def _horner(coeffs, x):
 
 
 def _erf(z):
-    """erf of a float64 array, computed in place when z is C-contiguous.
+    """erf of a float array, rounded back into z: in place when z is
+    C-contiguous, else into a copy, which is returned.
 
-    ±0 keep their sign, ±inf give ±1 and NaN stays NaN.  The rows with
-    z*z >= 1 are gathered once and run through Q in blocks of their own, so
-    a block makes few numpy calls: with two streams, each call is a GIL
-    hand-off.
+    It is computed in float64 one ``_ERF_BLOCK`` block at a time, so a
+    float32 z is never copied whole to float64.  ±0 keep their sign, ±inf
+    give ±1 and NaN stays NaN.  The elements with z*z >= 1 are gathered once
+    and run through Q in blocks of their own, so a block makes few numpy
+    calls: with two streams, each call is a GIL hand-off.
     """
     flat = z.reshape(-1)  # a view of z when z is C-contiguous, else a copy
     tail = np.flatnonzero(np.abs(flat) >= 1.0)  # z*z >= 1
-    zt = flat[tail]
+    zt = flat[tail].astype(np.float64, copy=False)
     for start in range(0, flat.size, _ERF_BLOCK):
-        zb = flat[start:start + _ERF_BLOCK]
+        block = flat[start:start + _ERF_BLOCK]
+        zb = block.astype(np.float64, copy=False)  # the block itself when z is float64
         s = np.abs(zb)
-        np.minimum(s, 1.0, out=s)  # a tail row's P(s) is unused; this keeps it finite
+        np.minimum(s, 1.0, out=s)  # a tail element's P(s) is unused; this keeps it finite
         s *= s
         zb *= _horner(_ERF_P, s)
+        if zb is not block:
+            block[...] = zb
     for start in range(0, zt.size, _ERF_BLOCK):
         zb = zt[start:start + _ERF_BLOCK]
         a = np.abs(zb)
@@ -625,29 +640,39 @@ def _erf(z):
 def gelu(x):
     """Exact erf form: x * Phi(x).
 
-    ``erf`` runs on a float64 copy of x / sqrt(2) so that rounding its result
-    to float32 is exact: within 2 float64 ulp of the true erf, it rounds to
-    the same float32 as scipy.special.erf on every float32 input.  When the
-    op is recorded, the forward also computes the backward's factor
+    ``erf`` runs in float64 on x / sqrt(2), so that rounding its result to
+    float32 is exact: within 2 float64 ulp of the true erf, it rounds to the
+    same float32 as scipy.special.erf on every float32 input.  When the op
+    is recorded, the forward also computes the backward's factor
     ``Phi(x) + x * phi(x)``, and the tape keeps that one array instead of x
-    and Phi(x).
+    and Phi(x).  The array of x / sqrt(2) becomes Phi(x) in place and then
+    that factor, and the rest runs in ``_ERF_BLOCK`` blocks, so the forward
+    makes no full-size temporary.
     """
     xd = x.data
-    cdf = _erf((xd * _INV_SQRT2).astype(np.float64, copy=False)).astype(xd.dtype, copy=False)
-    cdf += 1.0
-    cdf *= 0.5
-    data = xd * cdf
-    deriv = None
-    if _records(x):
-        deriv = np.exp(-0.5 * xd * xd)
-        deriv *= _INV_SQRT2PI  # phi(x)
-        deriv *= xd
-        deriv += cdf
+    cdf = _erf(xd * _INV_SQRT2).reshape(-1)
+    flat = xd.reshape(-1)
+    data = np.empty_like(flat)
+    records = _records(x)
+    for start in range(0, flat.size, _ERF_BLOCK):
+        block = slice(start, start + _ERF_BLOCK)
+        xb, cb = flat[block], cdf[block]
+        cb += 1.0
+        cb *= 0.5
+        np.multiply(xb, cb, out=data[block])
+        if records:
+            t = np.multiply(xb, -0.5)
+            t *= xb
+            np.exp(t, out=t)
+            t *= _INV_SQRT2PI  # phi(x)
+            t *= xb
+            cb += t
+    deriv = cdf.reshape(xd.shape) if records else None
 
     def vjp(g):
         return (g * deriv,)
 
-    return _make(data, (x,), vjp)
+    return _make(data.reshape(xd.shape), (x,), vjp)
 
 
 def softmax(x, axis=-1):
@@ -775,7 +800,9 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training, slope=None
     ``buf = (1 - BN_MOMENTUM) * buf + BN_MOMENTUM * stat``.  Eval mode
     normalizes with the running buffers.
     Works on the (n*h*w, c) row view: one centred copy becomes ``xhat`` in
-    place, and the backward pass allocates only the input gradient.
+    place, and the backward pass allocates only the input gradient.  The
+    passes that would need a full-size temporary (the LeakyReLU epilogue,
+    the backward's ``xhat`` term) run in blocks of rows.
 
     With ``slope`` the output is ``leaky_relu(bn, slope)``, bit for bit, and
     the tape keeps ``xhat`` and the output, not the BN output (after
@@ -812,23 +839,26 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training, slope=None
     out = xhat * gd
     out += beta.data
     act = None
+    step = max(1, _ERF_BLOCK // c)  # rows per block of the full-size elementwise passes
     if slope is not None:
-        act = np.maximum(out, slope * out, out=out)
+        for start in range(0, cnt, step):
+            block = out[start : start + step]
+            np.maximum(block, slope * block, out=block)
+        act = out.reshape(shape)
 
     def vjp(g):
-        g = g.reshape(-1, c)
-        if act is not None:
-            g = g * np.maximum((act > 0).astype(g.dtype), g.dtype.type(slope))
-        gbeta = g.sum(axis=0)
-        ggamma = np.einsum("ij,ij->j", g, xhat)
+        # gx is built in one new array, g times the LeakyReLU factor or a copy
+        # of g, without reshaping g first: a strided g would be copied
+        gx = (g.copy() if act is None else _leaky_factor(act, slope, g)).reshape(-1, c)
+        gbeta = gx.sum(axis=0)
+        ggamma = np.einsum("ij,ij->j", gx, xhat)
         if training:
             # gamma*inv * (g - sum(g)/cnt - xhat * sum(g*xhat)/cnt)
-            gx = xhat * (-ggamma / cnt)
-            gx += g
+            k = -ggamma / cnt
+            for start in range(0, cnt, step):
+                gx[start : start + step] += xhat[start : start + step] * k
             gx -= gbeta / cnt
-            gx *= gd * inv
-        else:
-            gx = g * (gd * inv)
+        gx *= gd * inv
         return gx.reshape(shape), ggamma, gbeta
 
     return _make(out.reshape(shape), (x, gamma, beta), vjp)

@@ -96,9 +96,8 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     bit for bit the stems of the batch's patches.  Otherwise batches are
     cut as patches, and each strip is one batch.
     """
-    scene = normalize_scene(scene, config.normalization)
     ps = config.patch_size
-    src = PatchSource(scene, ps)
+    src = PatchSource(normalize_scene(scene, config.normalization), ps)  # keeps no normalized copy
     if map_all:
         pixels = np.argwhere(np.ones((scene.height, scene.width), dtype=bool))
     else:

@@ -253,8 +253,6 @@ def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
         raise BundleError(
             f"band mismatch: source has {src_scene.bands} bands, target has {tgt_scene.bands}")
 
-    src_scene = normalize_scene(src_scene, config.normalization)
-    tgt_scene = normalize_scene(tgt_scene, config.normalization)
     num_classes = src_labels.num_classes
     model = build_model(config, num_classes, src_scene.bands, seed)
 
@@ -265,8 +263,9 @@ def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
         raise ConfigError(
             f"batch size {config.batch} exceeds the {len(src_pixels)} labeled source pixels")
 
-    src_patches = PatchSource(src_scene, config.patch_size)
-    tgt_patches = PatchSource(tgt_scene, config.patch_size)
+    # the normalized scenes live only until their padded copies are made
+    src_patches = PatchSource(normalize_scene(src_scene, config.normalization), config.patch_size)
+    tgt_patches = PatchSource(normalize_scene(tgt_scene, config.normalization), config.patch_size)
     needs_target = config.loss_weights.lambda_lmmd > 0 or config.loss_weights.lambda_st > 0
     stream_seeds = np.random.SeedSequence(seed).generate_state(2).tolist()
     tgt_iter = cycled_batches(len(tgt_pixels), config.batch, stream_seeds[1])

@@ -2,6 +2,8 @@
 # as it does under the installed script: the suite then runs at that count.
 import crossscene.cli  # noqa: F401  isort: skip
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,20 @@ def tiny_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` -> (fn(), the peak MiB of the memory fn allocates
+    beyond what is live when it starts, as tracemalloc traces it)."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return out, peak / 2**20
+
+    return run

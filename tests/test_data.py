@@ -129,6 +129,20 @@ def test_constant_band_maps_to_zero():
     assert np.array_equal(out, np.zeros_like(cube))
 
 
+def test_minmax_in_place_keeps_the_whole_array_formula(rng):
+    """The in-place minmax gives the bits of the whole-array formula, with a
+    constant band, and leaves the input cube alone."""
+    cube = rng.normal(10.0, 3.0, size=(20, 30, 6)).astype(np.float32)
+    cube[:, :, 2] = 4.5
+    before = cube.copy()
+    lo, hi = cube.min(axis=(0, 1), keepdims=True), cube.max(axis=(0, 1), keepdims=True)
+    span = hi - lo
+    ref = np.where(span > 0, (cube - lo) / np.where(span > 0, span, 1.0), 0.0).astype(np.float32)
+    out = normalize_scene(Scene(cube=cube), "minmax").cube
+    assert out.dtype == np.float32 and np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+    assert np.array_equal(cube, before)
+
+
 def test_normalize_none_is_identity(rng):
     scene, _ = _toy_scene(rng)
     assert np.array_equal(normalize_scene(scene, "none").cube, scene.cube)

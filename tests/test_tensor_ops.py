@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -53,15 +52,18 @@ def test_erf_within_two_ulp_of_mpmath():
 def test_erf_float32_rounding_matches_scipy():
     """Every 64th float32 bit pattern in (0, 6.5] and its negative (erf is
     1 in float32 beyond): rounded to float32, the float64 erf gives
-    scipy.special.erf's bits."""
+    scipy.special.erf's bits, and so does erf of the float32 array, which
+    computes in float64 and rounds into the array."""
     special = pytest.importorskip("scipy.special")
     top = int(np.array(6.5, np.float32).view(np.uint32))
     bits = np.arange(top, 0, -64, dtype=np.uint32)
     for start in range(0, bits.size, 1 << 22):
-        z = bits[start:start + (1 << 22)].view(np.float32).astype(np.float64)
-        z = np.concatenate([z, -z])
+        z32 = bits[start:start + (1 << 22)].view(np.float32)
+        z32 = np.concatenate([z32, -z32])
+        z = z32.astype(np.float64)
         want = special.erf(z).astype(np.float32)
         assert np.array_equal(_bits(E.tensor._erf(z).astype(np.float32)), _bits(want))
+        assert np.array_equal(_bits(E.tensor._erf(z32)), _bits(want))
 
 
 def test_leaky_relu_negative_branch():
@@ -303,29 +305,36 @@ def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
         assert np.array_equal(np.concatenate(parts), full), size
 
 
-# Past conv.COL_BYTES, conv2d builds its im2col columns in pieces: kernel rows
-# for gw, blocks of images for the forward and gx.  These are the preset shapes.
+# Past conv.COL_BYTES, conv2d's backward builds its im2col columns in pieces:
+# one tap at a time for gw (a kernel row where a tap's product is small), a
+# ninth of the images at a time for gx.  These are the preset shapes.
 @pytest.mark.parametrize("hw,c_in,c_out", [
     ((15, 15), 48, 32), ((15, 15), 32, 64), ((15, 15), 64, 32),
     ((7, 7), 176, 32), ((7, 7), 64, 32), ((7, 7), 32, 64),
     ((5, 5), 16, 16), ((5, 5), 32, 16),
 ])
 def test_conv2d_backward_in_pieces_matches_whole(rng, monkeypatch, hw, c_in, c_out):
-    """The output, gx, gw and gb are bit for bit the one-piece results, with a
-    third of the batch per image block and with one image per block."""
+    """The output, gx, gw and gb are bit for bit the one-piece results, with
+    the columns a third of their size and with a budget of one byte."""
     n = 100
     x = rng.normal(size=(n, *hw, c_in)).astype(np.float32)
     w = rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32)
     bias = rng.normal(size=c_out).astype(np.float32)
     g = rng.normal(size=(n, *hw, c_out)).astype(np.float32)
     cols = conv._col_bytes(g, min(c_in, c_out))
-    im2col, images = conv._im2col, []
+    im2col, tap_cols, images, taps = conv._im2col, conv._tap_cols, [], []
 
-    def spy(xd):
+    def spy_im2col(xd):
         images.append(xd.shape[0])
         return im2col(xd)
 
-    monkeypatch.setattr(conv, "_im2col", spy)
+    def spy_tap_cols(xd, c_other):
+        for part in tap_cols(xd, c_other):
+            taps.append(part.shape[1] // xd.shape[3])
+            yield part
+
+    monkeypatch.setattr(conv, "_im2col", spy_im2col)
+    monkeypatch.setattr(conv, "_tap_cols", spy_tap_cols)
 
     def grads(budget):
         monkeypatch.setattr(conv, "COL_BYTES", budget)
@@ -336,17 +345,23 @@ def test_conv2d_backward_in_pieces_matches_whole(rng, monkeypatch, hw, c_in, c_o
         return out.data, tx.grad, tw.grad, tb.grad
 
     whole = grads(cols)
-    assert images and set(images) == {n}
+    assert set(images) == {n} and not taps
     for budget in (cols // 3, 1):
+        taps.clear()
         pieces = grads(budget)
-        assert all(k < n for k in images), budget
+        assert taps == ([1] * 9 if x.size * c_out > conv._SMALL_GEMM else [3] * 3), budget
+        if c_out <= c_in:  # gx on the im2col side
+            assert max(images) == -(-n // 9) and sum(images) == n, budget
+        else:
+            assert not images, budget
         for a, b in zip(whole, pieces):
             assert a.dtype == b.dtype and np.array_equal(a, b), budget
 
 
 def test_conv2d_gradcheck_with_the_columns_in_pieces(monkeypatch):
     """The f64 finite-difference cases of both conv2d sides pass with every
-    column matrix of the backward built one kernel row or one image at a time."""
+    column matrix of the backward built one tap (or kernel row) or one image
+    at a time."""
     monkeypatch.setattr(conv, "COL_BYTES", 1)
     for seed in range(5):
         for name, params, build in primitive_checks(seed):
@@ -356,28 +371,42 @@ def test_conv2d_gradcheck_with_the_columns_in_pieces(monkeypatch):
 
 
 # Peak of the arrays one conv2d backward at 100 x 15 x 15, 64 -> 32 allocates
-# (gx, gw, gb and the temporaries): 15.2 MiB with g's columns built in pieces
-# of at most COL_BYTES, 30.4 MiB with the whole (22500, 288) column matrix
-# (25.9 MB) built at once.
-CONV_VJP_PEAK_BOUND_MIB = 18.0
+# (gx, gw, gb and the temporaries): 9.03 MiB with gw's columns built one tap
+# at a time and gx's a ninth of the images at a time, 15.2 MiB with a kernel
+# row or a third of the images per piece, 30.4 MiB with the whole (22500,
+# 288) column matrix (25.9 MB) built at once.  The bound is the first + ~10%.
+CONV_VJP_PEAK_BOUND_MIB = 9.9
 
 
-def test_conv2d_backward_peak_memory_guard(rng):
+def test_conv2d_backward_peak_memory_guard(rng, traced_peak):
     x = Tensor(rng.normal(size=(100, 15, 15, 64)).astype(np.float32), requires_grad=True)
     w = Parameter(rng.normal(size=(32, 64, 3, 3)).astype(np.float32))
     b = Parameter(np.zeros(32, np.float32))
     out = E.conv2d(x, w, b)
     g = rng.normal(size=out.shape).astype(np.float32)
     vjp = out._vjp
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        grads = vjp(g)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    grads, peak = traced_peak(lambda: vjp(g))
     assert [a.shape for a in grads] == [x.shape, w.shape, b.shape]
-    assert peak / 2**20 < CONV_VJP_PEAK_BOUND_MIB
+    assert peak < CONV_VJP_PEAK_BOUND_MIB
+
+
+# Peak of the arrays one batch_norm2d backward with the LeakyReLU epilogue at
+# 100 x 15 x 15, c = 64 allocates: 5.78 MiB with gx (5.49 MiB) built in one
+# array and the xhat term added in row blocks, 11.0 MiB with the factor, the
+# product and xhat's term each a full-size array.  The bound is the first + ~10%.
+BN_VJP_PEAK_BOUND_MIB = 6.4
+
+
+def test_batch_norm2d_backward_peak_memory_guard(rng, traced_peak):
+    c = 64
+    x = Tensor(rng.normal(size=(100, 15, 15, c)).astype(np.float32), requires_grad=True)
+    gamma, beta = Parameter(np.ones(c, np.float32)), Parameter(np.zeros(c, np.float32))
+    out = E.batch_norm2d(x, gamma, beta, np.zeros(c), np.ones(c), True, slope=0.01)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    vjp = out._vjp
+    grads, peak = traced_peak(lambda: vjp(g))
+    assert [a.shape for a in grads] == [x.shape, (c,), (c,)]
+    assert peak < BN_VJP_PEAK_BOUND_MIB
 
 
 @pytest.mark.parametrize("d", [16, 32, 64])

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -373,7 +372,7 @@ def test_source_only_step_is_plain_supervised(tiny_pair, tiny_config):
 STEP_PEAK_BOUND_MIB = 8.2
 
 
-def test_train_step_peak_memory_guard(rng):
+def test_train_step_peak_memory_guard(rng, traced_peak):
     n = 10
     cfg = TrainConfig(batch=n, patch_size=15, unit_channels=(32, 64, 32))
     model = build_model(cfg, 7, 48)
@@ -381,14 +380,8 @@ def test_train_step_peak_memory_guard(rng):
                        labels=np.arange(n) % 7 + 1, refs=np.zeros((n, 2), dtype=np.int64))
     train_step(model, batch, None, cfg, progress=0.0)  # grads and momenta now exist
     gc.collect()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        train_step(model, batch, None, cfg, progress=0.0)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak / 2**20 < STEP_PEAK_BOUND_MIB
+    _, peak = traced_peak(lambda: train_step(model, batch, None, cfg, progress=0.0))
+    assert peak < STEP_PEAK_BOUND_MIB
 
 
 def test_train_step_bits_do_not_depend_on_the_column_budget(monkeypatch):
