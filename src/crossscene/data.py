@@ -33,7 +33,8 @@ class Scene:
     def __post_init__(self):
         if self.cube.ndim != 3:
             raise BundleError(f"scene cube must be 3-D, got shape {self.cube.shape}")
-        if not np.isfinite(self.cube).all():
+        # min and max propagate NaN and show an infinity without a bool copy of the cube
+        if not (np.isfinite(self.cube.min(initial=0)) and np.isfinite(self.cube.max(initial=0))):
             raise BundleError(f"scene {self.name!r} contains non-finite values")
 
     @property
@@ -223,9 +224,10 @@ NORMALIZATIONS = ("none", "minmax")
 
 
 def normalize_scene(scene, mode="minmax"):
-    """Per-band scaling over the whole scene; constant bands map to 0."""
+    """Per-band scaling over the whole scene; constant bands map to 0.  Mode
+    ``"none"`` returns ``scene`` itself: callers do not write to the result."""
     if mode == "none":
-        return Scene(cube=scene.cube.copy(), name=scene.name)
+        return scene
     if mode != "minmax":
         raise ValueError(f"unknown normalization mode {mode!r}")
     cube = scene.cube.astype(np.float32)  # the one copy, scaled in place

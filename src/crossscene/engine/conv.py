@@ -19,12 +19,10 @@ The weight gradient unrolls the narrower of x and g.  No expanded matrix is
 wider than 9*min(c_in, c_out).
 
 A column matrix (n*h*w rows) is built whole only while it fits in
-``COL_BYTES``.  Past that, the forward on the im2col side takes the columns
-a block of images at a time, as few blocks as keep each within
-``COL_BYTES``.  The backward builds no block wider than one tap's columns:
-the weight gradient takes them one tap at a time (one kernel row where a
-tap's product would be small, see ``_SMALL_GEMM``), and the input gradient
-on the im2col side a ninth of the images at a time.  Each piece is a block
+``COL_BYTES``.  Past that, no piece is wider than one tap's columns: an
+im2col GEMM (the forward or the input gradient) takes a ninth of the images
+at a time, and the weight gradient one tap at a time (one kernel row where a
+tap's product would be small, see ``_SMALL_GEMM``).  Each piece is a block
 of the one GEMM's rows or columns with K whole, so at the preset channel
 counts the bits do not change (at others, see the next paragraph).
 
@@ -74,18 +72,15 @@ def backward(xd, wd, g, needs_gx):
     """(gx, gw) of ``forward(xd, wd)`` for the output gradient ``g``; gx is
     None unless ``needs_gx``."""
     c, c_out = xd.shape[3], wd.shape[0]
-    whole = _col_bytes(g, min(c, c_out)) <= COL_BYTES
     gcols = None
     if c > c_out:  # g is the narrower side: while its columns fit, one copy serves gw and gx
-        gcols = _im2col(g) if whole else _tap_cols(g, c)
+        gcols = _im2col(g) if _col_bytes(g, c_out) <= COL_BYTES else _tap_cols(g, c)
     gw = _conv_weight_grad(xd, g, gcols)
     if not needs_gx:
         return None, gw
     flipped = np.ascontiguousarray(_tap_kernels(wd)[::-1].transpose(0, 2, 1))  # c_out -> c_in
     if isinstance(gcols, np.ndarray):
         return _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape), gw
-    if c_out <= c and not whole:  # im2col side: a ninth of the images, one tap's worth of columns
-        return _conv_im2col(g, flipped, blocks=9), gw
     return _conv3x3(g, flipped), gw
 
 
@@ -156,21 +151,18 @@ def _cols_matmul(cols, kernel, out=None):
     return out
 
 
-def _conv_im2col(xd, taps, blocks=None):
+def _conv_im2col(xd, taps):
     """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a.
 
-    The columns are built for ``blocks`` blocks of images of equal size (at
-    least one image each), each block's rows multiplied into its rows of the
-    output; by default as few blocks as keep each within ``COL_BYTES``.
+    The columns are built whole while they fit in ``COL_BYTES``, else a
+    ninth of the images at a time, so no block is wider than one tap's
+    columns (the weight gradient's pieces, see ``_tap_cols``); each block's
+    rows are multiplied into its rows of the output.
     """
     n, h, w, a = xd.shape
     kernel = taps.reshape(9 * a, -1)
-    if blocks is None:
-        blocks = -(-_col_bytes(xd, a) // COL_BYTES)
-    blocks = min(n, blocks)
-    if blocks <= 1:
-        return _cols_matmul(_im2col(xd), kernel).reshape(n, h, w, -1)
-    step, b = -(-n // blocks), kernel.shape[1]
+    b = kernel.shape[1]
+    step = max(n, 1) if _col_bytes(xd, a) <= COL_BYTES else -(-n // 9)  # max: an empty batch
     out = np.empty((n, h, w, b), dtype=xd.dtype)
     for i in range(0, n, step):
         _cols_matmul(_im2col(xd[i : i + step]), kernel, out=out[i : i + step].reshape(-1, b))

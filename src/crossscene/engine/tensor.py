@@ -437,12 +437,9 @@ def tsum(x, axis=None, keepdims=False):
     shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).astype(dtype, order="C"),)
 
     return _make(data, (x,), vjp)
 
@@ -870,6 +867,6 @@ def avg_pool2d(x):
     data = x.data.mean(axis=(1, 2))
 
     def vjp(g):
-        return (np.broadcast_to(g[:, None, None, :] / (h * w), (n, h, w, c)).astype(g.dtype, copy=True),)
+        return (np.broadcast_to(g[:, None, None, :] / (h * w), (n, h, w, c)).astype(g.dtype, order="C"),)
 
     return _make(data, (x,), vjp)

@@ -219,7 +219,6 @@ def train_step(model, source_batch, target_batch, config, progress):
 class FitResult:
     model: DualHeadClassifier
     history: list
-    checkpoint: Path | None = None
 
 
 def extractor_config(config, input_bands):
@@ -303,13 +302,12 @@ def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
             "wall_time": round(elapsed, 6),
         })
 
-    checkpoint = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        checkpoint, _ = save_checkpoint(model, out / "checkpoint.bin")
+        save_checkpoint(model, out / "checkpoint.bin")
         write_history(history, out / "history.log")
-    return FitResult(model=model, history=history, checkpoint=checkpoint)
+    return FitResult(model=model, history=history)
 
 
 def write_history(history, path):

@@ -145,7 +145,21 @@ def test_minmax_in_place_keeps_the_whole_array_formula(rng):
 
 def test_normalize_none_is_identity(rng):
     scene, _ = _toy_scene(rng)
-    assert np.array_equal(normalize_scene(scene, "none").cube, scene.cube)
+    assert normalize_scene(scene, "none") is scene
+
+
+def test_scene_finiteness_check_allocates_no_copy(rng, traced_peak):
+    """Building a Scene checks its cube for NaN and infinities without a
+    bool array of the cube's shape (a quarter of a float32 cube)."""
+    cube = rng.random((200, 300, 48), dtype=np.float32)  # 11 MiB
+    scene, peak = traced_peak(lambda: Scene(cube=cube))
+    assert scene.cube is cube
+    assert peak < 0.01 * cube.nbytes / 2**20
+    for bad in (np.nan, np.inf, -np.inf):
+        cube[5, 7, 3] = bad
+        with pytest.raises(BundleError, match="non-finite"):
+            Scene(cube=cube)
+    assert Scene(cube=np.zeros((0, 4, 2), np.float32)).height == 0
 
 
 def _patches(scene, ps, pixels):

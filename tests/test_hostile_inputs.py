@@ -18,6 +18,7 @@ import sys
 import traceback
 import warnings
 
+import numpy as np
 import pytest
 from test_config import HOSTILE_VALUES, LEAVES
 
@@ -103,6 +104,24 @@ def test_hostile_file_exits_cleanly(tree, rel, tmp_path, capsys):
     finally:
         path.write_bytes(raw)
     assert faults == []
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_cube_exits_3(tree, bad, capsys):
+    """A cube.bin that holds one NaN or infinity ends eval with exit 3 and one
+    stderr line."""
+    path = tree / "target" / "cube.bin"
+    raw = path.read_bytes()
+    cube = np.frombuffer(raw, dtype="<f4").copy()
+    cube[len(cube) // 2] = float(bad)
+    checkpoint = tree / "run" / "seed_0" / "checkpoint.bin"
+    try:
+        path.write_bytes(cube.tobytes())
+        rc, err = _run(["eval", "--preset", "synth", "--checkpoint", str(checkpoint),
+                        "--bundle", str(tree / "target")], capsys)
+    finally:
+        path.write_bytes(raw)
+    assert rc == 3 and len(err.splitlines()) == 1 and "non-finite" in err, (rc, err)
 
 
 @pytest.mark.parametrize("leaf", LEAVES)

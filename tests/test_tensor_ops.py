@@ -305,9 +305,10 @@ def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
         assert np.array_equal(np.concatenate(parts), full), size
 
 
-# Past conv.COL_BYTES, conv2d's backward builds its im2col columns in pieces:
-# one tap at a time for gw (a kernel row where a tap's product is small), a
-# ninth of the images at a time for gx.  These are the preset shapes.
+# Past conv.COL_BYTES, conv2d builds its im2col columns in pieces by one
+# rule: a ninth of the images at a time for an im2col GEMM (the forward with
+# c_in <= c_out, gx with c_out <= c_in), one tap at a time for gw (a kernel
+# row where a tap's product is small).  These are the preset shapes.
 @pytest.mark.parametrize("hw,c_in,c_out", [
     ((15, 15), 48, 32), ((15, 15), 32, 64), ((15, 15), 64, 32),
     ((7, 7), 176, 32), ((7, 7), 64, 32), ((7, 7), 32, 64),
@@ -315,7 +316,8 @@ def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
 ])
 def test_conv2d_backward_in_pieces_matches_whole(rng, monkeypatch, hw, c_in, c_out):
     """The output, gx, gw and gb are bit for bit the one-piece results, with
-    the columns a third of their size and with a budget of one byte."""
+    the columns a third of their size and with a budget of one byte, and
+    each im2col GEMM takes one block of n images or blocks of ceil(n/9)."""
     n = 100
     x = rng.normal(size=(n, *hw, c_in)).astype(np.float32)
     w = rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32)
@@ -339,19 +341,27 @@ def test_conv2d_backward_in_pieces_matches_whole(rng, monkeypatch, hw, c_in, c_o
     def grads(budget):
         monkeypatch.setattr(conv, "COL_BYTES", budget)
         tx, tw, tb = Tensor(x, requires_grad=True), Parameter(w), Parameter(bias)
+        images.clear()
         out = E.conv2d(tx, tw, tb)
-        images.clear()  # count the backward's column matrices only
+        forward_images = images.copy()
+        images.clear()  # then count the backward's column matrices only
         out.backward(g)
-        return out.data, tx.grad, tw.grad, tb.grad
+        return (out.data, tx.grad, tw.grad, tb.grad), forward_images
 
-    whole = grads(cols)
+    whole, forward_images = grads(cols)
     assert set(images) == {n} and not taps
+    assert forward_images == ([n] if c_in <= c_out else [])
+    step = -(-n // 9)
     for budget in (cols // 3, 1):
         taps.clear()
-        pieces = grads(budget)
+        pieces, forward_images = grads(budget)
         assert taps == ([1] * 9 if x.size * c_out > conv._SMALL_GEMM else [3] * 3), budget
+        if c_in <= c_out:  # the forward on the im2col side
+            assert forward_images == [min(step, n - i) for i in range(0, n, step)], budget
+        else:
+            assert not forward_images, budget
         if c_out <= c_in:  # gx on the im2col side
-            assert max(images) == -(-n // 9) and sum(images) == n, budget
+            assert max(images) == step and sum(images) == n, budget
         else:
             assert not images, budget
         for a, b in zip(whole, pieces):
@@ -388,6 +398,23 @@ def test_conv2d_backward_peak_memory_guard(rng, traced_peak):
     grads, peak = traced_peak(lambda: vjp(g))
     assert [a.shape for a in grads] == [x.shape, w.shape, b.shape]
     assert peak < CONV_VJP_PEAK_BOUND_MIB
+
+
+# Peak of the arrays one conv2d forward at 100 x 15 x 15, 32 -> 64 allocates
+# (houston's conv2: the output and the temporaries): 8.96 MiB with the
+# (22500, 288) column matrix (25.9 MB) built a ninth of the images at a time,
+# 15.2 MiB with a third.  The bound is the first + ~9%.
+CONV_FWD_PEAK_BOUND_MIB = 9.8
+
+
+def test_conv2d_forward_peak_memory_guard(rng, traced_peak):
+    x = Tensor(rng.normal(size=(100, 15, 15, 32)).astype(np.float32), requires_grad=True)
+    w = Parameter(rng.normal(size=(64, 32, 3, 3)).astype(np.float32))
+    b = Parameter(np.zeros(64, np.float32))
+    assert conv._col_bytes(x.data, 32) > conv.COL_BYTES
+    out, peak = traced_peak(lambda: E.conv2d(x, w, b))
+    assert out.shape == (100, 15, 15, 64)
+    assert peak < CONV_FWD_PEAK_BOUND_MIB
 
 
 # Peak of the arrays one batch_norm2d backward with the LeakyReLU epilogue at
@@ -499,6 +526,22 @@ def test_depthwise_matches_direct_reference(rng):
 def test_avg_pool(rng):
     x = rng.normal(size=(3, 4, 4, 2))
     assert np.allclose(E.avg_pool2d(Tensor(x)).data, x.mean(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("op,shape,ref", [
+    (E.avg_pool2d, (4, 5, 5, 3), lambda g: np.repeat(np.repeat(g[:, None, None] / 25, 5, 1), 5, 2)),
+    (lambda x: E.tsum(x, axis=(0,)), (4, 5, 3), lambda g: np.repeat(g[None], 4, 0)),
+    (lambda x: E.tsum(x, axis=1, keepdims=True), (4, 5, 3), lambda g: np.repeat(g, 5, 1)),
+    (E.tsum, (4, 5, 3), lambda g: np.full((4, 5, 3), g)),
+], ids=["avg_pool2d", "tsum-axis0", "tsum-keepdims", "tsum-all"])
+def test_broadcast_back_gradients_are_c_contiguous(rng, op, shape, ref):
+    """A gradient broadcast back over the reduced axes is a C-order array
+    holding the broadcast values, not a copy with the broadcast's strides."""
+    out = op(Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True))
+    g = rng.normal(size=out.shape).astype(np.float32)
+    (gx,) = out._vjp(g)  # what the walk hands on, before any leaf accumulates it
+    assert gx.flags.c_contiguous and gx.dtype == np.float32
+    assert np.array_equal(gx, ref(g).astype(np.float32))
 
 
 def test_center_pixel(rng):
