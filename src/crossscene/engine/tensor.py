@@ -7,8 +7,10 @@ and a vector-Jacobian product closure; ``Tensor.backward`` walks the nodes in
 reverse topological order and accumulates gradients on the leaves.  The tape
 holds no op output itself: a VJP closure captures only the arrays and shapes
 its formula reads, so an activation that no backward reads is freed as soon
-as the forward code drops it.  Inside ``no_grad`` nothing is recorded (in
-the calling thread only).
+as the forward code drops it.  ``recompute`` records a whole subgraph as one
+node that keeps only its input and GELU's Phi(x) arrays, and reruns it in
+the backward.  Inside ``no_grad`` nothing is recorded (in the calling thread
+only).
 
 Two independent subgraphs can run at once: ``fork_join`` runs one of them on
 a persistent second thread, and ``backward_pair`` walks two subgraphs that
@@ -286,6 +288,11 @@ def _lift(x, dtype):
 
 class _TapeState(threading.local):
     recording = True  # per thread; False inside ``no_grad``: ops leave no tape edge
+    # Inside ``recompute``: the list each ``gelu`` of the no-grad forward
+    # appends its Phi(x) to, then the iterator each ``gelu`` of the rerun
+    # takes it back from, in the same order.
+    saved_phi = None
+    replay_phi = None
 
 
 _tape = _TapeState()
@@ -334,6 +341,48 @@ def fork_join(first, second):
         future.exception()
         raise
     return out, future.result()
+
+
+def recompute(fn, x, params):
+    """``fn(x)``, with a tape that keeps x's array and GELU's Phi(x) arrays
+    instead of the inner arrays of ``fn``: the backward reruns ``fn``.
+
+    The forward runs ``fn(x)`` under ``no_grad`` and records one node whose
+    parents are x and ``params``, the leaves ``fn`` reads besides x.  Each
+    ``gelu`` in it saves its Phi(x), the float32 (1 + erf(x / sqrt(2))) / 2
+    it builds anyway.  The VJP reruns ``fn`` on a leaf that shares x's
+    array, each ``gelu`` taking its Phi(x) back instead of calling ``_erf``,
+    walks that subgraph and returns the gradients of x and of each param
+    (Chen et al. 2016, keeping the costly part as in Korthikanti et al.
+    2022).  The rerun makes the forward's ops in the forward's order, so the
+    bits are those of recording ``fn`` directly, as long as every user of x
+    is inside ``fn``: the gradient of x is then summed in the same order.
+    ``fn`` must not call ``recompute``.  When nothing is recorded it is just
+    ``fn(x)``.
+    """
+    if not _records(x, *params):
+        return fn(x)
+    saved = []
+    _tape.saved_phi = saved
+    try:
+        with no_grad():
+            data = fn(x).data
+    finally:
+        _tape.saved_phi = None
+    xd, needs_gx = x.data, x.requires_grad
+
+    def vjp(g):
+        leaf = Tensor(xd, requires_grad=needs_gx)
+        prev, _tape.recording, _tape.replay_phi = _tape.recording, True, iter(saved)
+        try:
+            root = fn(leaf)._node  # the walk needs no output array
+        finally:
+            _tape.recording, _tape.replay_phi = prev, None
+            saved.clear()  # each Phi(x) is now held only by its gelu's VJP
+        leaves = _leaf_grads(root, g)
+        return tuple(leaves[id(t)][1] if id(t) in leaves else None for t in (leaf, *params))
+
+    return _make(data, (x, *params), vjp)
 
 
 def _records(*parents):
@@ -644,18 +693,21 @@ def gelu(x):
     ``Phi(x) + x * phi(x)``, and the tape keeps that one array instead of x
     and Phi(x).  The array of x / sqrt(2) becomes Phi(x) in place and then
     that factor, and the rest runs in ``_ERF_BLOCK`` blocks, so the forward
-    makes no full-size temporary.
+    makes no full-size temporary.  Inside ``recompute`` the no-grad forward
+    saves Phi(x), and the rerun takes it back instead of calling ``_erf``.
     """
     xd = x.data
-    cdf = _erf(xd * _INV_SQRT2).reshape(-1)
+    replay = _tape.replay_phi
+    cdf = _erf(xd * _INV_SQRT2).reshape(-1) if replay is None else next(replay)
     flat = xd.reshape(-1)
     data = np.empty_like(flat)
     records = _records(x)
     for start in range(0, flat.size, _ERF_BLOCK):
         block = slice(start, start + _ERF_BLOCK)
         xb, cb = flat[block], cdf[block]
-        cb += 1.0
-        cb *= 0.5
+        if replay is None:
+            cb += 1.0
+            cb *= 0.5
         np.multiply(xb, cb, out=data[block])
         if records:
             t = np.multiply(xb, -0.5)
@@ -664,6 +716,8 @@ def gelu(x):
             t *= _INV_SQRT2PI  # phi(x)
             t *= xb
             cb += t
+    if _tape.saved_phi is not None:
+        _tape.saved_phi.append(cdf)
     deriv = cdf.reshape(xd.shape) if records else None
 
     def vjp(g):

@@ -165,7 +165,10 @@ class CenterAttentionBlock:
 
     def __call__(self, x, key=None, value=None):
         """The per-patch half on x (n, h, w, c), with ``key_value(x)`` unless
-        its key and value maps are given, in any shape that holds (n*h*w, c)."""
+        its key and value maps are given, in any shape that holds (n*h*w, c).
+
+        Without them, all of x's users are in this call, so the extractor
+        can run it under ``E.recompute`` with the bits of a recorded call."""
         n, h, w, c = x.shape
         if c != self.channels:
             raise ValueError(f"block built for {self.channels} channels, got {c}")
@@ -194,7 +197,9 @@ class CenterAttentionBlock:
 @dataclass
 class Stem:
     """The extractor's position-wise layers on a batch of patches: bn1(conv1)
-    maps h and, with the attention block, its key and value maps."""
+    maps h and, from ``FeatureExtractor.window_stems``, the attention block's
+    key and value maps.  A Stem of patches has none: the block builds them
+    itself, inside its recomputed call."""
 
     h: Tensor
     key: Tensor | None = None
@@ -236,23 +241,16 @@ class FeatureExtractor:
         self.conv3 = Conv2d(w2, w3, rng, dtype, "extractor.conv3")
         self.bn3 = BatchNorm2d(w3, dtype, "extractor.bn3")
 
-    def stem(self, patches, training, bn_updates=None):
-        """The position-wise layers on patches (n, ps, ps, bands): a Stem."""
-        if patches.shape[3] != self.config.input_bands:
-            raise ValueError(
-                f"extractor built for {self.config.input_bands} bands, got {patches.shape[3]}")
-        return self._with_key_value(self.bn1(self.conv1(patches), training, bn_updates))
-
-    def _with_key_value(self, h):
-        if self.block is None:
-            return Stem(h)
-        return Stem(h, *self.block.key_value(h))
-
     def trunk(self, stem, training, bn_updates=None):
-        """The per-patch layers on a Stem -> pooled features (n, unit_channels[2])."""
+        """The per-patch layers on a Stem -> pooled features (n, unit_channels[2]).
+
+        The attention block runs under ``E.recompute``: in training its tape
+        keeps its input and GELU's Phi(x) arrays, and its backward reruns it.
+        """
         h = stem.h
         if self.block is not None:
-            h = self.block(h, stem.key, stem.value)
+            h = E.recompute(lambda x: self.block(x, stem.key, stem.value), h,
+                            self.block.parameters())
         h = self.bn2(self.conv2(h), training, bn_updates)
         h = self.bn3(self.conv3(h), training, bn_updates)
         return E.avg_pool2d(h)
@@ -264,8 +262,12 @@ class FeatureExtractor:
         With a ``bn_updates`` list, training-mode batch norm leaves the running
         buffers alone and appends its updates there for ``apply_bn_updates``.
         """
-        stem = x if isinstance(x, Stem) else self.stem(x, training, bn_updates)
-        return self.trunk(stem, training, bn_updates)
+        if not isinstance(x, Stem):
+            if x.shape[3] != self.config.input_bands:
+                raise ValueError(
+                    f"extractor built for {self.config.input_bands} bands, got {x.shape[3]}")
+            x = Stem(self.bn1(self.conv1(x), training, bn_updates))
+        return self.trunk(x, training, bn_updates)
 
     @property
     def shares_stem(self):
@@ -290,9 +292,9 @@ class FeatureExtractor:
         out, index = E.conv2d_windows(rows, self.conv1.weight.data, self.conv1.bias.data,
                                       self.config.patch_size)
         with E.no_grad():
-            stem = self._with_key_value(self.bn1(Tensor(out[None, None]), training=False))
-        maps = [t.data.reshape(out.shape[0], -1) for t in (stem.h, stem.key, stem.value)
-                if t is not None]
+            h = self.bn1(Tensor(out[None, None]), training=False)
+            key_value = () if self.block is None else self.block.key_value(h)
+        maps = [t.data.reshape(out.shape[0], -1) for t in (h, *key_value)]
         return WindowStems(maps, index, rows.shape[1])
 
     def parameters(self):

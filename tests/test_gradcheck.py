@@ -8,6 +8,7 @@ from crossscene.engine import Parameter, Tensor, grad_check
 from crossscene.engine import tensor
 from crossscene.engine.gradcheck import primitive_checks
 from crossscene.engine.tensor import _make
+from crossscene.model import CenterAttentionBlock, CenterAttentionConfig
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -35,13 +36,28 @@ PINNED_ENGINE = (
     "add", "affine", "avg_pool2d", "backward_pair", "batch_norm2d", "center_pixel",
     "concat_rows", "conv2d", "conv2d_windows", "depthwise_conv2d", "exp", "fork_join",
     "gather_rows", "gelu", "grad_check", "leaky_relu", "log_softmax", "lr_schedule", "matmul",
-    "mul", "no_grad", "primitive_checks", "reshape", "scale", "sgd_momentum_step", "softmax",
-    "tmean", "transpose", "tsum", "zero_grads",
+    "mul", "no_grad", "primitive_checks", "recompute", "reshape", "scale", "sgd_momentum_step",
+    "softmax", "tmean", "transpose", "tsum", "zero_grads",
 )
 
 
 def test_engine_surface_is_pinned():
     assert tuple(sorted(E.__all__)) == PINNED_ENGINE
+
+
+@pytest.mark.parametrize("variant", "abcd")
+def test_recomputed_attention_block_matches_finite_differences(variant):
+    """The block under ``recompute``, as the extractor runs it in training:
+    its backward reruns it with GELU's saved Phi(x)."""
+    rng = np.random.default_rng(np.random.SeedSequence((5, ord(variant))))
+    block = CenterAttentionBlock(8, CenterAttentionConfig(variant=variant), rng, np.float64,
+                                 "attn")
+    x = Parameter(rng.standard_normal((2, 5, 5, 8)), name="x", dtype=np.float64)
+    r = Tensor(rng.standard_normal((2, 5, 5, 8)), dtype=np.float64)
+    params = {p.name: p for p in block.parameters()}
+    params["x"] = x
+    rep = grad_check(lambda: E.tsum(E.mul(E.recompute(block, x, block.parameters()), r)), params)
+    assert rep.passed(1e-4), f"{variant}: {rep.max_rel_err:.3e}"
 
 
 def test_affine_layer_near_exact(rng):

@@ -8,7 +8,7 @@ import pytest
 from crossscene import engine as E
 from crossscene.engine import Tensor
 from crossscene.model import (CenterAttentionBlock, CenterAttentionConfig,
-                              DualHeadClassifier, ExtractorConfig, load_checkpoint,
+                              DualHeadClassifier, ExtractorConfig, Stem, load_checkpoint,
                               save_checkpoint)
 
 GELU_1 = 0.8413447460685429  # 0.5 * (1 + erf(1/sqrt(2)))
@@ -240,7 +240,9 @@ def test_window_stems_equal_the_per_patch_stem(rng, variant, ps):
         m.features(patches, training=True)  # non-trivial running statistics
         assert m.extractor.shares_stem
         with E.no_grad():
-            per_patch = m.extractor.stem(patches, training=False)
+            ext = m.extractor
+            h = ext.bn1(ext.conv1(patches), training=False)
+            per_patch = Stem(h, *ext.block.key_value(h)) if variant else Stem(h)
             stems = m.extractor.window_stems(src.rows(0, 6))
             gathered = stems.gather(pixels)
             assert len(stems.maps) == (3 if variant else 1)

@@ -1,5 +1,6 @@
 """Forward semantics and tape behavior of the engine primitives."""
 
+import contextlib
 import sys
 import threading
 import weakref
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from crossscene import engine as E
-from crossscene.engine import Parameter, Tensor, conv, grad_check
+from crossscene.engine import Parameter, Tensor, conv, grad_check, tensor
 from crossscene.engine.gradcheck import primitive_checks
 
 
@@ -776,3 +777,67 @@ def test_walk_calls_the_vjp_set_after_the_op(rng):
     E.tsum(out).backward()
     assert calls == [(3, 4)]
     assert np.array_equal(x.grad, np.full((3, 4), 2.0))
+
+
+# -- recompute -----------------------------------------------------------------
+
+
+def _two_gelus(x, w):
+    return E.mul(E.gelu(E.matmul(x, w)), E.gelu(x))
+
+
+def _saved_phi_state():
+    return tensor._tape.saved_phi, tensor._tape.replay_phi
+
+
+def test_recompute_under_no_grad_is_fn_and_saves_nothing(rng):
+    x = Parameter(rng.normal(size=(6, 4)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 4)).astype(np.float32))
+    seen = []
+
+    def fn(t):
+        seen.append(_saved_phi_state())
+        return _two_gelus(t, w)
+
+    with E.no_grad():
+        y = E.recompute(fn, x, [w])
+        ref = _two_gelus(x, w)
+    assert y._node is None and seen == [(None, None)]
+    assert np.array_equal(y.data.view(np.uint32), ref.data.view(np.uint32))
+    assert _saved_phi_state() == (None, None)
+
+
+@pytest.mark.parametrize("fail_on", [0, 1, 2], ids=["no-error", "forward", "rerun"])
+def test_recompute_leaves_no_saved_phi_state(rng, fail_on):
+    """After the forward and after the backward, also when fn raises in
+    either run of it."""
+    x = Parameter(rng.normal(size=(6, 4)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 4)).astype(np.float32))
+    calls = []
+
+    def fn(t):
+        out = _two_gelus(t, w)
+        calls.append(1)
+        if len(calls) == fail_on:
+            raise RuntimeError("boom")
+        return out
+
+    with pytest.raises(RuntimeError, match="boom") if fail_on else contextlib.nullcontext():
+        y = E.recompute(fn, x, [w])
+        assert _saved_phi_state() == (None, None)
+        E.tsum(y).backward()
+    assert _saved_phi_state() == (None, None)
+    assert len(calls) == (fail_on or 2)
+    assert E.mul(w, w).requires_grad  # recording is back on
+
+
+def test_recompute_runs_erf_once(rng, monkeypatch):
+    """The rerun takes each GELU's saved Phi(x) back instead of calling erf."""
+    x = Parameter(rng.normal(size=(6, 4)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 4)).astype(np.float32))
+    calls = []
+    erf = tensor._erf
+    monkeypatch.setattr(tensor, "_erf", lambda z: calls.append(z.shape) or erf(z))
+    y = E.recompute(lambda t: _two_gelus(t, w), x, [w])
+    E.tsum(y).backward()
+    assert calls == [(6, 4), (6, 4)]

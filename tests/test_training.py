@@ -366,22 +366,35 @@ def test_source_only_step_is_plain_supervised(tiny_pair, tiny_config):
 
 # Peak of the arrays numpy allocates in one source-only step at the houston
 # shape (patch 15, 48 bands, channels 32/64/32, 7 classes) with 10 patches:
-# 7.47 MiB when GELU keeps one array and batch norm no sign mask, 8.22 MiB
-# when they keep x, Phi(x) and the mask, 10.24 MiB when every op output stays
-# pinned by its consumers.  The bound is the first plus ~9.8%.
-STEP_PEAK_BOUND_MIB = 8.2
+# 6.14 MiB when the attention block is recomputed in the backward and its
+# tape keeps only GELU's Phi(x), 7.27 MiB when it keeps the block's six inner
+# maps, 8.22 MiB when GELU keeps x and Phi(x) and batch norm a sign mask,
+# 10.24 MiB when every op output stays pinned by its consumers.  The bound is
+# the first plus ~10%.
+STEP_PEAK_BOUND_MIB = 6.8
+# The same step with 100 patches, where the walk peaks in conv3's VJP:
+# 36.75 MiB with the block recomputed, 39.26 MiB when the recompute node
+# still holds the saved Phi(x) arrays during the rerun's walk, 47.87 MiB
+# when the tape keeps the block's six maps.  The bound is the first plus ~5%.
+STREAM_PEAK_BOUND_MIB = 38.6
 
 
-def test_train_step_peak_memory_guard(rng, traced_peak):
-    n = 10
+def _houston_step_peak(rng, traced_peak, n):
     cfg = TrainConfig(batch=n, patch_size=15, unit_channels=(32, 64, 32))
     model = build_model(cfg, 7, 48)
     batch = PatchBatch(patches=Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)),
                        labels=np.arange(n) % 7 + 1, refs=np.zeros((n, 2), dtype=np.int64))
     train_step(model, batch, None, cfg, progress=0.0)  # grads and momenta now exist
     gc.collect()
-    _, peak = traced_peak(lambda: train_step(model, batch, None, cfg, progress=0.0))
-    assert peak < STEP_PEAK_BOUND_MIB
+    return traced_peak(lambda: train_step(model, batch, None, cfg, progress=0.0))[1]
+
+
+def test_train_step_peak_memory_guard(rng, traced_peak):
+    assert _houston_step_peak(rng, traced_peak, 10) < STEP_PEAK_BOUND_MIB
+
+
+def test_houston_stream_step_peak_memory_guard(rng, traced_peak):
+    assert _houston_step_peak(rng, traced_peak, 100) < STREAM_PEAK_BOUND_MIB
 
 
 def test_train_step_bits_do_not_depend_on_the_column_budget(monkeypatch):
@@ -407,6 +420,35 @@ def test_train_step_bits_do_not_depend_on_the_column_budget(monkeypatch):
     for budget in (conv.COL_BYTES, 1):
         pieces = state_after_two_steps(budget)
         assert [k for k in whole if whole[k].tobytes() != pieces[k].tobytes()] == [], budget
+
+
+@pytest.mark.parametrize("variant,ps,bands,widths,n", [
+    ("d", 15, 48, (32, 64, 32), 100),  # the houston shape
+    *[(v, 5, 8, (16, 32, 16), 12) for v in "abcd"],
+], ids=["houston-d", "a", "b", "c", "d"])
+def test_recomputed_block_keeps_the_bits(monkeypatch, variant, ps, bands, widths, n):
+    """Two two-stream steps leave the parameters, momenta and BN buffers of
+    steps that record the attention block as it runs.  Variant c runs GELU
+    after the depthwise conv and a runs none, so the saved Phi(x) arrays are
+    taken back in another order or not at all."""
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(batch=n, patch_size=ps, unit_channels=widths,
+                      attention=CenterAttentionConfig(variant=variant))
+    refs = np.zeros((n, 2), dtype=np.int64)
+    source = PatchBatch(Tensor(rng.normal(size=(n, ps, ps, bands)).astype(np.float32)),
+                        np.arange(n) % 7 + 1, refs)
+    target = PatchBatch(Tensor(rng.normal(size=(n, ps, ps, bands)).astype(np.float32)), None, refs)
+
+    def state_after_two_steps():
+        model = build_model(cfg, 7, bands)
+        for k in range(2):
+            train_step(model, source, target, cfg, progress=k / 2)
+        return _training_state(model)
+
+    recomputed = state_after_two_steps()
+    monkeypatch.setattr(E, "recompute", lambda fn, x, params: fn(x))
+    recorded = state_after_two_steps()
+    assert [k for k in recorded if recorded[k].tobytes() != recomputed[k].tobytes()] == []
 
 
 def test_loss_decreases_over_first_steps(tiny_pair, tiny_config):
