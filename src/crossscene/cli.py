@@ -49,8 +49,8 @@ import numpy as np
 
 from .checks import GRADCHECK_TOLERANCE, run_all_checks
 from .config import ConfigError, PRESETS, resolve_config, save_config
-from .data import (BundleError, ShiftSpec, is_list_of, load_scene, save_bundle, synth_domain_pair,
-                   write_atomic)
+from .data import (BundleError, PatchSource, ShiftSpec, is_list_of, load_scene, save_bundle,
+                   synth_domain_pair, write_atomic)
 from .engine import NumericError
 from .evaluate import (default_palette, evaluate_scene, format_mean_std, format_report,
                        predict_scene, write_map)
@@ -147,18 +147,25 @@ def _check_out(out):
         raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
 
 
+def _load_domain(bundle, train):
+    """(PatchSource, LabelMap) of a bundle, the source built for ``train``'s
+    patch size and normalization.  The loaded Scene is dropped once its source
+    exists, so a domain's cube is held once."""
+    scene, labels = load_scene(bundle)
+    return PatchSource(scene, train.patch_size, train.normalization), labels
+
+
 def _prepare_run(args):
-    """Resolve the config, check --out, and load the bundle pair."""
+    """Resolve the config, check --out, and load the bundle pair as patch sources."""
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     if not cfg.source_bundle or not cfg.target_bundle:
         raise ConfigError("config must name source_bundle and target_bundle")
     _check_out(args.out)
     pair = []
     for role, bundle in (("source", cfg.source_bundle), ("target", cfg.target_bundle)):
-        scene, labels = load_scene(bundle)
-        if not labels.labels.any():  # nothing to train on, adapt on or score
+        pair.append(_load_domain(bundle, cfg.train))
+        if not pair[-1][1].labels.any():  # nothing to train on, adapt on or score
             raise BundleError(f"{role} bundle {bundle} has no labeled pixel")
-        pair.append((scene, labels))
     return cfg, *pair
 
 
@@ -195,27 +202,27 @@ def cmd_train(args):
 
 
 def _restore_model(args, cfg, labeled=True):
-    """The checkpoint's model and the bundle; ``labeled``: the bundle must
-    have a labeled pixel."""
-    scene, labels = load_scene(args.bundle)
+    """The checkpoint's model and the bundle's (PatchSource, LabelMap);
+    ``labeled``: the bundle must have a labeled pixel."""
+    source, labels = _load_domain(args.bundle, cfg.train)
     if labeled and not labels.labels.any():
         raise BundleError(f"bundle {args.bundle} has no labeled pixel")
     if not labels.num_classes:  # no labeled pixel and no classes.json
         raise BundleError(f"bundle {args.bundle} has no labeled pixel and names no class")
-    model = build_model(cfg.train, labels.num_classes, scene.bands)
+    model = build_model(cfg.train, labels.num_classes, source.bands)
     ckpt = Path(args.checkpoint)
     if not ckpt.is_file():
         raise BundleError(f"missing checkpoint: {ckpt}")
     load_checkpoint(model, ckpt)
-    return model, scene, labels
+    return model, source, labels
 
 
 def cmd_eval(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     if args.out:
         _check_out(args.out)
-    model, scene, labels = _restore_model(args, cfg)
-    report, _ = evaluate_scene(model, scene, labels, cfg.train)
+    model, source, labels = _restore_model(args, cfg)
+    report, _ = evaluate_scene(model, source, labels, cfg.train)
     print(format_report(report, labels.class_names))
     if args.out:
         out = Path(args.out)
@@ -244,17 +251,17 @@ def _load_palette(path, num_classes):
 def cmd_map(args):
     cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
     _check_out(args.out)
-    model, scene, labels = _restore_model(args, cfg, labeled=not args.all_pixels)
+    model, source, labels = _restore_model(args, cfg, labeled=not args.all_pixels)
     palette = (_load_palette(args.palette, labels.num_classes) if args.palette
                else default_palette(labels.num_classes))
     if labels.labels.any():
-        _, raster = evaluate_scene(model, scene, labels, cfg.train, map_all=args.all_pixels)
+        _, raster = evaluate_scene(model, source, labels, cfg.train, map_all=args.all_pixels)
     else:  # an unlabeled scene: nothing to score, every pixel to map
-        raster, _ = predict_scene(model, scene, labels, cfg.train, map_all=True)
+        raster, _ = predict_scene(model, source, labels, cfg.train, map_all=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_map(raster, palette, out / "map.ppm")
-    print(f"wrote {out / 'map.ppm'} ({scene.width}x{scene.height})")
+    print(f"wrote {out / 'map.ppm'} ({source.width}x{source.height})")
     return 0
 
 

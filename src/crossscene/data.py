@@ -177,12 +177,19 @@ def load_scene(bundle_dir):
     if meta.get("layout") != "bsq":
         raise BundleError(f"unknown cube layout {meta.get('layout')!r} (only bsq supported)")
 
-    # byte lengths are checked before decoding: a partial element cannot be decoded
-    raw = cube_path.read_bytes()
-    if len(raw) != h * w * b * 4:
+    # the byte length is checked before any read: a partial element cannot be decoded
+    size = cube_path.stat().st_size
+    if size != h * w * b * 4:
         raise BundleError(f"cube size mismatch in {cube_path}: metadata says {h}x{w}x{b} f32 "
-                          f"values ({h * w * b * 4} bytes), the file has {len(raw)} bytes")
-    cube = np.frombuffer(raw, dtype="<f4").reshape(b, h, w).transpose(1, 2, 0).astype(np.float32)
+                          f"values ({h * w * b * 4} bytes), the file has {size} bytes")
+    # the one copy, filled a band at a time through one band's buffer
+    cube = np.empty((h, w, b), dtype=np.float32)
+    band = np.empty((h, w), dtype="<f4")
+    with open(cube_path, "rb") as f:
+        for k in range(b):
+            if f.readinto(band.reshape(-1).view(np.uint8)) != band.nbytes:
+                raise BundleError(f"{cube_path} ended in band {k} of {b} while it was read")
+            cube[:, :, k] = band
 
     gt_raw = gt_path.read_bytes()
     if len(gt_raw) != h * w * 2:
@@ -223,35 +230,51 @@ def load_scene(bundle_dir):
 NORMALIZATIONS = ("none", "minmax")
 
 
-def normalize_scene(scene, mode="minmax"):
-    """Per-band scaling over the whole scene; constant bands map to 0.  Mode
-    ``"none"`` returns ``scene`` itself: callers do not write to the result."""
-    if mode == "none":
-        return scene
-    if mode != "minmax":
+def normalize_scene(scene, mode="minmax", out=None):
+    """Per-band scaling over the whole scene; constant bands map to 0.
+
+    Returns a new float32 Scene.  Given ``out``, a float32 array of the
+    scene's values (``PatchSource`` passes its padded cube), it scales ``out``
+    in place by the scene's statistics instead and returns it.  Mode
+    ``"none"`` returns ``scene`` (or ``out``) itself: callers do not write to
+    the result.
+    """
+    if mode not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    cube = scene.cube.astype(np.float32)  # the one copy, scaled in place
-    lo = cube.min(axis=(0, 1), keepdims=True)
-    span = cube.max(axis=(0, 1), keepdims=True) - lo
+    if mode == "none":
+        return scene if out is None else out
+    values = scene.cube.astype(np.float32, copy=out is None)  # without out, the one copy
+    lo = values.min(axis=(0, 1), keepdims=True)
+    span = values.max(axis=(0, 1), keepdims=True) - lo
+    cube = values if out is None else out
     cube -= lo
     cube /= np.where(span > 0, span, 1.0)
     cube[:, :, ~(span[0, 0] > 0)] = 0.0
-    return Scene(cube=cube, name=scene.name)
+    return Scene(cube=cube, name=scene.name) if out is None else cube
 
 
 # -- patch extraction --------------------------------------------------------
 
 
 class PatchSource:
-    """Patch extractor over a cube mirrored past its edges, the edge pixel not repeated."""
+    """Patch extractor over a scene normalized by ``normalize_scene`` and
+    mirrored past its edges, the edge pixel not repeated.
 
-    def __init__(self, scene, ps):
+    The padded cube is the source's one copy of the scene, and the scene can
+    be dropped once the source exists.  It is normalized in place by the
+    scene's statistics: reflection only copies values, so each value gets the
+    bits it gets in the normalized scene.
+    """
+
+    def __init__(self, scene, ps, normalization="none"):
         if ps % 2 == 0:
             raise ValueError(f"patch size must be odd, got {ps}")
-        self.bands = scene.bands
-        self.ps = ps
+        self.height, self.width, self.bands = scene.cube.shape
+        self.ps, self.normalization = ps, normalization
         half = ps // 2
-        self._padded = np.pad(scene.cube, ((half, half), (half, half), (0, 0)), mode="reflect")
+        padded = np.pad(scene.cube.astype(np.float32, copy=False),
+                        ((half, half), (half, half), (0, 0)), mode="reflect")
+        self._padded = normalize_scene(scene, normalization, out=padded)
 
     def batch(self, pixels, labels=None):
         """A PatchBatch of the patches centered on the (n, 2) ``(row, col)`` pixels."""
@@ -267,6 +290,20 @@ class PatchSource:
         (stop - start + ps - 1, width + ps - 1, bands), a view.  The patch of
         pixel (r, c) is its window whose top-left is (r - start, c)."""
         return self._padded[start : stop + self.ps - 1]
+
+
+def patch_source(domain, ps, normalization):
+    """The PatchSource of a Scene, or ``domain`` itself if it is a
+    PatchSource built for patch size ``ps`` and ``normalization``.  A source
+    built for others raises ValueError: it is never reused for a config it
+    does not fit."""
+    if not isinstance(domain, PatchSource):
+        return PatchSource(domain, ps, normalization)
+    if (domain.ps, domain.normalization) != (ps, normalization):
+        raise ValueError(f"a patch source built for patch size {domain.ps} and normalization "
+                         f"{domain.normalization!r} cannot serve patch size {ps} and "
+                         f"normalization {normalization!r}")
+    return domain
 
 
 # -- sample enumeration and batch streams ------------------------------------

@@ -38,13 +38,17 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# A column matrix is built whole up to this many bytes, and in pieces past it.
-# At the houston shape (100 patches of 15x15, 9*32 columns) the matrix is
-# 25.9 MB, and the two training streams' column copies set a run's peak RSS.
-# Pieces cost time where g's columns feed both gw and gx (a 64 -> 32 VJP took
-# 1.12-1.15x as long at 7x7 and 15x15), so the hyrank and pavia shapes
-# (patch 7 and 9: 5.6 and 9.3 MB) stay whole.
-COL_BYTES = 12 << 20
+# The working-set budget of one stream: a column matrix is built whole up to
+# this many bytes, and in pieces past it; scene inference's row strips hold at
+# most this many bytes of stem maps.  Of the preset shapes' column matrices
+# (100 patches) only synth's (1.4 MB, 9*16 columns) stays whole: hyrank's
+# (5.6 MB), pavia's (9.3 MB) and houston's (25.9 MB, 9*32 columns each) go in
+# pieces.  At 12 MiB, which kept hyrank's and pavia's whole, one hyrank-shape
+# stream's step peaked at 13.1 MiB of arrays, and at 4 MiB at 8.7 MiB.
+# Pieces cost time where g's columns feed both gw and gx, but a two-stream
+# hyrank step read 0-2.5% slower (60 interleaved steps, two runs), inside the
+# spread of a run's step times, for about 12% of hyrank-map's peak RSS.
+COL_BYTES = 4 << 20
 
 # OpenBLAS 0.3.31 runs a product with M*N*K <= 1e6 through its small-matrix
 # kernel, which does not split K, so it rounds a long K differently from the

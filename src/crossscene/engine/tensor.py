@@ -793,9 +793,12 @@ def depthwise_conv2d(x, w):
     The ranges are taken (w+2) pixels to an array row, with each tap tiled to
     match: a (c,)-wide broadcast would run numpy's inner loop c elements at a
     time.  Two zero rows after the map let every range span whole image rows.
-    The kernel gradient is a per-channel dot product per tap; the input
-    gradient is nine shifted in-place adds.  The tape keeps x, not its
-    padded copy: the backward pads it again.
+    The forward runs in blocks of images of about ``_ERF_BLOCK`` padded
+    elements, so its temporaries are a block's size; each output element is
+    the same sum in the same order in any block.
+    The kernel gradient is a per-channel dot product per tap over all rows,
+    so the backward runs whole; the input gradient is nine shifted in-place
+    adds.  The tape keeps x, not its padded copy: the backward pads it again.
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or w.data.shape[1:] != (3, 3):
         raise ValueError("depthwise_conv2d expects NHWC input and a (c, 3, 3) kernel")
@@ -805,24 +808,30 @@ def depthwise_conv2d(x, w):
     n, h, wd_, c = xd.shape
     wp = wd_ + 2
     rows = n * (h + 2) * wp
-    xrows, offs = conv.padded_rows(xd, extra=2)
     length = rows - 2 * wp  # covers every output row; offs[-1] + length == rows + 2
     taps = np.tile(w.data.transpose(1, 2, 0).reshape(9, c), wp)  # taps[k]: (wp*c,)
 
-    def shifted(a, o):
+    def shifted(a, o, length=length):
         return a[o : o + length].reshape(-1, wp * c)
 
-    yrows = np.empty((rows, c), dtype=xd.dtype)
-    y = shifted(yrows, 0)
-    np.multiply(shifted(xrows, 0), taps[0], out=y)
-    part = np.empty_like(y)
-    for k in range(1, 9):
-        np.multiply(shifted(xrows, offs[k]), taps[k], out=part)
-        y += part
-    out = yrows.reshape(n, h + 2, wp, c)[:, :h, :wd_].copy()
+    out = np.empty(xd.shape, dtype=xd.dtype)
+    step = max(1, _ERF_BLOCK // ((h + 2) * wp * c))  # images per forward block
+    for i in range(0, n, step):
+        block = xd[i : i + step]
+        m = block.shape[0]
+        xrows, offs = conv.padded_rows(block, extra=2)
+        yrows = np.empty((m * (h + 2) * wp, c), dtype=xd.dtype)
+        span = len(yrows) - 2 * wp  # the block's length
+        y = shifted(yrows, 0, span)
+        np.multiply(shifted(xrows, 0, span), taps[0], out=y)
+        part = np.empty_like(y)
+        for k in range(1, 9):
+            np.multiply(shifted(xrows, offs[k], span), taps[k], out=part)
+            y += part
+        out[i : i + m] = yrows.reshape(m, h + 2, wp, c)[:, :h, :wd_]
 
     def vjp(g):
-        xrows = conv.padded_rows(xd, extra=2)[0]  # rebuilt, so the tape keeps only x
+        xrows, offs = conv.padded_rows(xd, extra=2)  # rebuilt, so the tape keeps only x
         grows = np.zeros((rows, c), dtype=g.dtype)
         grows.reshape(n, h + 2, wp, c)[:, :h, :wd_] = g
         grows = grows[:length]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from .data import PatchSource, labeled_pixels, normalize_scene, write_atomic
+from .data import labeled_pixels, patch_source, write_atomic
 from .engine import conv
 
 
@@ -67,17 +67,10 @@ def metrics(cm):
     )
 
 
-# The most stem-map bytes one row strip may hold in scene inference (a strip
-# holds at least one pixel row's maps, even where that is more).  Each of the
-# two streams holds one strip at a time; maps of the whole 80x80 hyrank-shape
-# scene raised the peak RSS of a map run by half.  It sets the strip height at
-# the hyrank and houston shapes; at the synth shape predict_scene's halo cap
-# is lower, and at patch 3, which has no halo, this bound alone decides.
-STRIP_BYTES = 4 << 20
-
-
 def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     """Predict labeled pixels (or all pixels) -> (predictions raster, (n, 2) pixels).
+
+    ``scene`` is a Scene or its ``PatchSource`` (see ``data.patch_source``).
 
     Deterministic raster ordering; eval-mode batch norm throughout; the
     trailing partial batch is kept.  Batches of 100 (the default training
@@ -90,23 +83,26 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     When the extractor ``shares_stem``, overlapping patches share their
     position-wise layers (conv1, bn1 and the block's key and value maps).
     A strip then spans a few pixel rows: at most twice the halo of class
-    rows every strip pays (``conv.class_rows(ps - 1, ps)``), and at most
-    ``STRIP_BYTES`` of maps.  If its pixels are dense enough to pay for it,
-    it computes its stem maps once and gathers each batch's stems from them,
-    bit for bit the stems of the batch's patches.  Otherwise batches are
-    cut as patches, and each strip is one batch.
+    rows every strip pays (``conv.class_rows(ps - 1, ps)``), and at most a
+    stream's working-set budget, ``conv.COL_BYTES``, of maps (but at least
+    one pixel row's).  Each stream holds one strip at a time; maps of the
+    whole 80x80 hyrank-shape scene raised the peak RSS of a map run by half.
+    If its pixels are dense enough to pay for it, it computes its stem maps
+    once and gathers each batch's stems from them, bit for bit the stems of
+    the batch's patches.  Otherwise batches are cut as patches, and each
+    strip is one batch.
     """
     ps = config.patch_size
-    src = PatchSource(normalize_scene(scene, config.normalization), ps)  # keeps no normalized copy
+    src = patch_source(scene, ps, config.normalization)
     if map_all:
-        pixels = np.argwhere(np.ones((scene.height, scene.width), dtype=bool))
+        pixels = np.argwhere(np.ones((src.height, src.width), dtype=bool))
     else:
         pixels = labeled_pixels(label_map)
-    raster = np.zeros((scene.height, scene.width), dtype=np.int32)
+    raster = np.zeros((src.height, src.width), dtype=np.int32)
     batches = [pixels[start : start + batch] for start in range(0, len(pixels), batch)]
 
     extractor = model.extractor
-    width = scene.width + ps - 1
+    width = src.width + ps - 1
 
     maps = 1 if extractor.block is None else 3  # h, key, value
     row_bytes = width * maps * extractor.config.unit_channels[0] * model.dtype.itemsize
@@ -114,7 +110,7 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     # every strip pays.  Past 2 * halo pixel rows a taller strip saves under
     # 1/19 of its class rows but holds more maps.
     halo = conv.class_rows(ps - 1, ps)
-    max_rows = max(1, (STRIP_BYTES // row_bytes - halo) // 9)
+    max_rows = max(1, (conv.COL_BYTES // row_bytes - halo) // 9)
     if halo:
         max_rows = min(max_rows, 2 * halo)
     # A patch position's stem costs about two class-map positions' with conv1
@@ -163,7 +159,8 @@ def _row_strips(batches, max_rows):
 
 
 def evaluate_scene(model, scene, label_map, config, map_all=False):
-    """MetricsReport over every labeled pixel, plus the prediction raster."""
+    """MetricsReport over every labeled pixel, plus the prediction raster;
+    ``scene`` is a Scene or its ``PatchSource``."""
     raster, _ = predict_scene(model, scene, label_map, config, map_all=map_all)
     mask = label_map.labels > 0
     report = metrics(confusion(raster[mask], label_map.labels[mask], label_map.num_classes))

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from .data import (NORMALIZATIONS, BundleError, PatchSource, batch_stream, cycled_batches,
-                   labeled_pixels, normalize_scene, write_atomic)
+from .data import (NORMALIZATIONS, BundleError, batch_stream, cycled_batches, labeled_pixels,
+                   patch_source, write_atomic)
 from .discrepancy import lmmd, one_hot
 from .engine import NumericError, Tensor, lr_schedule, sgd_momentum_step, zero_grads
 from .evaluate import aggregate_runs, evaluate_scene, format_report
@@ -237,7 +237,9 @@ def build_model(config, num_classes, input_bands, seed=0):
 
 def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
     """Train on a (Scene, LabelMap) source and an unlabeled target scene;
-    ``seed`` draws the initial weights and both domains' batch orders.
+    ``seed`` draws the initial weights and both domains' batch orders.  In
+    place of a Scene, a domain can be its ``PatchSource`` for the config's
+    patch size and normalization (``data.patch_source``).
 
     Target label values are never read here: the target's labeled mask only
     picks the pixels to adapt on, and the labels stay in the bundle for later
@@ -262,9 +264,8 @@ def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
         raise ConfigError(
             f"batch size {config.batch} exceeds the {len(src_pixels)} labeled source pixels")
 
-    # the normalized scenes live only until their padded copies are made
-    src_patches = PatchSource(normalize_scene(src_scene, config.normalization), config.patch_size)
-    tgt_patches = PatchSource(normalize_scene(tgt_scene, config.normalization), config.patch_size)
+    src_patches = patch_source(src_scene, config.patch_size, config.normalization)
+    tgt_patches = patch_source(tgt_scene, config.patch_size, config.normalization)
     needs_target = config.loss_weights.lambda_lmmd > 0 or config.loss_weights.lambda_st > 0
     stream_seeds = np.random.SeedSequence(seed).generate_state(2).tolist()
     tgt_iter = cycled_batches(len(tgt_pixels), config.batch, stream_seeds[1])
@@ -353,18 +354,23 @@ def run_grid(train, seeds, arms, source, target, out_dir=None, deterministic=Fal
     An arm is ``(name, changes)``, with ``changes`` a nested dict applied to
     ``train`` by ``with_changes`` (e.g. ``{"attention": {"variant": "c"}}``).
     Each run is scored on the target labels, which ``fit`` itself never reads,
-    and prints one line.  With ``out_dir`` each run writes ``seed_<s>/`` there
+    and prints one line.  A domain's Scene or PatchSource (see ``fit``) is
+    made into one PatchSource per arm, which the arm's runs and their scoring
+    share.  With ``out_dir`` each run writes ``seed_<s>/`` there
     (checkpoint, index, history and ``report.txt``), so give it one arm.
     Returns ``(name, reports, aggregate_runs(reports))`` per arm.
     """
     results = []
     for name, changes in arms:
         cfg = with_changes(train, changes)
+        src, tgt = (patch_source(domain, cfg.patch_size, cfg.normalization)
+                    for domain, _ in (source, target))
         reports = []
         for seed in seeds:
             run_dir = Path(out_dir) / f"seed_{seed}" if out_dir is not None else None
-            res = fit(cfg, source, target, seed, out_dir=run_dir, deterministic=deterministic)
-            report, _ = evaluate_scene(res.model, target[0], target[1], cfg)
+            res = fit(cfg, (src, source[1]), (tgt, target[1]), seed, out_dir=run_dir,
+                      deterministic=deterministic)
+            report, _ = evaluate_scene(res.model, tgt, target[1], cfg)
             if run_dir is not None:
                 write_atomic(run_dir / "report.txt",
                              format_report(report, target[1].class_names) + "\n")

@@ -11,7 +11,7 @@ import pytest
 from crossscene.config import resolve_config, save_config
 from crossscene.data import (BundleError, LabelMap, PatchSource, Scene, ShiftSpec, batch_stream,
                              cycled_batches, labeled_pixels, load_scene, normalize_scene,
-                             save_bundle, synth_domain_pair, write_atomic)
+                             patch_source, save_bundle, synth_domain_pair, write_atomic)
 from crossscene.evaluate import default_palette, write_map
 from crossscene.model import CenterAttentionConfig, DualHeadClassifier, ExtractorConfig, save_checkpoint
 from crossscene.training import write_history
@@ -160,6 +160,65 @@ def test_scene_finiteness_check_allocates_no_copy(rng, traced_peak):
         with pytest.raises(BundleError, match="non-finite"):
             Scene(cube=cube)
     assert Scene(cube=np.zeros((0, 4, 2), np.float32)).height == 0
+
+
+# A moderate cube, 200 x 300 x 48 float32 (11 MiB): loading it peaks at 1.05
+# cubes (the cube, one band's buffer and the label raster; 2.03 when the file
+# was read whole and then transposed), building a domain's source at 1.06
+# (the padded cube at patch 7; 2.06 with a normalized copy beside it).  The
+# bounds are README's.
+LOAD_PEAK_CUBES, SOURCE_PEAK_CUBES = 1.1, 1.2
+
+
+def test_load_scene_peak_memory_guard(tmp_path, traced_peak):
+    """load_scene reads the band-sequential file into the one (h, w, b)
+    array a band at a time: no bytes object, no transposed copy."""
+    cube = np.random.default_rng(0).random((200, 300, 48), dtype=np.float32)
+    save_bundle(Scene(cube=cube), LabelMap(labels=np.ones((200, 300), np.int32)), tmp_path / "b")
+    (scene, _), peak = traced_peak(lambda: load_scene(tmp_path / "b"))
+    assert np.array_equal(scene.cube.view(np.uint32), cube.view(np.uint32))
+    assert peak <= LOAD_PEAK_CUBES * cube.nbytes / 2**20
+
+
+@pytest.mark.parametrize("mode", ["none", "minmax"])
+def test_patch_source_peak_memory_guard(rng, traced_peak, mode):
+    """A domain's source is its one normalized, padded copy of the cube: no
+    normalized copy of the scene beside it."""
+    cube = rng.random((200, 300, 48), dtype=np.float32)
+    src, peak = traced_peak(lambda: PatchSource(Scene(cube=cube), 7, mode))
+    assert peak <= SOURCE_PEAK_CUBES * cube.nbytes / 2**20
+
+
+@pytest.mark.parametrize("mode", ["none", "minmax"])
+@pytest.mark.parametrize("ps", [1, 3, 7, 15])
+def test_patch_source_is_the_padded_normalized_scene(rng, ps, mode):
+    """The source's padded cube equals, as uint32, the reflect-padded
+    normalized scene, with a constant band; its patches carry those bits, and
+    the scene is left as it was."""
+    cube = rng.normal(10.0, 3.0, size=(9, 11, 5)).astype(np.float32)
+    cube[:, :, 2] = 4.5
+    scene = Scene(cube=cube.copy())
+    half = ps // 2
+    ref = np.pad(normalize_scene(scene, mode).cube, ((half, half), (half, half), (0, 0)),
+                 mode="reflect")
+    src = PatchSource(scene, ps, mode)
+    assert np.array_equal(src.rows(0, 9).view(np.uint32), ref.view(np.uint32))
+    patch = src.batch(np.array([[4, 6]])).patches.data[0]
+    assert np.array_equal(patch.view(np.uint32), ref[4 : 4 + ps, 6 : 6 + ps].view(np.uint32))
+    assert (src.height, src.width, src.bands) == (9, 11, 5)
+    assert np.array_equal(scene.cube.view(np.uint32), cube.view(np.uint32))
+
+
+def test_patch_source_serves_only_its_config(rng):
+    """patch_source builds a Scene's source, returns a source built for the
+    same patch size and normalization, and refuses one built for others."""
+    scene, _ = _toy_scene(rng)
+    src = patch_source(scene, 3, "minmax")
+    assert (src.ps, src.normalization) == (3, "minmax")
+    assert patch_source(src, 3, "minmax") is src
+    for ps, mode in ((5, "minmax"), (3, "none")):
+        with pytest.raises(ValueError, match="cannot serve"):
+            patch_source(src, ps, mode)
 
 
 def _patches(scene, ps, pixels):

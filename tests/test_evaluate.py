@@ -10,7 +10,7 @@ from crossscene.evaluate import (MetricsReport, aggregate_runs, confusion,
                                  format_report, metrics, predict_scene, render_map,
                                  write_map)
 from crossscene.data import LabelMap, PatchSource, ShiftSpec, labeled_pixels, synth_domain_pair
-from crossscene.evaluate import STRIP_BYTES
+from crossscene.engine import conv
 from crossscene.model import DualHeadClassifier, FeatureExtractor, Stem
 from crossscene.training import TrainConfig, build_model
 
@@ -228,7 +228,7 @@ def _check_shared_matches_per_patch(pair, config, monkeypatch, strip_bytes, map_
     model = _trained(pair, config, seed)
     sparse = LabelMap(labels=np.where(np.arange(labels.labels.size).reshape(labels.labels.shape)
                                       % 3 == 0, labels.labels, 0))
-    monkeypatch.setattr("crossscene.evaluate.STRIP_BYTES", strip_bytes)
+    monkeypatch.setattr(conv, "COL_BYTES", strip_bytes)
     assert model.extractor.shares_stem
     shared = [predict_scene(model, scene, lm, config, map_all=map_all, batch=batch)[0]
               for lm in (labels, sparse) for batch in (7, 100)]
@@ -239,7 +239,7 @@ def _check_shared_matches_per_patch(pair, config, monkeypatch, strip_bytes, map_
     assert len(np.unique(shared[0])) > 1
 
 
-@pytest.mark.parametrize("strip_bytes", [1, 100_000, STRIP_BYTES])
+@pytest.mark.parametrize("strip_bytes", [1, 100_000, conv.COL_BYTES])
 @pytest.mark.parametrize("map_all", [True, False])
 def test_predict_scene_shared_stem_matches_per_patch(per_tap_pair, tiny_config, monkeypatch,
                                                      strip_bytes, map_all):
@@ -248,7 +248,7 @@ def test_predict_scene_shared_stem_matches_per_patch(per_tap_pair, tiny_config, 
     _check_shared_matches_per_patch(per_tap_pair, tiny_config, monkeypatch, strip_bytes, map_all)
 
 
-@pytest.mark.parametrize("strip_bytes", [1, 100_000, STRIP_BYTES])
+@pytest.mark.parametrize("strip_bytes", [1, 100_000, conv.COL_BYTES])
 @pytest.mark.parametrize("map_all", [True, False])
 def test_predict_scene_shared_stem_matches_per_patch_im2col_side(tiny_pair, tiny_config,
                                                                  monkeypatch, strip_bytes,
@@ -268,7 +268,7 @@ def test_strip_plan_at_benchmark_shapes(monkeypatch, classes, bands, patch, w1, 
     """The pixel rows each strip of a full map computes stem maps for.  The
     rows are cut into spans of at most twice the halo every strip pays
     (``conv.class_rows(ps - 1, ps)``: 6, 36 and 12 rows at patch 5, 15 and
-    7) and of at most ``STRIP_BYTES`` of maps; a batch of 100 pixels that
+    7) and of at most ``conv.COL_BYTES`` of maps; a batch of 100 pixels that
     crosses a span's end opens the next strip."""
     (scene, labels), _ = synth_domain_pair(num_classes=classes, bands=bands, blob_grid=side[0],
                                            blob_size=side[1], seed=1)

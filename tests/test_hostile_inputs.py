@@ -1,12 +1,13 @@
 """Hostile bundle files, checkpoint files and config values through the command line.
 
-Every bundle and checkpoint file is emptied, cut by one byte or cut to half
-its length; a JSON file also gets a byte that is not UTF-8, and each of its
-fields is set to each JSON type in turn.  Each case runs in process through
-``cli.main``: ``eval`` always, and ``train`` too for a bundle file.  Each
-must end with exit 0, 2, 3 or 4 (3 for a cut raw file, which no reader can
-use) and at most one stderr line; an exception escaping ``main`` is what a
-user would see as a traceback and exit 1.
+Every bundle and checkpoint file is emptied, cut by one byte, cut to half
+its length or grown by one byte; a JSON file also gets a byte that is not
+UTF-8, and each of its fields is set to each JSON type in turn.  Each case
+runs in process through ``cli.main``: ``eval`` always, and ``train`` too for
+a bundle file.  Each must end with exit 0, 2, 3 or 4 (3 for a cut or grown
+raw file, which no reader can use) and at most one stderr line; an
+exception escaping ``main`` is what a user would see as a traceback and
+exit 1.
 
 Every hostile value that the config loader accepts for a leaf also trains
 one epoch through ``cli.main train``; it must end the same way, with no
@@ -82,7 +83,8 @@ def _run(argv, capsys):
 def test_hostile_file_exits_cleanly(tree, rel, tmp_path, capsys):
     path = tree / rel
     raw = path.read_bytes()
-    cases = {"emptied": b"", "cut by 1 byte": raw[:-1], "cut to half": raw[:len(raw) // 2]}
+    cases = {"emptied": b"", "cut by 1 byte": raw[:-1], "cut to half": raw[:len(raw) // 2],
+             "grown by 1 byte": raw + b"\0"}
     if path.suffix == ".json":
         cases["not UTF-8"] = b"\xff" + raw
         cases.update(_field_edits(path.name, raw))

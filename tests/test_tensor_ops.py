@@ -524,6 +524,38 @@ def test_depthwise_matches_direct_reference(rng):
     np.testing.assert_allclose(tx.grad, ref_gxp[:, 1:-1, 1:-1], **tol)
 
 
+@pytest.mark.parametrize("shape", [(100, 15, 15, 32), (7, 4, 5, 3)], ids=["houston", "odd"])
+def test_depthwise_forward_bits_do_not_depend_on_the_block(rng, monkeypatch, shape):
+    """The forward runs in image blocks of about ``_ERF_BLOCK`` padded
+    elements; one image, a few, the default and the whole batch per block
+    give the same output, equal as uint32, and a C-order array."""
+    x = Tensor(rng.normal(size=shape).astype(np.float32))
+    w = Tensor(rng.normal(size=(shape[3], 3, 3)).astype(np.float32))
+    outs = []
+    for block in (1, 3 * (shape[1] + 2) * (shape[2] + 2) * shape[3], tensor._ERF_BLOCK, 1 << 40):
+        monkeypatch.setattr(tensor, "_ERF_BLOCK", block)
+        outs.append(E.depthwise_conv2d(x, w).data)
+    assert all(out.flags.c_contiguous for out in outs)
+    for out in outs[1:]:
+        assert np.array_equal(out.view(np.uint32), outs[0].view(np.uint32))
+
+
+# Peak of the arrays one depthwise_conv2d forward at 100 x 15 x 15, c = 32
+# allocates (the houston stream's attention block): 3.75 MiB in image blocks
+# of about _ERF_BLOCK padded elements (the 2.75 MiB output and a block's
+# padded input, sum and product), 13.35 MiB with the whole batch's.  The
+# bound is the first plus ~9%.
+DEPTHWISE_FWD_PEAK_BOUND_MIB = 4.1
+
+
+def test_depthwise_conv2d_forward_peak_memory_guard(rng, traced_peak):
+    x = Tensor(rng.normal(size=(100, 15, 15, 32)).astype(np.float32), requires_grad=True)
+    w = Parameter(rng.normal(size=(32, 3, 3)).astype(np.float32))
+    out, peak = traced_peak(lambda: E.depthwise_conv2d(x, w))
+    assert out.shape == x.shape
+    assert peak < DEPTHWISE_FWD_PEAK_BOUND_MIB
+
+
 def test_avg_pool(rng):
     x = rng.normal(size=(3, 4, 4, 2))
     assert np.allclose(E.avg_pool2d(Tensor(x)).data, x.mean(axis=(1, 2)))

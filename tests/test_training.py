@@ -377,49 +377,65 @@ STEP_PEAK_BOUND_MIB = 6.8
 # still holds the saved Phi(x) arrays during the rerun's walk, 47.87 MiB
 # when the tape keeps the block's six maps.  The bound is the first plus ~5%.
 STREAM_PEAK_BOUND_MIB = 38.6
+# One stream's step of 100 patches at the hyrank shape (patch 7, 176 bands,
+# channels 32/64/32, 12 classes): 8.71 MiB with conv.COL_BYTES at 4 MiB,
+# where its 5.6 MB column matrices go in pieces and the depthwise VJP, bn2's
+# VJP and conv3's VJP bind within 0.25 MiB of each other; 13.09 MiB with the
+# budget at 12 MiB, which kept them whole.  The bound is the first plus ~5%.
+HYRANK_STREAM_PEAK_BOUND_MIB = 9.1
+HOUSTON, HYRANK = (15, 48, 7), (7, 176, 12)  # patch size, bands, classes
 
 
-def _houston_step_peak(rng, traced_peak, n):
-    cfg = TrainConfig(batch=n, patch_size=15, unit_channels=(32, 64, 32))
-    model = build_model(cfg, 7, 48)
-    batch = PatchBatch(patches=Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)),
-                       labels=np.arange(n) % 7 + 1, refs=np.zeros((n, 2), dtype=np.int64))
+def _step_peak(rng, traced_peak, n, shape):
+    ps, bands, classes = shape
+    cfg = TrainConfig(batch=n, patch_size=ps, unit_channels=(32, 64, 32))
+    model = build_model(cfg, classes, bands)
+    batch = PatchBatch(patches=Tensor(rng.normal(size=(n, ps, ps, bands)).astype(np.float32)),
+                       labels=np.arange(n) % classes + 1, refs=np.zeros((n, 2), dtype=np.int64))
     train_step(model, batch, None, cfg, progress=0.0)  # grads and momenta now exist
     gc.collect()
     return traced_peak(lambda: train_step(model, batch, None, cfg, progress=0.0))[1]
 
 
 def test_train_step_peak_memory_guard(rng, traced_peak):
-    assert _houston_step_peak(rng, traced_peak, 10) < STEP_PEAK_BOUND_MIB
+    assert _step_peak(rng, traced_peak, 10, HOUSTON) < STEP_PEAK_BOUND_MIB
 
 
 def test_houston_stream_step_peak_memory_guard(rng, traced_peak):
-    assert _houston_step_peak(rng, traced_peak, 100) < STREAM_PEAK_BOUND_MIB
+    assert _step_peak(rng, traced_peak, 100, HOUSTON) < STREAM_PEAK_BOUND_MIB
+
+
+def test_hyrank_stream_step_peak_memory_guard(rng, traced_peak):
+    assert _step_peak(rng, traced_peak, 100, HYRANK) < HYRANK_STREAM_PEAK_BOUND_MIB
 
 
 def test_train_step_bits_do_not_depend_on_the_column_budget(monkeypatch):
-    """Two-stream steps at the houston shape (100 + 100 patches), where
-    conv2d's backward builds its column matrices in pieces, leave the
+    """Two-stream steps at the houston and hyrank shapes (100 + 100
+    patches), where conv2d builds its column matrices in pieces, leave the
     parameters, momenta and BN buffers of steps that build each one whole."""
-    rng = np.random.default_rng(0)
-    n, cfg = 100, TrainConfig(batch=100, patch_size=15, unit_channels=(32, 64, 32))
-    refs = np.zeros((n, 2), dtype=np.int64)
-    source = PatchBatch(Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)),
-                        np.arange(n) % 7 + 1, refs)
-    target = PatchBatch(Tensor(rng.normal(size=(n, 15, 15, 48)).astype(np.float32)), None, refs)
-    assert conv._col_bytes(source.patches.data, 32) > conv.COL_BYTES  # the default splits
+    default = conv.COL_BYTES
+    for ps, bands, classes in (HOUSTON, HYRANK):
+        rng = np.random.default_rng(0)
+        n, cfg = 100, TrainConfig(batch=100, patch_size=ps, unit_channels=(32, 64, 32))
+        refs = np.zeros((n, 2), dtype=np.int64)
+        source = PatchBatch(Tensor(rng.normal(size=(n, ps, ps, bands)).astype(np.float32)),
+                            np.arange(n) % classes + 1, refs)
+        target = PatchBatch(Tensor(rng.normal(size=(n, ps, ps, bands)).astype(np.float32)),
+                            None, refs)
+        assert conv._col_bytes(source.patches.data, 32) > default  # the default splits
 
-    def state_after_two_steps(budget):
-        monkeypatch.setattr(conv, "COL_BYTES", budget)
-        model = build_model(cfg, 7, 48)
-        for k in range(2):
-            train_step(model, source, target, cfg, progress=k / 2)
-        return _training_state(model)
+        def state_after_two_steps(budget):
+            monkeypatch.setattr(conv, "COL_BYTES", budget)
+            model = build_model(cfg, classes, bands)
+            for k in range(2):
+                train_step(model, source, target, cfg, progress=k / 2)
+            return _training_state(model)
 
-    whole = state_after_two_steps(1 << 40)
-    for budget in (conv.COL_BYTES, 1):
-        pieces = state_after_two_steps(budget)
-        assert [k for k in whole if whole[k].tobytes() != pieces[k].tobytes()] == [], budget
+        whole = state_after_two_steps(1 << 40)
+        for budget in (default, 1):
+            pieces = state_after_two_steps(budget)
+            assert [k for k in whole if whole[k].tobytes() != pieces[k].tobytes()] == [], \
+                (ps, budget)
 
 
 @pytest.mark.parametrize("variant,ps,bands,widths,n", [
@@ -556,6 +572,33 @@ def test_run_grid_returns_mean_and_std(tiny_pair, tiny_config, tmp_path):
     assert std == pytest.approx(expected, abs=1e-12)  # two-point sample std
     assert (tmp_path / "seed_0" / "checkpoint.bin").exists()
     assert (tmp_path / "seed_1" / "checkpoint.bin").exists()
+
+
+def test_run_grid_sharing_one_source_per_domain_matches_separate_sources(tiny_pair, tiny_config,
+                                                                        monkeypatch):
+    """A two-arm grid given each domain's PatchSource, which every run and
+    its scoring share without building another, reports the metrics of arms
+    fit and scored from the Scenes, each with sources of its own.  A source
+    built for another patch size or normalization is refused."""
+    from crossscene.evaluate import evaluate_scene
+    from crossscene.training import run_grid, with_changes
+
+    cfg = with_changes(tiny_config, {"normalization": "minmax"})
+    arms = [("attn", {}), ("baseline", {"ablation": {"use_attention": False}})]
+    tgt_scene, tgt_labels = tiny_pair[1]
+    separate = []
+    for _, changes in arms:
+        arm = with_changes(cfg, changes)
+        model = fit(arm, tiny_pair[0], tiny_pair[1], 0).model
+        report = evaluate_scene(model, tgt_scene, tgt_labels, arm)[0]
+        separate.append((report.oa, report.aa, report.kappa))
+    sources = [(PatchSource(scene, cfg.patch_size, cfg.normalization), labels)
+               for scene, labels in tiny_pair]
+    with pytest.raises(ValueError, match="cannot serve"):
+        fit(tiny_config, *sources)  # normalization "none"
+    monkeypatch.setattr(PatchSource, "__init__", lambda *args: pytest.fail("a second source"))
+    shared = [(r.oa, r.aa, r.kappa) for _, [r], _ in run_grid(cfg, [0], arms, *sources)]
+    assert shared == separate
 
 
 def test_with_changes_edits_nested_fields(tiny_config):
