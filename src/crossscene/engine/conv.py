@@ -5,18 +5,18 @@ calls ``forward``, and its VJP calls ``backward``; scene inference calls
 ``conv2d_windows``.  Maps are (n, h, w, c); kernels keep their
 (c_out, c_in, 3, 3) parameter layout.
 
-The forward (c_in -> c_out) and the input gradient (c_out -> c_in, against
-the flipped, channel-transposed kernel) are each an a -> b conv that expands
-only its narrower channel side, chosen from the channel counts alone (never
-h*w, the batch size or a timing):
+The input gradient is the forward's conv run on g (c_out -> c_in) with the
+kernel rotated 180 degrees, channels transposed (Dumoulin & Visin 2016).
+Each a -> b conv expands only its narrower channel side, chosen from the
+channel counts alone (never h*w, the batch size or a timing):
 
 - a <= b: one unrolled GEMM with K = 9*a (im2col, Chellapilla, Puri &
   Simard 2006), ``_conv_im2col``;
 - a > b: one GEMM per kernel tap, each shifted into the output (the kn2row
   family, Vasudevan, Anderson & Gregg 2017), ``_conv_per_tap``.
 
-The weight gradient unrolls the narrower of x and g.  No expanded matrix is
-wider than 9*min(c_in, c_out).
+The weight gradient unrolls the narrower of x and g (when that is g, gx
+builds g's columns again).  No expanded matrix is wider than 9*min(c_in, c_out).
 
 A column matrix (n*h*w rows) is built whole only while it fits in
 ``COL_BYTES``.  Past that, no piece is wider than one tap's columns: an
@@ -45,9 +45,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 # (5.6 MB), pavia's (9.3 MB) and houston's (25.9 MB, 9*32 columns each) go in
 # pieces.  At 12 MiB, which kept hyrank's and pavia's whole, one hyrank-shape
 # stream's step peaked at 13.1 MiB of arrays, and at 4 MiB at 8.7 MiB.
-# Pieces cost time where g's columns feed both gw and gx, but a two-stream
-# hyrank step read 0-2.5% slower (60 interleaved steps, two runs), inside the
-# spread of a run's step times, for about 12% of hyrank-map's peak RSS.
+# Pieces cost time, but a two-stream hyrank step read 0-2.5% slower (60
+# interleaved steps, two runs), inside the spread of a run's step times, for
+# about 12% of hyrank-map's peak RSS.
 COL_BYTES = 4 << 20
 
 # OpenBLAS 0.3.31 runs a product with M*N*K <= 1e6 through its small-matrix
@@ -75,16 +75,10 @@ def forward(xd, wd):
 def backward(xd, wd, g, needs_gx):
     """(gx, gw) of ``forward(xd, wd)`` for the output gradient ``g``; gx is
     None unless ``needs_gx``."""
-    c, c_out = xd.shape[3], wd.shape[0]
-    gcols = None
-    if c > c_out:  # g is the narrower side: while its columns fit, one copy serves gw and gx
-        gcols = _im2col(g) if _col_bytes(g, c_out) <= COL_BYTES else _tap_cols(g, c)
-    gw = _conv_weight_grad(xd, g, gcols)
+    gw = _conv_weight_grad(xd, g)
     if not needs_gx:
         return None, gw
     flipped = np.ascontiguousarray(_tap_kernels(wd)[::-1].transpose(0, 2, 1))  # c_out -> c_in
-    if isinstance(gcols, np.ndarray):
-        return _cols_matmul(gcols, flipped.reshape(9 * c_out, c)).reshape(xd.shape), gw
     return _conv3x3(g, flipped), gw
 
 
@@ -190,25 +184,25 @@ def _conv_per_tap(xd, taps):
     return out
 
 
-def _conv_weight_grad(xd, g, gcols=None):
-    """The (c_out, c_in, 3, 3) kernel gradient.
+def _conv_weight_grad(xd, g):
+    """The (c_out, c_in, 3, 3) kernel gradient, unrolling the narrower side.
 
-    Given g's columns ``gcols``, whole or as ``_tap_cols(g, c_in)``'s
-    blocks: ``x.T @ gcols``, where tap t is g's tap 8 - t, a block of the
-    product's columns per piece.  Else ``im2col(x).T @ g``: whole while x's
-    columns fit in ``COL_BYTES``, else one block of the product's rows per
-    piece of ``_tap_cols(x, c_out)``.  K = n*h*w is never split, so both
-    ways give the same bits.
+    c_in <= c_out: ``im2col(x).T @ g``, whole while x's columns fit in
+    ``COL_BYTES``, else one block of the product's rows per piece of
+    ``_tap_cols(x, c_out)``.  c_in > c_out: ``x.T @ im2col(g)``, where tap t
+    is g's tap 8 - t, whole while g's columns fit, else one block of the
+    product's columns per piece of ``_tap_cols(g, c_in)``.  K = n*h*w is
+    never split, so the pieces give the bits of the whole product.
     """
     c, c_out = xd.shape[3], g.shape[3]
     # map, unlike a loop variable, drops each column block before building the next
-    if gcols is None:
+    if c <= c_out:
         g = g.reshape(-1, c_out)
         cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _tap_cols(xd, c_out)
         gtaps = np.concatenate(list(map(lambda part: part.T @ g, cols))).reshape(9, c, c_out)
     else:
         xt = xd.reshape(-1, c).T
-        cols = [gcols] if isinstance(gcols, np.ndarray) else gcols
+        cols = [_im2col(g)] if _col_bytes(g, c_out) <= COL_BYTES else _tap_cols(g, c)
         gtaps = np.concatenate(list(map(lambda part: xt @ part, cols)), axis=1)
         gtaps = gtaps.reshape(c, 9, c_out)[:, ::-1].transpose(1, 0, 2)
     return gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()

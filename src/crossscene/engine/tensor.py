@@ -796,9 +796,12 @@ def depthwise_conv2d(x, w):
     The forward runs in blocks of images of about ``_ERF_BLOCK`` padded
     elements, so its temporaries are a block's size; each output element is
     the same sum in the same order in any block.
-    The kernel gradient is a per-channel dot product per tap over all rows,
-    so the backward runs whole; the input gradient is nine shifted in-place
-    adds.  The tape keeps x, not its padded copy: the backward pads it again.
+    The input gradient is that forward on g rotated 180 degrees, rotated
+    back: tap k's terms g(i+1-ki, j+1-kj) * w_k, added in tap order.  Where
+    all nine are -0 that gives -0 and a scatter onto zeros +0, so 0.0 is
+    added (which also makes the C-order copy).  The kernel gradient is a
+    per-channel dot product per tap over all rows, so it runs whole.  The
+    tape keeps x, not its padded copy: the backward pads it again.
     """
     if x.data.ndim != 4 or w.data.ndim != 3 or w.data.shape[1:] != (3, 3):
         raise ValueError("depthwise_conv2d expects NHWC input and a (c, 3, 3) kernel")
@@ -807,45 +810,41 @@ def depthwise_conv2d(x, w):
     xd = x.data
     n, h, wd_, c = xd.shape
     wp = wd_ + 2
-    rows = n * (h + 2) * wp
-    length = rows - 2 * wp  # covers every output row; offs[-1] + length == rows + 2
     taps = np.tile(w.data.transpose(1, 2, 0).reshape(9, c), wp)  # taps[k]: (wp*c,)
+    step = max(1, _ERF_BLOCK // ((h + 2) * wp * c))  # images per block
 
-    def shifted(a, o, length=length):
+    def shifted(a, o, length):
         return a[o : o + length].reshape(-1, wp * c)
 
-    out = np.empty(xd.shape, dtype=xd.dtype)
-    step = max(1, _ERF_BLOCK // ((h + 2) * wp * c))  # images per forward block
-    for i in range(0, n, step):
-        block = xd[i : i + step]
-        m = block.shape[0]
-        xrows, offs = conv.padded_rows(block, extra=2)
-        yrows = np.empty((m * (h + 2) * wp, c), dtype=xd.dtype)
-        span = len(yrows) - 2 * wp  # the block's length
-        y = shifted(yrows, 0, span)
-        np.multiply(shifted(xrows, 0, span), taps[0], out=y)
-        part = np.empty_like(y)
-        for k in range(1, 9):
-            np.multiply(shifted(xrows, offs[k], span), taps[k], out=part)
-            y += part
-        out[i : i + m] = yrows.reshape(m, h + 2, wp, c)[:, :h, :wd_]
+    def forward(a):
+        out = np.empty(a.shape, dtype=a.dtype)
+        for i in range(0, n, step):
+            block = a[i : i + step]
+            m = block.shape[0]
+            xrows, offs = conv.padded_rows(block, extra=2)
+            yrows = np.empty((m * (h + 2) * wp, c), dtype=a.dtype)
+            span = len(yrows) - 2 * wp  # covers every output row; offs[-1] + span == len(yrows) + 2
+            y = shifted(yrows, 0, span)
+            np.multiply(shifted(xrows, 0, span), taps[0], out=y)
+            part = np.empty_like(y)
+            for k in range(1, 9):
+                np.multiply(shifted(xrows, offs[k], span), taps[k], out=part)
+                y += part
+            out[i : i + m] = yrows.reshape(m, h + 2, wp, c)[:, :h, :wd_]
+        return out
 
     def vjp(g):
         xrows, offs = conv.padded_rows(xd, extra=2)  # rebuilt, so the tape keeps only x
+        rows = n * (h + 2) * wp
+        length = rows - 2 * wp
         grows = np.zeros((rows, c), dtype=g.dtype)
         grows.reshape(n, h + 2, wp, c)[:, :h, :wd_] = g
         grows = grows[:length]
         gw = np.stack([np.einsum("ij,ij->j", grows, xrows[o : o + length]) for o in offs])
-        gw = gw.T.reshape(c, 3, 3).copy()
-        gxrows = np.zeros_like(xrows, dtype=g.dtype)
-        gy = grows.reshape(-1, wp * c)
-        gpart = np.empty_like(gy)
-        for k, o in enumerate(offs):
-            np.multiply(gy, taps[k], out=gpart)
-            shifted(gxrows, o)[...] += gpart
-        return gxrows[:rows].reshape(n, h + 2, wp, c)[:, 1:-1, 1:-1].copy(), gw
+        del xrows, grows
+        return np.add(forward(g[:, ::-1, ::-1])[:, ::-1, ::-1], 0.0), gw.T.reshape(c, 3, 3).copy()
 
-    return _make(out, (x, w), vjp)
+    return _make(forward(xd), (x, w), vjp)
 
 
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5

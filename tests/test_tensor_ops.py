@@ -276,7 +276,10 @@ def test_conv2d_paths_agree_at_the_rule(rng, hw, c_in, c_out):
     flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))
     # each pair: (im2col side, per-tap side) of the rule
     fwd = [conv._conv_im2col(x, taps), conv._conv_per_tap(x, taps)]
-    gw = [conv._conv_weight_grad(x, g), conv._conv_weight_grad(x, g, conv._im2col(g))]
+    # gw as im2col(x).T @ g, and as x.T @ im2col(g) with tap t taken from g's tap 8 - t
+    gw_x = (conv._im2col(x).T @ g.reshape(-1, c_out)).reshape(3, 3, c_in, c_out)
+    gw_g = (x.reshape(-1, c_in).T @ conv._im2col(g)).reshape(c_in, 9, c_out)[:, ::-1]
+    gw = [gw_x.transpose(3, 2, 0, 1), gw_g.reshape(c_in, 3, 3, c_out).transpose(3, 0, 1, 2)]
     gx = [conv._conv_im2col(g, flipped), conv._conv_per_tap(g, flipped)]
     for a, b in (fwd, gw, gx):
         assert a.dtype == b.dtype == f32
@@ -524,20 +527,74 @@ def test_depthwise_matches_direct_reference(rng):
     np.testing.assert_allclose(tx.grad, ref_gxp[:, 1:-1, 1:-1], **tol)
 
 
+def _depthwise_vjp_scatter(x, w, g):
+    """(gx, gw) of ``depthwise_conv2d(x, w)`` by the scatter: the gradient
+    zero-padded to rows, then nine shifted in-place adds onto zeros."""
+    n, h, wd_, c = x.shape
+    wp = wd_ + 2
+    rows = n * (h + 2) * wp
+    length = rows - 2 * wp
+    taps = np.tile(w.transpose(1, 2, 0).reshape(9, c), wp)
+    xrows, offs = conv.padded_rows(x, extra=2)
+    grows = np.zeros((rows, c), dtype=g.dtype)
+    grows.reshape(n, h + 2, wp, c)[:, :h, :wd_] = g
+    grows = grows[:length]
+    gw = np.stack([np.einsum("ij,ij->j", grows, xrows[o : o + length]) for o in offs])
+    gxrows = np.zeros_like(xrows)
+    gy = grows.reshape(-1, wp * c)
+    for k, o in enumerate(offs):
+        gxrows[o : o + length].reshape(-1, wp * c)[...] += gy * taps[k]
+    return gxrows[:rows].reshape(n, h + 2, wp, c)[:, 1:-1, 1:-1], gw.T.reshape(c, 3, 3)
+
+
+def _depthwise_case(rng, shape, kind):
+    """x, w and an output gradient g of one of three kinds: normal draws,
+    half of them +-0, or all -0.  Channel 0's kernel is all positive, so
+    all -0 gives nine -0 terms at its pixels off the border."""
+    x = rng.normal(size=shape).astype(np.float32)
+    w = rng.normal(size=(shape[3], 3, 3)).astype(np.float32)
+    w[0] = np.abs(w[0])
+    g = rng.normal(size=shape).astype(np.float32)
+    if kind == "signed-zeros":
+        zeros = np.where(rng.random(shape) < 0.5, np.float32(0.0), np.float32(-0.0))
+        g = np.where(rng.random(shape) < 0.5, zeros, g)
+    elif kind == "negative-zeros":
+        g = np.full(shape, -0.0, dtype=np.float32)
+    return x, w, g
+
+
+@pytest.mark.parametrize("kind", ["normal", "signed-zeros", "negative-zeros"])
+@pytest.mark.parametrize("shape", [(100, 15, 15, 32), (7, 4, 5, 3)], ids=["houston", "odd"])
+def test_depthwise_vjp_bits_equal_the_scatter(rng, shape, kind):
+    """gx, the blocked forward on the rotated gradient, and gw equal as
+    uint32 those of the scatter onto zeros, signed zeros included."""
+    x, w, g = _depthwise_case(rng, shape, kind)
+    gx, gw = E.depthwise_conv2d(Tensor(x, requires_grad=True), Parameter(w))._vjp(g)
+    ref_gx, ref_gw = _depthwise_vjp_scatter(x, w, g)
+    assert gx.dtype == gw.dtype == np.float32 and gx.flags.c_contiguous
+    assert np.array_equal(gx.view(np.uint32), ref_gx.view(np.uint32))
+    assert np.array_equal(gw.view(np.uint32), ref_gw.view(np.uint32))
+
+
 @pytest.mark.parametrize("shape", [(100, 15, 15, 32), (7, 4, 5, 3)], ids=["houston", "odd"])
 def test_depthwise_forward_bits_do_not_depend_on_the_block(rng, monkeypatch, shape):
-    """The forward runs in image blocks of about ``_ERF_BLOCK`` padded
-    elements; one image, a few, the default and the whole batch per block
-    give the same output, equal as uint32, and a C-order array."""
-    x = Tensor(rng.normal(size=shape).astype(np.float32))
+    """The forward and the input gradient run in image blocks of about
+    ``_ERF_BLOCK`` padded elements; one image, a few, the default and the
+    whole batch per block give the same output and gx, equal as uint32, and
+    C-order arrays."""
+    x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(shape[3], 3, 3)).astype(np.float32))
-    outs = []
+    g = rng.normal(size=shape).astype(np.float32)
+    outs, gxs = [], []
     for block in (1, 3 * (shape[1] + 2) * (shape[2] + 2) * shape[3], tensor._ERF_BLOCK, 1 << 40):
         monkeypatch.setattr(tensor, "_ERF_BLOCK", block)
-        outs.append(E.depthwise_conv2d(x, w).data)
-    assert all(out.flags.c_contiguous for out in outs)
-    for out in outs[1:]:
-        assert np.array_equal(out.view(np.uint32), outs[0].view(np.uint32))
+        out = E.depthwise_conv2d(x, w)
+        outs.append(out.data)
+        gxs.append(out._vjp(g)[0])
+    for arrays in (outs, gxs):
+        assert all(a.flags.c_contiguous for a in arrays)
+        for a in arrays[1:]:
+            assert np.array_equal(a.view(np.uint32), arrays[0].view(np.uint32))
 
 
 # Peak of the arrays one depthwise_conv2d forward at 100 x 15 x 15, c = 32
@@ -554,6 +611,24 @@ def test_depthwise_conv2d_forward_peak_memory_guard(rng, traced_peak):
     out, peak = traced_peak(lambda: E.depthwise_conv2d(x, w))
     assert out.shape == x.shape
     assert peak < DEPTHWISE_FWD_PEAK_BOUND_MIB
+
+
+# Peak of the arrays one depthwise_conv2d VJP at the same shape allocates:
+# 7.06 MiB with gx from the blocked forward on the rotated gradient (the
+# whole padded x and g rows for gw's einsum, freed before gx, then a block's
+# temporaries, the forward's output and gx), 16.86 MiB with gx scattered into
+# a padded buffer.  The bound is the first plus ~9%.
+DEPTHWISE_VJP_PEAK_BOUND_MIB = 7.7
+
+
+def test_depthwise_conv2d_vjp_peak_memory_guard(rng, traced_peak):
+    x = Tensor(rng.normal(size=(100, 15, 15, 32)).astype(np.float32), requires_grad=True)
+    w = Parameter(rng.normal(size=(32, 3, 3)).astype(np.float32))
+    out = E.depthwise_conv2d(x, w)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    (gx, _), peak = traced_peak(lambda: out._vjp(g))
+    assert gx.shape == x.shape
+    assert peak < DEPTHWISE_VJP_PEAK_BOUND_MIB
 
 
 def test_avg_pool(rng):
