@@ -5,8 +5,8 @@ calls ``forward``, and its VJP calls ``backward``; scene inference calls
 ``conv2d_windows``.  Maps are (n, h, w, c); kernels keep their
 (c_out, c_in, 3, 3) parameter layout.
 
-The input gradient is the forward's conv run on g (c_out -> c_in) with the
-kernel rotated 180 degrees, channels transposed (Dumoulin & Visin 2016).
+The input gradient is the transposed conv run on g: c_out -> c_in with the
+kernel rotated 180 degrees, channels swapped (Dumoulin & Visin 2016).
 Each a -> b conv expands only its narrower channel side, chosen from the
 channel counts alone (never h*w, the batch size or a timing):
 
@@ -15,8 +15,9 @@ channel counts alone (never h*w, the batch size or a timing):
 - a > b: one GEMM per kernel tap, each shifted into the output (the kn2row
   family, Vasudevan, Anderson & Gregg 2017), ``_conv_per_tap``.
 
-The weight gradient unrolls the narrower of x and g (when that is g, gx
-builds g's columns again).  No expanded matrix is wider than 9*min(c_in, c_out).
+The weight gradient is one product, ``g.T @ im2col(x)``; where x is the wider
+side it is the transposed conv's, which unrolls g.  So no expanded matrix is
+wider than 9*min(c_in, c_out).
 
 A column matrix (n*h*w rows) is built whole only while it fits in
 ``COL_BYTES``.  Past that, no piece is wider than one tap's columns: an
@@ -73,13 +74,12 @@ def forward(xd, wd):
 
 
 def backward(xd, wd, g, needs_gx):
-    """(gx, gw) of ``forward(xd, wd)`` for the output gradient ``g``; gx is
-    None unless ``needs_gx``."""
+    """(gx, gw) of ``forward(xd, wd)`` for the output gradient ``g``; gx, the
+    transposed conv of g, is None unless ``needs_gx``."""
     gw = _conv_weight_grad(xd, g)
     if not needs_gx:
         return None, gw
-    flipped = np.ascontiguousarray(_tap_kernels(wd)[::-1].transpose(0, 2, 1))  # c_out -> c_in
-    return _conv3x3(g, flipped), gw
+    return _conv3x3(g, _tap_kernels(_transposed(wd))), gw
 
 
 def padded_rows(xd, extra=0):
@@ -91,6 +91,11 @@ def padded_rows(xd, extra=0):
     rows = np.zeros((count + extra, c), dtype=xd.dtype)
     rows[:count].reshape(n, h + 2, w + 2, c)[:, 1:-1, 1:-1] = xd
     return rows, [ki * (w + 2) + kj for ki in range(3) for kj in range(3)]
+
+
+def _transposed(wd):
+    """The transposed conv's kernel, a (c_in, c_out, 3, 3) view of ``wd``."""
+    return wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 def _tap_kernels(wd):
@@ -152,16 +157,20 @@ def _cols_matmul(cols, kernel, out=None):
 def _conv_im2col(xd, taps):
     """One GEMM of ``_im2col(xd)`` against the taps stacked to K = 9*a.
 
-    The columns are built whole while they fit in ``COL_BYTES``, else a
-    ninth of the images at a time, so no block is wider than one tap's
-    columns (the weight gradient's pieces, see ``_tap_cols``); each block's
-    rows are multiplied into its rows of the output.
+    The columns are built whole while they fit in ``COL_BYTES``, and the
+    output is allocated after them, once their padded input is gone.  Past
+    that, a ninth of the images at a time, so no block is wider than one
+    tap's columns (the weight gradient's pieces, see ``_tap_cols``); each
+    block goes into its rows of an output allocated first, since allocating
+    it after the first block raised houston-train's peak RSS by about 5%.
     """
     n, h, w, a = xd.shape
     kernel = taps.reshape(9 * a, -1)
     b = kernel.shape[1]
-    step = max(n, 1) if _col_bytes(xd, a) <= COL_BYTES else -(-n // 9)  # max: an empty batch
+    if _col_bytes(xd, a) <= COL_BYTES:
+        return _cols_matmul(_im2col(xd), kernel).reshape(n, h, w, b)
     out = np.empty((n, h, w, b), dtype=xd.dtype)
+    step = -(-n // 9)
     for i in range(0, n, step):
         _cols_matmul(_im2col(xd[i : i + step]), kernel, out=out[i : i + step].reshape(-1, b))
     return out
@@ -185,27 +194,19 @@ def _conv_per_tap(xd, taps):
 
 
 def _conv_weight_grad(xd, g):
-    """The (c_out, c_in, 3, 3) kernel gradient, unrolling the narrower side.
-
-    c_in <= c_out: ``im2col(x).T @ g``, whole while x's columns fit in
-    ``COL_BYTES``, else one block of the product's rows per piece of
-    ``_tap_cols(x, c_out)``.  c_in > c_out: ``x.T @ im2col(g)``, where tap t
-    is g's tap 8 - t, whole while g's columns fit, else one block of the
-    product's columns per piece of ``_tap_cols(g, c_in)``.  K = n*h*w is
-    never split, so the pieces give the bits of the whole product.
-    """
+    """The (c_out, c_in, 3, 3) kernel gradient ``g.T @ im2col(x)``, whole
+    while x's columns fit in ``COL_BYTES``, else one block of its columns per
+    piece of ``_tap_cols(x, c_out)``; K = n*h*w is never split, so the pieces
+    give the bits of the whole product.  Where c_in > c_out, the transposed
+    conv's (input g, output gradient x), which unrolls the narrower g."""
     c, c_out = xd.shape[3], g.shape[3]
+    if c > c_out:
+        return np.ascontiguousarray(_transposed(_conv_weight_grad(g, xd)))
+    gt = g.reshape(-1, c_out).T
+    cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _tap_cols(xd, c_out)
     # map, unlike a loop variable, drops each column block before building the next
-    if c <= c_out:
-        g = g.reshape(-1, c_out)
-        cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _tap_cols(xd, c_out)
-        gtaps = np.concatenate(list(map(lambda part: part.T @ g, cols))).reshape(9, c, c_out)
-    else:
-        xt = xd.reshape(-1, c).T
-        cols = [_im2col(g)] if _col_bytes(g, c_out) <= COL_BYTES else _tap_cols(g, c)
-        gtaps = np.concatenate(list(map(lambda part: xt @ part, cols)), axis=1)
-        gtaps = gtaps.reshape(c, 9, c_out)[:, ::-1].transpose(1, 0, 2)
-    return gtaps.reshape(3, 3, c, c_out).transpose(3, 2, 0, 1).copy()
+    gw = np.concatenate(list(map(lambda part: gt @ part, cols)), axis=1)
+    return gw.reshape(c_out, 3, 3, c).transpose(0, 3, 1, 2).copy()
 
 
 # -- every window of one map at once (scene inference) ----------------------
@@ -240,8 +241,10 @@ def conv2d_windows(xd, wd, bd, ps):
     map rows where it occurs in some window.  Each class repeats the batched
     conv's arithmetic on the same side of the channel rule.  On the per-tap
     side (c_in > c_out) a class adds its taps in order 0..8 onto zeros, the
-    subset of what ``_conv_per_tap`` adds; on the im2col side each class row
-    is the cut-out window's im2col row (``_class_maps_im2col``).  So a window
+    subset of what ``_conv_per_tap`` adds; on the im2col side a class
+    multiplies the map's columns by a kernel whose dropped taps are zero,
+    which adds only zero products where the cut-out window's im2col row
+    reads its padding (``_class_maps_im2col``).  So a window
     cut from the classes is bit for bit its batched conv wherever the GEMM
     gives a row the same bits at any row count.
 
@@ -286,21 +289,16 @@ def conv2d_windows(xd, wd, bd, ps):
 
 def _class_maps_im2col(xd, taps, axis, maps):
     """The class maps on the im2col side (c_in <= c_out): the map's im2col
-    columns, then per class its map rows with the column blocks of the taps
-    it drops zeroed, in one ``_cols_matmul`` against the stacked taps.  Each
-    row then holds the values, in the same K order, of the cut-out window's
-    im2col row at that position."""
+    columns, then per class its map rows in one ``_cols_matmul`` against the
+    stacked taps with the taps it drops zeroed.  A zeroed tap adds only
+    products of 0, in the same K order as the cut-out window's im2col row,
+    whose dropped taps read the window's zero padding."""
     h, w, c = xd.shape
-    kernel = taps.reshape(9 * c, -1)
-    cols = _im2col(xd[None]).reshape(h, w, 3, 3, c)
+    cols = _im2col(xd[None]).reshape(h, w, 9 * c)
     for r, (top, _, keep_i, count) in enumerate(axis):
         for s, (_, _, keep_j, _) in enumerate(axis):
-            rows = cols[top : top + count]
-            dropped = ([(ki, slice(None)) for ki in range(3) if ki not in keep_i]
-                       + [(slice(None), kj) for kj in range(3) if kj not in keep_j])
-            if dropped:
-                rows = rows.copy()
-                for ki, kj in dropped:
-                    rows[:, :, ki, kj] = 0
-            _cols_matmul(rows.reshape(-1, 9 * c), kernel,
-                         out=maps[len(axis) * r + s].reshape(-1, kernel.shape[1]))
+            kernel = taps.reshape(3, 3, c, -1).copy()
+            kernel[[ki for ki in range(3) if ki not in keep_i]] = 0
+            kernel[:, [kj for kj in range(3) if kj not in keep_j]] = 0
+            _cols_matmul(cols[top : top + count].reshape(-1, 9 * c), kernel.reshape(9 * c, -1),
+                         out=maps[len(axis) * r + s].reshape(-1, kernel.shape[3]))

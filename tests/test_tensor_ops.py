@@ -1,6 +1,7 @@
 """Forward semantics and tape behavior of the engine primitives."""
 
 import contextlib
+import itertools
 import sys
 import threading
 import weakref
@@ -236,8 +237,8 @@ def test_conv2d_matches_direct_convolution(rng, c_in, c_out, hw):
     assert np.allclose(out, ref, atol=1e-10)
 
 
-# 3 -> 6 takes the im2col side of the rule (gw = im2col(x).T g), 6 -> 3 the
-# per-tap side (gw = x.T im2col(g)), each on two map sizes
+# 3 -> 6 takes the im2col side of the rule (gw from x's columns), 6 -> 3 the
+# per-tap side (gw from g's columns), each on two map sizes
 @pytest.mark.parametrize("c_in,c_out,hw", [(3, 6, (4, 5)), (6, 3, (4, 5)), (3, 6, (9, 10)), (6, 3, (9, 10))],
                          ids=["3-6", "6-3", "3-6-9x10", "6-3-9x10"])
 def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out, hw):
@@ -262,34 +263,43 @@ def test_conv2d_vjp_skips_input_gradient(rng, c_in, c_out, hw):
 @pytest.mark.parametrize("hw,c_in,c_out", [
     ((5, 5), 32, 32), ((5, 5), 33, 32), ((5, 5), 32, 33),
     ((15, 15), 32, 32), ((15, 15), 33, 32), ((15, 15), 32, 33),
+    # the preset shapes
+    ((15, 15), 48, 32), ((15, 15), 32, 64), ((15, 15), 64, 32),
+    ((7, 7), 176, 32), ((7, 7), 32, 64), ((7, 7), 64, 32),
+    ((5, 5), 16, 16), ((5, 5), 16, 32), ((5, 5), 32, 16),
 ])
-def test_conv2d_paths_agree_at_the_rule(rng, hw, c_in, c_out):
+def test_conv2d_paths_agree_at_the_rule(rng, monkeypatch, hw, c_in, c_out):
     """Both formulations give forward, gw and gx within float32 rounding of
     each other on and next to the rule's boundary, and conv2d takes the one
-    it names: im2col for an a -> b conv with a <= b, per-tap GEMMs otherwise,
-    and for gw the columns of the narrower of x and g."""
+    it names: im2col for an a -> b conv with a <= b, per-tap GEMMs otherwise.
+    Its gw keeps, as uint32, the bits of the gw of the narrower side's
+    columns: ``im2col(x).T @ g`` where c_in <= c_out, else ``x.T @
+    im2col(g)`` with tap t taken from g's tap 8 - t.  Each case runs on 1, 3,
+    10 and 100 images, with the columns whole and in pieces."""
     f32 = np.float32
-    x = rng.normal(size=(3, *hw, c_in)).astype(f32)
     w = rng.normal(size=(c_out, c_in, 3, 3)).astype(f32)
-    g = rng.normal(size=(3, *hw, c_out)).astype(f32)
     taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, c_in, c_out)
     flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))
-    # each pair: (im2col side, per-tap side) of the rule
-    fwd = [conv._conv_im2col(x, taps), conv._conv_per_tap(x, taps)]
-    # gw as im2col(x).T @ g, and as x.T @ im2col(g) with tap t taken from g's tap 8 - t
-    gw_x = (conv._im2col(x).T @ g.reshape(-1, c_out)).reshape(3, 3, c_in, c_out)
-    gw_g = (x.reshape(-1, c_in).T @ conv._im2col(g)).reshape(c_in, 9, c_out)[:, ::-1]
-    gw = [gw_x.transpose(3, 2, 0, 1), gw_g.reshape(c_in, 3, 3, c_out).transpose(3, 0, 1, 2)]
-    gx = [conv._conv_im2col(g, flipped), conv._conv_per_tap(g, flipped)]
-    for a, b in (fwd, gw, gx):
-        assert a.dtype == b.dtype == f32
-        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
-    tx, tw = Tensor(x, requires_grad=True), Parameter(w)
-    out = E.conv2d(tx, tw)
-    out.backward(g)
-    assert np.array_equal(out.data, fwd[0 if c_in <= c_out else 1])
-    assert np.array_equal(tw.grad, gw[0 if c_in <= c_out else 1])
-    assert np.array_equal(tx.grad, gx[0 if c_out <= c_in else 1])
+    for n, budget in itertools.product((1, 3, 10, 100), (1 << 40, 1)):
+        monkeypatch.setattr(conv, "COL_BYTES", budget)
+        x = rng.normal(size=(n, *hw, c_in)).astype(f32)
+        g = rng.normal(size=(n, *hw, c_out)).astype(f32)
+        # each pair: (im2col side, per-tap side) of the rule
+        fwd = [conv._conv_im2col(x, taps), conv._conv_per_tap(x, taps)]
+        gw_x = (conv._im2col(x).T @ g.reshape(-1, c_out)).reshape(3, 3, c_in, c_out)
+        gw_g = (x.reshape(-1, c_in).T @ conv._im2col(g)).reshape(c_in, 9, c_out)[:, ::-1]
+        gw = [gw_x.transpose(3, 2, 0, 1), gw_g.reshape(c_in, 3, 3, c_out).transpose(3, 0, 1, 2)]
+        gx = [conv._conv_im2col(g, flipped), conv._conv_per_tap(g, flipped)]
+        for a, b in (fwd, gw, gx):
+            assert a.dtype == b.dtype == f32
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
+        tx, tw = Tensor(x, requires_grad=True), Parameter(w)
+        out = E.conv2d(tx, tw)
+        out.backward(g)
+        for got, want in ((out.data, fwd[0 if c_in <= c_out else 1]),
+                          (tw.grad, gw[0 if c_in <= c_out else 1]),
+                          (tx.grad, gx[0 if c_out <= c_in else 1])):
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (n, budget)
 
 
 @pytest.mark.parametrize("hw,c_in,c_out", [
@@ -460,23 +470,32 @@ def test_affine_output_independent_of_batch(rng, d):
 def test_conv2d_windows_match_batched_conv2d(rng, ps, hw):
     """Every window cut from the border-class maps of a reflect-padded scene
     is bit for bit conv2d + bias of the patch cut out there, corners
-    included, on the per-tap side (40 -> 32) and the im2col side; at ps 7
-    and 15 the pad is wider than the scene.  Bits are compared as uint32,
-    so -0.0 and 0.0 differ."""
+    included, on the per-tap side (40 -> 32) and the im2col side, where 48 ->
+    64 and 33 -> 64 take K in slices; at ps 7 and 15 the pad is wider than
+    the scene.  Each width also runs on a zero-heavy case: exact zeros, -0.0
+    bands and rows, one zeroed kernel row and a zero bias.  Bits are
+    compared as uint32, so -0.0 and 0.0 differ."""
     h, w = hw
     half = ps // 2
     pixels = np.argwhere(np.ones((h, w), dtype=bool))
-    for c_in, c_out in [(40, 32), (8, 16), (16, 16), (16, 32), (32, 64)]:
-        padded = np.pad(rng.normal(size=(h, w, c_in)).astype(np.float32),
-                        ((half, half), (half, half), (0, 0)), mode="reflect")
+    widths = [(40, 32), (8, 16), (16, 16), (16, 32), (32, 64), (48, 64), (33, 64)]
+    for (c_in, c_out), zeros in itertools.product(widths, (False, True)):
+        scene = rng.normal(size=(h, w, c_in)).astype(np.float32)
         kernel = Tensor(rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32))
         bias = Tensor(rng.normal(size=c_out).astype(np.float32))
+        if zeros:
+            scene[rng.random(scene.shape) < 0.5] = 0.0
+            scene[..., ::3] = -0.0
+            scene[h // 2] = -0.0
+            kernel.data[0] = 0.0
+            bias.data[:] = 0.0
+        padded = np.pad(scene, ((half, half), (half, half), (0, 0)), mode="reflect")
         out, index = E.conv2d_windows(padded, kernel.data, bias.data, ps)
         patches = np.stack([padded[r : r + ps, c : c + ps] for r, c in pixels])
         rows = (pixels[:, 0] * padded.shape[1] + pixels[:, 1])[:, None, None] + index
         windows = np.take(out, rows, axis=0)
         batched = E.conv2d(Tensor(patches), kernel, bias).data
-        assert np.array_equal(windows.view(np.uint32), batched.view(np.uint32)), (c_in, c_out)
+        assert np.array_equal(windows.view(np.uint32), batched.view(np.uint32)), (c_in, c_out, zeros)
 
 
 def test_conv2d_windows_rejects_a_map_smaller_than_a_window():
