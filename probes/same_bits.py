@@ -1,7 +1,6 @@
 """Do two source trees write the same bytes?  The benchmark's jobs, hashed.
 
-    python3 probes/same_bits.py TREE [TREE ...] [--seed N] [--workload NAME ...]
-                                [--work DIR] [--toy]
+    python3 probes/same_bits.py TREE [TREE ...] [--seed N] [--work DIR] [--toy]
 
 For each source tree and each benchmark workload, a fresh process imports
 the tree's ``src/`` and its ``perfbench/run.py``.  It writes the workload's
@@ -14,9 +13,9 @@ the work directory's path in a file is replaced by a fixed name, since
 
 One row per file, with the first 16 hex digits of each tree's digest.  The
 exit code is 1 if some file differs between the trees or is missing from
-one, else 0.  The workloads default to those in the first tree's
-BENCHMARK.json; ``--toy`` runs the benchmark's smoke-test sizes.  Work goes
-to a temporary directory unless ``--work`` names one.
+one, else 0.  The workloads are those in the first tree's BENCHMARK.json;
+``--toy`` runs the benchmark's smoke-test sizes.  Work goes to a temporary
+directory unless ``--work`` names one.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("trees", nargs="+", type=Path, help="source checkouts to compare")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workload", action="append", help="default: every benchmark workload")
     p.add_argument("--work", type=Path, help="keep the inputs and outputs here")
     p.add_argument("--toy", action="store_true", help="the benchmark's smoke-test sizes")
     p.add_argument("--job", help=argparse.SUPPRESS)  # the child: run this workload, one tree
@@ -95,8 +93,7 @@ def main(argv=None):
     if args.job:
         run_job(trees[0], args.job, args.seed, args.work, args.toy)
         return 0
-    names = args.workload or [w["name"] for w in
-                              json.loads((trees[0] / "BENCHMARK.json").read_text())["workloads"]]
+    names = [w["name"] for w in json.loads((trees[0] / "BENCHMARK.json").read_text())["workloads"]]
     with contextlib.ExitStack() as stack:
         work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
         tables = []

@@ -197,8 +197,9 @@ def _conv_weight_grad(xd, g):
     """The (c_out, c_in, 3, 3) kernel gradient ``g.T @ im2col(x)``, whole
     while x's columns fit in ``COL_BYTES``, else one block of its columns per
     piece of ``_tap_cols(x, c_out)``; K = n*h*w is never split, so the pieces
-    give the bits of the whole product.  Where c_in > c_out, the transposed
-    conv's (input g, output gradient x), which unrolls the narrower g."""
+    give the bits of the whole product (and, on OpenBLAS 0.3.31 SkylakeX,
+    those of ``im2col(x).T @ g``).  Where c_in > c_out, the transposed conv's
+    (input g, output gradient x), which unrolls the narrower g."""
     c, c_out = xd.shape[3], g.shape[3]
     if c > c_out:
         return np.ascontiguousarray(_transposed(_conv_weight_grad(g, xd)))
@@ -244,9 +245,9 @@ def conv2d_windows(xd, wd, bd, ps):
     subset of what ``_conv_per_tap`` adds; on the im2col side a class
     multiplies the map's columns by a kernel whose dropped taps are zero,
     which adds only zero products where the cut-out window's im2col row
-    reads its padding (``_class_maps_im2col``).  So a window
-    cut from the classes is bit for bit its batched conv wherever the GEMM
-    gives a row the same bits at any row count.
+    reads its padding (``_class_maps_im2col``).  So a window cut from the
+    classes is bit for bit its batched conv wherever the GEMM gives a row
+    the same bits at any row count, and the map and kernel are finite.
 
     Returns (out, index): ``out`` (``class_rows(h, ps)`` * w, c_out) holds
     the class maps, w pixels wide, one after the other; ``index`` (ps, ps)
@@ -288,11 +289,11 @@ def conv2d_windows(xd, wd, bd, ps):
 
 
 def _class_maps_im2col(xd, taps, axis, maps):
-    """The class maps on the im2col side (c_in <= c_out): the map's im2col
-    columns, then per class its map rows in one ``_cols_matmul`` against the
-    stacked taps with the taps it drops zeroed.  A zeroed tap adds only
-    products of 0, in the same K order as the cut-out window's im2col row,
-    whose dropped taps read the window's zero padding."""
+    """The class maps on the im2col side (c_in <= c_out): per class, its map
+    rows of the map's im2col columns in one ``_cols_matmul`` against the
+    stacked taps with its dropped taps zeroed.  These add x*0 where the
+    cut-out window's im2col row adds 0*w from its zero padding, in the same
+    K order: the same bits while x and w are finite."""
     h, w, c = xd.shape
     cols = _im2col(xd[None]).reshape(h, w, 9 * c)
     for r, (top, _, keep_i, count) in enumerate(axis):

@@ -275,7 +275,11 @@ def test_conv2d_paths_agree_at_the_rule(rng, monkeypatch, hw, c_in, c_out):
     Its gw keeps, as uint32, the bits of the gw of the narrower side's
     columns: ``im2col(x).T @ g`` where c_in <= c_out, else ``x.T @
     im2col(g)`` with tap t taken from g's tap 8 - t.  Each case runs on 1, 3,
-    10 and 100 images, with the columns whole and in pieces."""
+    10 and 100 images, with the columns whole and in pieces.  Where c_in <=
+    c_out, conv2d computes gw as ``g.T @ im2col(x)``, the transpose of the
+    reference's product, so that uint32 assert checks a property of the BLAS
+    build (OpenBLAS 0.3.31 on SkylakeX rounds the two alike), not of this
+    code alone."""
     f32 = np.float32
     w = rng.normal(size=(c_out, c_in, 3, 3)).astype(f32)
     taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, c_in, c_out)
