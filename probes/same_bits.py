@@ -55,6 +55,25 @@ def run_job(tree, workload, seed, work, toy):
             raise SystemExit(f"{tree}: crossscene {argv[0]} exited with code {code}")
 
 
+def workloads(tree):
+    """The workload names in ``tree``'s BENCHMARK.json."""
+    return [w["name"] for w in json.loads((tree / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def spawn_jobs(script, argv, names, root, cwd):
+    """Run ``script`` once per workload in ``names``, each in a fresh process
+    in ``cwd`` with ``argv`` and ``--job NAME --work root/NAME``; the job
+    directories."""
+    jobs = []
+    for name in names:
+        job = root / name
+        job.mkdir(parents=True)
+        subprocess.run([sys.executable, str(script), *argv, "--job", name, "--work", str(job)],
+                       check=True, cwd=cwd)
+        jobs.append(job)
+    return jobs
+
+
 def digests(work):
     """{path relative to ``work``: sha256 hex} of every file under ``work``,
     with ``work``'s path in the bytes replaced by ``WORK_NAME``."""
@@ -93,17 +112,14 @@ def main(argv=None):
     if args.job:
         run_job(trees[0], args.job, args.seed, args.work, args.toy)
         return 0
-    names = [w["name"] for w in json.loads((trees[0] / "BENCHMARK.json").read_text())["workloads"]]
+    names = workloads(trees[0])
     with contextlib.ExitStack() as stack:
         work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
         tables = []
         for k, tree in enumerate(trees):
             root = work.resolve() / f"tree{k}"
-            for name in names:
-                (root / name).mkdir(parents=True)
-                subprocess.run([sys.executable, str(Path(__file__).resolve()), str(tree), "--job",
-                                name, "--seed", str(args.seed), "--work", str(root / name)]
-                               + ["--toy"] * args.toy, check=True, cwd=tree)
+            spawn_jobs(Path(__file__).resolve(), [str(tree), "--seed", str(args.seed)]
+                       + ["--toy"] * args.toy, names, root, tree)
             tables.append(digests(root))
         for k, tree in enumerate(trees):
             print(f"tree{k}: {tree}")

@@ -19,13 +19,14 @@ The weight gradient is one product, ``g.T @ im2col(x)``; where x is the wider
 side it is the transposed conv's, which unrolls g.  So no expanded matrix is
 wider than 9*min(c_in, c_out).
 
-A column matrix (n*h*w rows) is built whole only while it fits in
+A column matrix (n*h*w rows) is built whole while it fits in
 ``COL_BYTES``.  Past that, no piece is wider than one tap's columns: an
 im2col GEMM (the forward or the input gradient) takes a ninth of the images
-at a time, and the weight gradient one tap at a time (one kernel row where a
-tap's product would be small, see ``_SMALL_GEMM``).  Each piece is a block
-of the one GEMM's rows or columns with K whole, so at the preset channel
-counts the bits do not change (at others, see the next paragraph).
+at a time, and the weight gradient one tap at a time (whole where a tap's
+product would be small, see ``_SMALL_GEMM``).  Each piece is a block of the
+one GEMM's rows or columns with K whole, and no gw piece is a small product,
+so gw keeps the whole product's bits at every width, and the forward and gx
+at the preset channel counts (at others, see the next paragraph).
 
 On OpenBLAS 0.3.31 an image's output bits do not depend on its batch at the
 preset channel counts (16, 32, 64).  When c_out mod 16 is 1..8 they can: a
@@ -40,15 +41,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # The working-set budget of one stream: a column matrix is built whole up to
-# this many bytes, and in pieces past it; scene inference's row strips hold at
-# most this many bytes of stem maps.  Of the preset shapes' column matrices
-# (100 patches) only synth's (1.4 MB, 9*16 columns) stays whole: hyrank's
-# (5.6 MB), pavia's (9.3 MB) and houston's (25.9 MB, 9*32 columns each) go in
-# pieces.  At 12 MiB, which kept hyrank's and pavia's whole, one hyrank-shape
-# stream's step peaked at 13.1 MiB of arrays, and at 4 MiB at 8.7 MiB.
-# Pieces cost time, but a two-stream hyrank step read 0-2.5% slower (60
-# interleaved steps, two runs), inside the spread of a run's step times, for
-# about 12% of hyrank-map's peak RSS.
+# this many bytes, and in pieces past it; the weight gradient's alone stays
+# whole past it where one tap's product is small (see _SMALL_GEMM).  Scene
+# inference's row strips hold at most this many bytes of stem maps.  Of the
+# preset shapes' column matrices (100 patches) only synth's (1.4 MB, 9*16
+# columns) stays whole: hyrank's (5.6 MB), pavia's (9.3 MB) and houston's
+# (25.9 MB, 9*32 columns each) go in pieces.  At 12 MiB, which kept hyrank's
+# and pavia's whole, one hyrank-shape stream's step peaked at 13.1 MiB of
+# arrays, and at 4 MiB at 8.7 MiB.  Pieces cost time, but a two-stream hyrank
+# step read 0-2.5% slower (60 interleaved steps, two runs), inside the spread
+# of a run's step times, for about 12% of hyrank-map's peak RSS.
 COL_BYTES = 4 << 20
 
 # OpenBLAS 0.3.31 runs a product with M*N*K <= 1e6 through its small-matrix
@@ -56,8 +58,9 @@ COL_BYTES = 4 << 20
 # same rows or columns inside a larger product.  A K = 576 product of one 7x7
 # image would get other bits alone than in a batch; at K <= 288 the two agree,
 # so the column product takes K in slices of 288.  The weight gradient never
-# splits its K = n*h*w; where one tap's product would fall under the bound,
-# its columns come a kernel row (three taps) at a time instead of one tap.
+# splits its K = n*h*w, and keeps its columns whole where one tap's product
+# would fall under the bound: 36e6 bytes over the other side's channels at
+# most, so past COL_BYTES only where that side has at most 8.
 _SMALL_GEMM = 10**6
 _K_SLICE = 288
 
@@ -133,17 +136,12 @@ def _im2col(xd):
     return _windows(xd).reshape(n * h * w, 9 * c)  # the one copy
 
 
-def _tap_cols(xd, c_other):
-    """The column blocks of ``_im2col(xd)`` for a weight gradient against
-    ``c_other`` channels, built one at a time: one tap, (n*h*w, c), each, or
-    one kernel row (three taps) each where a tap's product, M*N*K =
-    n*h*w * c * c_other, would be small (``_SMALL_GEMM``)."""
-    taps = 1 if xd.size * c_other > _SMALL_GEMM else 3
+def _tap_cols(xd):
+    """The column blocks of ``_im2col(xd)``, one tap's (n*h*w, c) at a time."""
     windows = _windows(xd)
     n, h, w, _, _, c = windows.shape
-    for k in range(0, 9, taps):
-        block = windows[:, :, :, k // 3] if taps == 3 else windows[:, :, :, k // 3, k % 3]
-        yield block.reshape(n * h * w, taps * c)
+    for k in range(9):
+        yield windows[:, :, :, k // 3, k % 3].reshape(n * h * w, c)
 
 
 def _cols_matmul(cols, kernel, out=None):
@@ -195,16 +193,17 @@ def _conv_per_tap(xd, taps):
 
 def _conv_weight_grad(xd, g):
     """The (c_out, c_in, 3, 3) kernel gradient ``g.T @ im2col(x)``, whole
-    while x's columns fit in ``COL_BYTES``, else one block of its columns per
-    piece of ``_tap_cols(x, c_out)``; K = n*h*w is never split, so the pieces
-    give the bits of the whole product (and, on OpenBLAS 0.3.31 SkylakeX,
-    those of ``im2col(x).T @ g``).  Where c_in > c_out, the transposed conv's
-    (input g, output gradient x), which unrolls the narrower g."""
+    while x's columns fit ``COL_BYTES`` or a tap's product is small
+    (``_SMALL_GEMM``), else a tap at a time; K = n*h*w is never split, so
+    the pieces give the whole product's bits at every width (and, on
+    OpenBLAS 0.3.31 SkylakeX, those of ``im2col(x).T @ g``).  Where c_in >
+    c_out, the transposed conv's (input g, output gradient x)."""
     c, c_out = xd.shape[3], g.shape[3]
     if c > c_out:
         return np.ascontiguousarray(_transposed(_conv_weight_grad(g, xd)))
     gt = g.reshape(-1, c_out).T
-    cols = [_im2col(xd)] if _col_bytes(xd, c) <= COL_BYTES else _tap_cols(xd, c_out)
+    whole = _col_bytes(xd, c) <= COL_BYTES or xd.size * c_out <= _SMALL_GEMM
+    cols = [_im2col(xd)] if whole else _tap_cols(xd)
     # map, unlike a loop variable, drops each column block before building the next
     gw = np.concatenate(list(map(lambda part: gt @ part, cols)), axis=1)
     return gw.reshape(c_out, 3, 3, c).transpose(0, 3, 1, 2).copy()

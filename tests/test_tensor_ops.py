@@ -275,16 +275,17 @@ def test_conv2d_paths_agree_at_the_rule(rng, monkeypatch, hw, c_in, c_out):
     Its gw keeps, as uint32, the bits of the gw of the narrower side's
     columns: ``im2col(x).T @ g`` where c_in <= c_out, else ``x.T @
     im2col(g)`` with tap t taken from g's tap 8 - t.  Each case runs on 1, 3,
-    10 and 100 images, with the columns whole and in pieces.  Where c_in <=
-    c_out, conv2d computes gw as ``g.T @ im2col(x)``, the transpose of the
-    reference's product, so that uint32 assert checks a property of the BLAS
-    build (OpenBLAS 0.3.31 on SkylakeX rounds the two alike), not of this
-    code alone."""
+    10, 20, 30, 40 and 100 images, with the columns whole and in pieces; at
+    20 to 40 images a synth-shape tap's product is under ``_SMALL_GEMM`` and
+    the whole product's above it.  Where c_in <= c_out, conv2d computes gw
+    as ``g.T @ im2col(x)``, the transpose of the reference's product, so
+    that uint32 assert checks a property of the BLAS build (OpenBLAS 0.3.31
+    on SkylakeX rounds the two alike), not of this code alone."""
     f32 = np.float32
     w = rng.normal(size=(c_out, c_in, 3, 3)).astype(f32)
     taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, c_in, c_out)
     flipped = np.ascontiguousarray(taps[::-1].transpose(0, 2, 1))
-    for n, budget in itertools.product((1, 3, 10, 100), (1 << 40, 1)):
+    for n, budget in itertools.product((1, 3, 10, 20, 30, 40, 100), (1 << 40, 1)):
         monkeypatch.setattr(conv, "COL_BYTES", budget)
         x = rng.normal(size=(n, *hw, c_in)).astype(f32)
         g = rng.normal(size=(n, *hw, c_out)).astype(f32)
@@ -325,8 +326,9 @@ def test_conv2d_output_independent_of_batch(rng, hw, c_in, c_out):
 
 # Past conv.COL_BYTES, conv2d builds its im2col columns in pieces by one
 # rule: a ninth of the images at a time for an im2col GEMM (the forward with
-# c_in <= c_out, gx with c_out <= c_in), one tap at a time for gw (a kernel
-# row where a tap's product is small).  These are the preset shapes.
+# c_in <= c_out, gx with c_out <= c_in), one tap at a time for gw (whole
+# where a tap's product is small), so gw's pieces give the whole product's
+# bits at every width.  These are the preset shapes.
 @pytest.mark.parametrize("hw,c_in,c_out", [
     ((15, 15), 48, 32), ((15, 15), 32, 64), ((15, 15), 64, 32),
     ((7, 7), 176, 32), ((7, 7), 64, 32), ((7, 7), 32, 64),
@@ -348,8 +350,8 @@ def test_conv2d_backward_in_pieces_matches_whole(rng, monkeypatch, hw, c_in, c_o
         images.append(xd.shape[0])
         return im2col(xd)
 
-    def spy_tap_cols(xd, c_other):
-        for part in tap_cols(xd, c_other):
+    def spy_tap_cols(xd):
+        for part in tap_cols(xd):
             taps.append(part.shape[1] // xd.shape[3])
             yield part
 
@@ -370,26 +372,23 @@ def test_conv2d_backward_in_pieces_matches_whole(rng, monkeypatch, hw, c_in, c_o
     assert set(images) == {n} and not taps
     assert forward_images == ([n] if c_in <= c_out else [])
     step = -(-n // 9)
+    ninths = [min(step, n - i) for i in range(0, n, step)]
+    gw_whole = x.size * c_out <= conv._SMALL_GEMM  # a tap's product would be small
     for budget in (cols // 3, 1):
         taps.clear()
         pieces, forward_images = grads(budget)
-        assert taps == ([1] * 9 if x.size * c_out > conv._SMALL_GEMM else [3] * 3), budget
-        if c_in <= c_out:  # the forward on the im2col side
-            assert forward_images == [min(step, n - i) for i in range(0, n, step)], budget
-        else:
-            assert not forward_images, budget
-        if c_out <= c_in:  # gx on the im2col side
-            assert max(images) == step and sum(images) == n, budget
-        else:
-            assert not images, budget
+        assert taps == ([] if gw_whole else [1] * 9), budget
+        # the forward and gx each on the im2col side only
+        assert forward_images == (ninths if c_in <= c_out else []), budget
+        assert images == ([n] if gw_whole else []) + (ninths if c_out <= c_in else []), budget
         for a, b in zip(whole, pieces):
             assert a.dtype == b.dtype and np.array_equal(a, b), budget
 
 
 def test_conv2d_gradcheck_with_the_columns_in_pieces(monkeypatch):
     """The f64 finite-difference cases of both conv2d sides pass with every
-    column matrix of the backward built one tap (or kernel row) or one image
-    at a time."""
+    column matrix of the backward built one tap or one image at a time, or
+    gw's whole where a tap's product is small."""
     monkeypatch.setattr(conv, "COL_BYTES", 1)
     for seed in range(5):
         for name, params, build in primitive_checks(seed):
