@@ -37,7 +37,6 @@ def run_job(tree, workload, seed, work, toy):
     """Write one workload's inputs under ``work`` and make its CLI calls,
     with ``tree``'s program; runs in the child process."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    # The CLI module pins the BLAS threads, so it loads before numpy does.
     import crossscene.cli
     import run as bench
 

@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import argparse
 import ctypes
-import os
+import json
+import math
+import shutil
+import sys
+from pathlib import Path
 
-# One BLAS thread per stream, set before numpy spins up its BLAS pools and
-# whatever the environment says: a GEMM's bits depend on how many threads
-# split it.  Training and scene inference run two streams (engine.fork_join),
-# so one thread each fills two cores.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
+
+from .checks import GRADCHECK_TOLERANCE, run_all_checks
+from .config import ConfigError, PRESETS, resolve_config, save_config
+from .data import (BundleError, PatchSource, ShiftSpec, is_list_of, load_scene, save_bundle,
+                   synth_domain_pair, write_atomic)
+from .engine import NumericError
+from .engine.tensor import one_blas_thread
+from .evaluate import (default_palette, evaluate_scene, format_mean_std, format_report,
+                       predict_scene, write_map)
+from .model import load_checkpoint
+from .training import ABLATION_GRIDS, build_model, run_grid
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -37,25 +48,6 @@ def set_allocator_policy():
     mallopt.restype = ctypes.c_int
     return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 256 << 20))
 
-
-import argparse
-import json
-import math
-import shutil
-import sys
-from pathlib import Path
-
-import numpy as np
-
-from .checks import GRADCHECK_TOLERANCE, run_all_checks
-from .config import ConfigError, PRESETS, resolve_config, save_config
-from .data import (BundleError, PatchSource, ShiftSpec, is_list_of, load_scene, save_bundle,
-                   synth_domain_pair, write_atomic)
-from .engine import NumericError
-from .evaluate import (default_palette, evaluate_scene, format_mean_std, format_report,
-                       predict_scene, write_map)
-from .model import load_checkpoint
-from .training import ABLATION_GRIDS, build_model, run_grid
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
@@ -84,7 +76,6 @@ def _config_parent():
     p.add_argument("--preset", choices=sorted(PRESETS), help="named defaults to start from")
     p.add_argument("--set", dest="overrides", action="append", metavar="K=V",
                    help="dotted config override, repeatable (e.g. train.epochs=2)")
-    p.add_argument("--seed", type=int, help="replace the seed list with this single seed")
     return p
 
 
@@ -94,8 +85,10 @@ def build_parser():
         description="Cross-scene hyperspectral classification: training, evaluation, diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
     cfg = _config_parent()
+    seeded = argparse.ArgumentParser(add_help=False, parents=[cfg])  # eval reads no seed
+    seeded.add_argument("--seed", type=int, help="replace the seed list with this single seed")
 
-    p = sub.add_parser("train", parents=[cfg], help="train per seed; write checkpoints + history")
+    p = sub.add_parser("train", parents=[seeded], help="train per seed; write checkpoints + history")
     p.add_argument("--out", default="runs/train", metavar="DIR")
     p.add_argument("--deterministic", action="store_true",
                    help="zero timing fields so artifacts are byte-reproducible")
@@ -107,7 +100,7 @@ def build_parser():
     p.add_argument("--out", default=None, metavar="DIR")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("map", parents=[cfg], help="render a classification map (P6 PPM)")
+    p = sub.add_parser("map", parents=[seeded], help="render a classification map (P6 PPM)")
     p.add_argument("--checkpoint", required=True, metavar="BIN")
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--out", default="runs/map", metavar="DIR")
@@ -120,7 +113,7 @@ def build_parser():
     p.add_argument("--tolerance", type=_positive_finite, default=GRADCHECK_TOLERANCE)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", parents=[cfg], help="run a named experiment grid")
+    p = sub.add_parser("ablate", parents=[seeded], help="run a named experiment grid")
     p.add_argument("--grid", required=True,
                    choices=sorted(ABLATION_GRIDS),
                    help="modules (5 arms), heads (2x2), variants (block designs a-d)")
@@ -218,7 +211,7 @@ def _restore_model(args, cfg, labeled=True):
 
 
 def cmd_eval(args):
-    cfg = resolve_config(args.preset, args.config, args.overrides, args.seed)
+    cfg = resolve_config(args.preset, args.config, args.overrides)
     if args.out:
         _check_out(args.out)
     model, source, labels = _restore_model(args, cfg)
@@ -311,6 +304,8 @@ def cmd_synth(args):
 
 def main(argv=None):
     set_allocator_policy()
+    # one BLAS thread for good: giving a thread back would wake OpenBLAS's idle pool
+    one_blas_thread().__enter__()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -215,9 +215,8 @@ def _conv_weight_grad(xd, g):
 def _border_classes(h, ps):
     """Per border class along one axis of ps-wide windows over h map rows:
     its first and last window position, the taps it keeps, and the count of
-    map rows where it occurs in some window (one class at ps = 1)."""
-    axis = [(0, 0, (1,))] if ps == 1 else [(0, 0, (1, 2)), (1, ps - 2, (0, 1, 2)),
-                                          (ps - 1, ps - 1, (0, 1))]
+    map rows where it occurs in some window."""
+    axis = [(0, 0, (1, 2)), (1, ps - 2, (0, 1, 2)), (ps - 1, ps - 1, (0, 1))]
     return [(first, last, keep, h - ps + 1 + last - first) for first, last, keep in axis]
 
 
@@ -235,10 +234,10 @@ def conv2d_windows(xd, wd, bd, ps):
 
     A window position's output depends on the window only through which taps
     stay inside it: all nine in the interior, a subset on the window's top,
-    bottom, left or right edge, the centre tap alone at ps = 1.  So the map
-    is convolved once per border class (top, middle or bottom row x left,
-    middle or right column; one class at ps = 1), each class only over the
-    map rows where it occurs in some window.  Each class repeats the batched
+    bottom, left or right edge.  So the map is convolved once per border
+    class (top, middle or bottom row x left, middle or right column), each
+    class only over the map rows where it occurs in some window (ps >= 3,
+    so that an axis has its three classes).  Each class repeats the batched
     conv's arithmetic on the same side of the channel rule.  On the per-tap
     side (c_in > c_out) a class adds its taps in order 0..8 onto zeros, the
     subset of what ``_conv_per_tap`` adds; on the im2col side a class
@@ -254,8 +253,9 @@ def conv2d_windows(xd, wd, bd, ps):
     window whose top-left map pixel is (t, s) reads rows ``index + t*w + s``.
     """
     h, w, c = xd.shape
-    if h < ps or w < ps:
-        raise ValueError(f"conv2d_windows needs a map of at least {ps}x{ps}, got {h}x{w}")
+    if ps < 3 or h < ps or w < ps:
+        raise ValueError(f"conv2d_windows needs windows of at least 3x3 on a map at least as "
+                         f"large, got {ps}x{ps} windows on a {h}x{w} map")
     taps = _tap_kernels(wd)
     b = taps.shape[2]
     axis = _border_classes(h, ps)
@@ -273,15 +273,13 @@ def conv2d_windows(xd, wd, bd, ps):
             ki, kj = divmod(k, 3)
             users = [(r, s) for r in range(n) for s in range(n)
                      if ki in axis[r][2] and kj in axis[s][2]]
-            if not users:
-                continue
             np.matmul(rows, taps[k], out=part.reshape(-1, b))
             oj, ij = _SHIFTS[1 - kj]
             for r, s in users:
                 top = axis[r][0] + ki - 1  # the part row read by the class map's first row
                 maps[n * r + s][:, oj] += part[top : top + counts[r], ij]
     out += bd
-    cls = [0] if ps == 1 else [0] + [1] * (ps - 2) + [2]
+    cls = [0] + [1] * (ps - 2) + [2]
     index = np.array([[starts[n * cls[i] + cls[j]] + (i - axis[cls[i]][0]) * w + j
                        for j in range(ps)] for i in range(ps)], dtype=np.int64)
     return out, index

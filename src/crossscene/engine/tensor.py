@@ -15,7 +15,8 @@ only).
 Two independent subgraphs can run at once: ``fork_join`` runs one of them on
 a persistent second thread, and ``backward_pair`` walks two subgraphs that
 share only leaves on the two threads.  numpy releases the GIL inside its
-GEMMs and ufunc loops, so the two streams use two cores.
+GEMMs and ufunc loops, so the two streams use two cores, one BLAS thread
+each (``one_blas_thread``): a GEMM's bits depend on how many threads split it.
 
 Spatial maps are channels-last, (n, h, w, c), end to end: the layout patches
 are cut in, so no op or caller transposes activations.  Convolution kernels
@@ -29,9 +30,11 @@ Training runs in float32; gradient verification rebuilds graphs in float64
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -343,6 +346,30 @@ def fork_join(first, second):
     return out, future.result()
 
 
+try:  # numpy's own OpenBLAS, the one the wheel loads; None under another BLAS
+    [_path] = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*")
+    _OPENBLAS = ctypes.CDLL(str(_path))
+    _OPENBLAS.scipy_openblas_get_num_threads64_.argtypes = ()  # restype: c_int, the default
+    _OPENBLAS.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
+except (ValueError, OSError, AttributeError):
+    _OPENBLAS = None
+
+
+class one_blas_thread(contextlib.ContextDecorator):
+    """numpy's bundled OpenBLAS at one thread inside the block or decorated
+    call, and the caller's count back on exit.  Entered and never left, it
+    pins the rest of the process.  Under another BLAS it does nothing."""
+
+    def __enter__(self):
+        if _OPENBLAS is not None:
+            self.count = _OPENBLAS.scipy_openblas_get_num_threads64_()
+            _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+
+    def __exit__(self, *exc):
+        if _OPENBLAS is not None:
+            _OPENBLAS.scipy_openblas_set_num_threads64_(self.count)
+
+
 def recompute(fn, x, params):
     """``fn(x)``, with a tape that keeps x's array and GELU's Phi(x) arrays
     instead of the inner arrays of ``fn``: the backward reruns ``fn``.
@@ -493,13 +520,8 @@ def tsum(x, axis=None, keepdims=False):
     return _make(data, (x,), vjp)
 
 
-def tmean(x, axis=None, keepdims=False):
-    if axis is None:
-        n = x.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([x.data.shape[i] for i in ax]))
-    return scale(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+def tmean(x):
+    return scale(tsum(x), 1.0 / x.data.size)
 
 
 def reshape(x, shape):
@@ -512,17 +534,11 @@ def reshape(x, shape):
     return _make(data, (x,), vjp)
 
 
-def transpose(x, axes=None):
-    data = x.data.transpose(axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
-
+def transpose(x):
     def vjp(g):
-        return (g.transpose(inv),)
+        return (g.T,)
 
-    return _make(data, (x,), vjp)
+    return _make(x.data.T, (x,), vjp)
 
 
 def gather_rows(x, idx):

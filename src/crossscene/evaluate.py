@@ -67,6 +67,7 @@ def metrics(cm):
     )
 
 
+@E.tensor.one_blas_thread()
 def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     """Predict labeled pixels (or all pixels) -> (predictions raster, (n, 2) pixels).
 
@@ -102,24 +103,24 @@ def predict_scene(model, scene, label_map, config, map_all=False, batch=100):
     batches = [pixels[start : start + batch] for start in range(0, len(pixels), batch)]
 
     extractor = model.extractor
-    width = src.width + ps - 1
-
-    maps = 1 if extractor.block is None else 3  # h, key, value
-    row_bytes = width * maps * extractor.config.unit_channels[0] * model.dtype.itemsize
-    # h pixel rows are h + ps - 1 map rows: 9h class rows plus a halo that
-    # every strip pays.  Past 2 * halo pixel rows a taller strip saves under
-    # 1/19 of its class rows but holds more maps.
-    halo = conv.class_rows(ps - 1, ps)
-    max_rows = max(1, (conv.COL_BYTES // row_bytes - halo) // 9)
-    if halo:
-        max_rows = min(max_rows, 2 * halo)
-    # A patch position's stem costs about two class-map positions' with conv1
-    # on the per-tap side, whose tap GEMMs run once per map row for all nine
-    # classes, and about one on the im2col side, where each class row runs
-    # conv1's whole K = 9 * bands GEMM (measured on one stream: 0.49-0.56 of
-    # a patch position at the hyrank shape, 0.68-0.75 at houston's, 1.0-1.06
-    # at synth's).
-    patch_cost = 2 if extractor.config.input_bands > extractor.config.unit_channels[0] else 1
+    if extractor.shares_stem:  # so ps >= 3, where conv.class_rows holds
+        width = src.width + ps - 1
+        maps = 1 if extractor.block is None else 3  # h, key, value
+        row_bytes = width * maps * extractor.config.unit_channels[0] * model.dtype.itemsize
+        # h pixel rows are h + ps - 1 map rows: 9h class rows plus a halo
+        # that every strip pays.  Past 2 * halo pixel rows a taller strip
+        # saves under 1/19 of its class rows but holds more maps.
+        halo = conv.class_rows(ps - 1, ps)
+        max_rows = max(1, (conv.COL_BYTES // row_bytes - halo) // 9)
+        if halo:
+            max_rows = min(max_rows, 2 * halo)
+        # A patch position's stem costs about two class-map positions' with
+        # conv1 on the per-tap side, whose tap GEMMs run once per map row for
+        # all nine classes, and about one on the im2col side, where each class
+        # row runs conv1's whole K = 9 * bands GEMM (measured on one stream:
+        # 0.49-0.56 of a patch position at the hyrank shape, 0.68-0.75 at
+        # houston's, 1.0-1.06 at synth's).
+        patch_cost = 2 if extractor.config.input_bands > extractor.config.unit_channels[0] else 1
 
     def score_strips(strips):
         for strip in strips:

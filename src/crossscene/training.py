@@ -235,6 +235,7 @@ def build_model(config, num_classes, input_bands, seed=0):
                               num_classes, seed=seed)
 
 
+@E.tensor.one_blas_thread()
 def fit(config, source, target, seed=0, out_dir=None, deterministic=False):
     """Train on a (Scene, LabelMap) source and an unlabeled target scene;
     ``seed`` draws the initial weights and both domains' batch orders.  In

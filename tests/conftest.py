@@ -1,14 +1,19 @@
-# The CLI module fixes one BLAS thread per stream, so it loads before numpy,
-# as it does under the installed script: the suite then runs at that count.
-import crossscene.cli  # noqa: F401  isort: skip
-
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from crossscene.data import ShiftSpec, synth_domain_pair
+from crossscene.engine.tensor import one_blas_thread
 from crossscene.training import TrainConfig
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _one_blas_thread():
+    """The whole suite at the program's one BLAS thread per stream, so tests
+    that call engine ops outside ``fit`` get its bits on any core count."""
+    with one_blas_thread():
+        yield
 
 
 @pytest.fixture(scope="session")

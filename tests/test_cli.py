@@ -262,12 +262,12 @@ def test_resolved_config_with_removed_keys_exits_2(synth_dir, tmp_path, capsys):
     assert err == "config error: unknown config keys at train.attention.: scale_divisor"
 
 
-# The whole CLI surface, as tests/test_config.py pins the config's.  `eval`
-# and `map` keep `--seed` though neither reads it: perfbench/run.py passes
-# `--seed` to every `map` call it makes.
+# The whole CLI surface, as tests/test_config.py pins the config's.  `map`
+# keeps `--seed` though it does not read it: perfbench/run.py passes `--seed`
+# to every `map` call it makes.
 PINNED_OPTIONS = {
     "train": ("--config", "--preset", "--set", "--seed", "--out", "--deterministic"),
-    "eval": ("--config", "--preset", "--set", "--seed", "--checkpoint", "--bundle", "--out"),
+    "eval": ("--config", "--preset", "--set", "--checkpoint", "--bundle", "--out"),
     "map": ("--config", "--preset", "--set", "--seed", "--checkpoint", "--bundle", "--out",
             "--palette", "--all-pixels"),
     "gradcheck": ("--seed", "--tolerance"),
@@ -285,14 +285,19 @@ def test_cli_surface_is_pinned():
 
 
 def test_removed_grid_name_exits_2(synth_dir, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ablate", "--config", str(_cfg_file(synth_dir)), "--grid", "table8",
-              "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("config error: argument --grid: invalid choice: 'table8'")
-    assert "\n" not in err
-    assert not (tmp_path / "x").exists()
+    """A removed ``--grid`` name, and ``eval --seed`` (eval reads no seed),
+    are usage errors."""
+    for argv, message in [
+            (["ablate", "--grid", "table8"], "argument --grid: invalid choice: 'table8'"),
+            (["eval", "--checkpoint", "c.bin", "--bundle", "b", "--seed", "0"],
+             "unrecognized arguments: --seed 0")]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(_cfg_file(synth_dir)), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"config error: {message}")
+        assert "\n" not in err
+        assert not (tmp_path / "x").exists()
 
 
 # (dotted key, the error's location and name): the two loss-term flags, now a
@@ -397,18 +402,49 @@ def test_import_loads_no_scipy():
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+# The CLI's train call as a library caller makes it: numpy loads first, at
+# the environment's BLAS thread count, and the CLI module never loads.  It
+# prints the OpenBLAS thread count before and after run_grid, and after one
+# cli.main call.
+LIBRARY_TRAIN = """
+import json, sys
+import numpy as np
+import crossscene
+from crossscene.config import resolve_config
+from crossscene.data import load_scene
+from crossscene.engine.tensor import _OPENBLAS
+from crossscene.training import run_grid
+
+overrides, out = json.loads(sys.argv[1])
+threads = [_OPENBLAS.scipy_openblas_get_num_threads64_()]
+cfg = resolve_config("houston", None, overrides, 0)
+run_grid(cfg.train, cfg.seeds, [("", {})], load_scene(cfg.source_bundle),
+         load_scene(cfg.target_bundle), out_dir=out, deterministic=True)
+threads.append(_OPENBLAS.scipy_openblas_get_num_threads64_())
+import crossscene.cli
+assert crossscene.cli.main(["synth", "--out", out + "/synth", "--classes", "2", "--bands", "4",
+                            "--grid", "2", "--blob", "3"]) == 0
+threads.append(_OPENBLAS.scipy_openblas_get_num_threads64_())
+print(threads)
+"""
+
 
 def test_artifacts_do_not_depend_on_thread_variables(tmp_path):
     """``train --deterministic`` and ``map --all-pixels``, each in a fresh
-    process, write the same bytes whatever the BLAS thread variables say.
-    At the houston shape (48 bands, patch 15, batch 100, widths 32/64/32)
-    conv2's weight gradient im2col(x)^T g has K = 100 * 15 * 15 = 22500, and
-    OpenBLAS splits that sum differently at two threads than at one."""
+    process, write the same bytes whatever the BLAS thread variables say,
+    and ``run_grid`` called as a library at two BLAS threads writes the
+    CLI's checkpoint, then gives the caller its two threads back; a later
+    ``cli.main`` pins the process at one.  At the houston shape (48 bands,
+    patch 15, batch 100, widths 32/64/32) conv2's weight gradient
+    im2col(x)^T g has K = 100 * 15 * 15 = 22500, and OpenBLAS splits that
+    sum differently at two threads than at one.  OpenBLAS caps the count at
+    the core count, so on one core the library case cannot tell the two
+    apart."""
     assert main(["synth", "--out", str(tmp_path / "data"), "--classes", "7", "--bands", "48",
                  "--grid", "3", "--blob", "6", "--seed", "3"]) == 0
-    common = ["--preset", "houston", "--seed", "0", "--set", "train.epochs=1",
-              "--set", f"source_bundle={tmp_path / 'data' / 'source'}",
-              "--set", f"target_bundle={tmp_path / 'data' / 'target'}"]
+    overrides = ["train.epochs=1", f"source_bundle={tmp_path / 'data' / 'source'}",
+                 f"target_bundle={tmp_path / 'data' / 'target'}"]
+    common = ["--preset", "houston", "--seed", "0", *(a for o in overrides for a in ("--set", o))]
     base = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     base["PYTHONPATH"] = str(Path(crossscene.__file__).parents[1])
     envs = {"unset": base,
@@ -429,6 +465,16 @@ def test_artifacts_do_not_depend_on_thread_variables(tmp_path):
     differ = {name: [f for f in files if artifacts[name][f] != artifacts["unset"][f]]
               for name in envs}
     assert differ == {name: [] for name in envs}
+
+    library = tmp_path / "library"
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_TRAIN,
+                           json.dumps([overrides, str(library)])],
+                          env=dict(base, OPENBLAS_NUM_THREADS="2"), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (library / "seed_0" / "checkpoint.bin").read_bytes() == artifacts["unset"][files[0]]
+    before, after, pinned = json.loads(proc.stdout.splitlines()[-1])
+    assert after == before == min(2, len(os.sched_getaffinity(0))) and pinned == 1
 
 
 @pytest.mark.parametrize("override", ["train.patch_size=4", "train.normalization=bogus",

@@ -1,5 +1,6 @@
 """Confusion-matrix metrics, aggregation, map rendering, scene evaluation."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from crossscene.evaluate import (MetricsReport, aggregate_runs, confusion,
 from crossscene.data import LabelMap, PatchSource, ShiftSpec, labeled_pixels, synth_domain_pair
 from crossscene.engine import conv
 from crossscene.model import DualHeadClassifier, FeatureExtractor, Stem
-from crossscene.training import TrainConfig, build_model
+from crossscene.training import TrainConfig, build_model, fit
 
 
 def test_confusion_diagonal_when_perfect():
@@ -347,11 +348,24 @@ def test_predict_scene_falls_back_to_patches(bands, w1, monkeypatch):
     assert (raster > 0).all()
 
 
+def test_predict_scene_at_patch_1(tiny_pair, tiny_config, monkeypatch):
+    """At patch 1 no stem is shared (``conv2d_windows`` takes windows of 3
+    and up), so every batch of a full map is cut as patches, and the labels
+    do not depend on the batch.  Four epochs at seed 2 give three labels."""
+    config = replace(tiny_config, patch_size=1, epochs=4)
+    model = fit(config, *tiny_pair, seed=2).model
+    monkeypatch.setattr(FeatureExtractor, "window_stems", None)  # never called
+    target = tiny_pair[1]
+    full, pixels = predict_scene(model, *target, config, map_all=True)
+    for batch in (7, 500):
+        assert np.array_equal(predict_scene(model, *target, config, map_all=True,
+                                            batch=batch)[0], full)
+    assert len(pixels) == full.size and len(np.unique(full)) == 3
+
+
 @pytest.mark.slow
 def test_overfit_source_scores_high(tiny_pair):
-    from dataclasses import replace
-
-    from crossscene.training import LossWeights, TrainConfig, fit
+    from crossscene.training import LossWeights
 
     cfg = TrainConfig(epochs=125, batch=50, patch_size=5, normalization="none",
                       unit_channels=(16, 32, 16),

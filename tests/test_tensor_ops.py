@@ -468,7 +468,7 @@ def test_affine_output_independent_of_batch(rng, d):
         assert np.array_equal(np.concatenate(parts), full), size
 
 
-@pytest.mark.parametrize("ps", [1, 3, 5, 7, 15])
+@pytest.mark.parametrize("ps", [3, 5, 7, 15])
 @pytest.mark.parametrize("hw", [(4, 5), (9, 9), (12, 3)])
 def test_conv2d_windows_match_batched_conv2d(rng, ps, hw):
     """Every window cut from the border-class maps of a reflect-padded scene
@@ -502,9 +502,12 @@ def test_conv2d_windows_match_batched_conv2d(rng, ps, hw):
 
 
 def test_conv2d_windows_rejects_a_map_smaller_than_a_window():
-    with pytest.raises(ValueError, match="at least 5x5"):
-        E.conv2d_windows(np.zeros((4, 9, 3), np.float32), np.zeros((2, 3, 3, 3), np.float32),
-                         np.zeros(2, np.float32), 5)
+    """A 4x9 map holds no 5x5 window; nor does ``conv2d_windows`` take 1x1
+    windows, which have no middle border class (patch 1 shares no stem)."""
+    for ps, match in [(5, "got 5x5 windows on a 4x9 map"), (1, "got 1x1 windows")]:
+        with pytest.raises(ValueError, match=match):
+            E.conv2d_windows(np.zeros((4, 9, 3), np.float32),
+                             np.zeros((2, 3, 3, 3), np.float32), np.zeros(2, np.float32), ps)
 
 
 def test_depthwise_conv_no_channel_mixing(rng):
