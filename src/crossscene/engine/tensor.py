@@ -348,26 +348,30 @@ def fork_join(first, second):
 
 try:  # numpy's own OpenBLAS, the one the wheel loads; None under another BLAS
     [_path] = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*")
-    _OPENBLAS = ctypes.CDLL(str(_path))
-    _OPENBLAS.scipy_openblas_get_num_threads64_.argtypes = ()  # restype: c_int, the default
-    _OPENBLAS.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
+    _OPENBLAS = ctypes.CDLL(str(_path))  # ctypes' int in, int out: the C signatures
+    _blas_threads, _set_blas_threads = (_OPENBLAS.scipy_openblas_get_num_threads64_,
+                                        _OPENBLAS.scipy_openblas_set_num_threads64_)
 except (ValueError, OSError, AttributeError):
-    _OPENBLAS = None
+    _OPENBLAS, _blas_threads, _set_blas_threads = None, lambda: None, lambda count: None
 
 
 class one_blas_thread(contextlib.ContextDecorator):
     """numpy's bundled OpenBLAS at one thread inside the block or decorated
-    call, and the caller's count back on exit.  Entered and never left, it
-    pins the rest of the process.  Under another BLAS it does nothing."""
+    call.  Blocks open at once, in any threads, share the process's count:
+    the last to leave gives back the count from before the first.  Entered
+    and never left, it pins the process for good.  No-op under another BLAS."""
+
+    lock, counts = threading.Lock(), []  # the count on entry, per open block
 
     def __enter__(self):
-        if _OPENBLAS is not None:
-            self.count = _OPENBLAS.scipy_openblas_get_num_threads64_()
-            _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+        with self.lock:
+            self.counts.append(_blas_threads())
+            _set_blas_threads(1)
 
     def __exit__(self, *exc):
-        if _OPENBLAS is not None:
-            _OPENBLAS.scipy_openblas_set_num_threads64_(self.count)
+        with self.lock:
+            count = self.counts.pop()  # the last pop takes the first block's
+            _set_blas_threads(1 if self.counts else count)
 
 
 def recompute(fn, x, params):

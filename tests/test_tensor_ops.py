@@ -2,9 +2,13 @@
 
 import contextlib
 import itertools
+import json
+import os
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -815,6 +819,33 @@ def test_no_grad_restores_recording_after_error():
             raise RuntimeError("boom")
     assert E.mul(Parameter(np.ones(2)), Parameter(np.ones(2))).requires_grad
 
+
+# Two pins open at once, as two threads calling ``fit`` open them, left in
+# the order they were entered.  Prints the count before, between the two
+# exits, and after.
+OVERLAPPING_PINS = """
+from crossscene.engine.tensor import _blas_threads, _set_blas_threads, one_blas_thread
+_set_blas_threads(2)
+counts, first, second = [_blas_threads()], one_blas_thread(), one_blas_thread()
+first.__enter__(); second.__enter__(); first.__exit__(None, None, None)
+counts.append(_blas_threads())
+second.__exit__(None, None, None)
+print(counts + [_blas_threads()])
+"""
+
+
+@pytest.mark.skipif(tensor._OPENBLAS is None, reason="the pin acts on numpy's OpenBLAS only")
+def test_overlapping_blas_pins_give_the_count_back_once():
+    """The first pin to leave keeps one thread for the other, and the last
+    gives back the count from before both.  Run in a fresh process, outside
+    the suite's own pin.  OpenBLAS caps the count at the core count, so on
+    one core the give-back cannot be seen."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tensor.__file__).parents[2]))
+    proc = subprocess.run([sys.executable, "-c", OVERLAPPING_PINS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    before, between, after = json.loads(proc.stdout)
+    assert between == 1 and after == before
 
 # -- what the tape keeps -----------------------------------------------------
 

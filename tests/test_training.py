@@ -286,10 +286,12 @@ STREAM_ARMS = {
 }
 
 
+@E.tensor.one_blas_thread()
 def compare_streamed_to_serial(steps=3):
     """{arm: [names of state arrays whose bits differ, pseudo labels taken]}
     after ``steps`` of ``train_step`` and of ``serial_train_step`` from one
-    init on the ``tiny_pair`` domains."""
+    init on the ``tiny_pair`` domains, at ``fit``'s one BLAS thread per
+    stream."""
     from crossscene.data import ShiftSpec, synth_domain_pair
 
     (src, src_labels), (tgt, tgt_labels) = synth_domain_pair(
@@ -329,11 +331,12 @@ def _training_state(model):
 
 def test_streamed_train_step_matches_serial_oracle():
     """Parameters, momentum and BN running buffers are bit for bit those of
-    the serial step.  Run in a fresh process, where importing the CLI first
-    fixes one BLAS thread per stream, so the two streams overlap."""
+    the serial step.  Run in a fresh process, outside the suite's own pin,
+    at the one BLAS thread per stream the helper pins, so the two streams
+    overlap."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
-    code = ("import crossscene.cli, json, test_training; "
+    code = ("import json, test_training; "
             "print(json.dumps(test_training.compare_streamed_to_serial()))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
